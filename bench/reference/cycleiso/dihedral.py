@@ -1,0 +1,211 @@
+"""The dihedral group of the n-cycle and its partial-permutation restrictions.
+
+Group elements are kept in the normal form ``h^j g^k`` with ``j`` in
+{0, 1} and ``0 <= k < n``, where the rotation ``g`` sends i to i + 1
+(mod n) and the reflection ``h`` sends i to n - i + 1.  Like partial
+permutations, group elements act on the right and words read left to
+right, so ``apply(s * t, i) == apply(t, apply(s, i))``.
+
+Text form: ``"g^2"``, ``"h*g^0"``.
+
+The restrictions of these 2n permutations to subsets of 1..n are exactly
+the partial isometries of the cycle; ``classify`` reports which of the
+studied monoids a partial permutation belongs to and through which group
+elements it extends.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
+from .errors import AmbientMismatchError, DomainError, ParseError
+from .partial_perm import PartialPerm, classify_order, sorted_points
+from .geometry import distance, is_partial_isometry
+
+__all__ = [
+    "KINDS",
+    "check_kind",
+    "DihedralElement",
+    "MembershipReport",
+    "all_elements",
+    "to_partial_perm",
+    "extensions",
+    "is_in_b2",
+    "b2_count",
+    "classify",
+    "in_kind",
+]
+
+# The three submonoids of the partial isometries with closed-form theory:
+# order-preserving, monotone, and orientation-preserving.
+KINDS = ("odi", "mdi", "opdi")
+
+_DIHEDRAL_TEXT = re.compile(r"(h\*)?g\^(\d+)")
+
+
+def check_kind(kind: str, allow_di: bool = False) -> None:
+    allowed = KINDS + ("di",) if allow_di else KINDS
+    if kind not in allowed:
+        raise DomainError(f"unknown kind {kind!r}; expected one of {', '.join(allowed)}")
+
+
+@dataclass(frozen=True, order=True)
+class DihedralElement:
+    """A symmetry of the n-cycle in the normal form h^j g^k."""
+
+    n: int
+    j: int
+    k: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or self.n < 3:
+            raise DomainError(f"the dihedral group needs n >= 3, got {self.n!r}")
+        if self.j not in (0, 1):
+            raise DomainError(f"reflection flag must be 0 or 1, got {self.j!r}")
+        if not isinstance(self.k, int) or not 0 <= self.k < self.n:
+            raise DomainError(f"rotation exponent {self.k!r} is outside 0..{self.n - 1}")
+
+    @classmethod
+    def rotation(cls, n: int, k: int) -> "DihedralElement":
+        return cls(n, 0, k % n)
+
+    @classmethod
+    def reflection(cls, n: int, k: int) -> "DihedralElement":
+        return cls(n, 1, k % n)
+
+    @classmethod
+    def identity(cls, n: int) -> "DihedralElement":
+        return cls(n, 0, 0)
+
+    @classmethod
+    def parse(cls, n: int, text: str) -> "DihedralElement":
+        m = _DIHEDRAL_TEXT.fullmatch(text.strip())
+        if m is None:
+            raise ParseError(f"not a dihedral element in g^k / h*g^k form: {text!r}")
+        return cls(n, 1 if m.group(1) else 0, int(m.group(2)))
+
+    def apply(self, i: int) -> int:
+        """Image of a point under the right action.
+
+        >>> DihedralElement.reflection(5, 1).apply(4)
+        3
+        """
+        if not isinstance(i, int) or not 1 <= i <= self.n:
+            raise DomainError(f"point {i!r} is outside 1..{self.n}")
+        if self.j == 0:
+            return i + self.k if i <= self.n - self.k else i + self.k - self.n
+        return self.k - i + 1 if i <= self.k else self.n + self.k - i + 1
+
+    def __mul__(self, other: "DihedralElement") -> "DihedralElement":
+        if not isinstance(other, DihedralElement):
+            return NotImplemented
+        if other.n != self.n:
+            raise AmbientMismatchError(f"cannot multiply n={self.n} with n={other.n}")
+        # pushing g^k past a reflection inverts the exponent: g^k h = h g^(-k)
+        j = (self.j + other.j) % 2
+        k = (other.k + (self.k if other.j == 0 else -self.k)) % self.n
+        return DihedralElement(self.n, j, k)
+
+    def inverse(self) -> "DihedralElement":
+        if self.j == 1:
+            return self
+        return DihedralElement(self.n, 0, (self.n - self.k) % self.n)
+
+    def power(self, m: int) -> "DihedralElement":
+        if self.j == 0:
+            return DihedralElement(self.n, 0, (self.k * m) % self.n)
+        return self if m % 2 else DihedralElement.identity(self.n)
+
+    def __str__(self) -> str:
+        return f"h*g^{self.k}" if self.j else f"g^{self.k}"
+
+
+def all_elements(n: int):
+    """All 2n symmetries, rotations first, in canonical (j, k) order."""
+    for j in (0, 1):
+        for k in range(n):
+            yield DihedralElement(n, j, k)
+
+
+def to_partial_perm(sigma: DihedralElement, points) -> PartialPerm:
+    """Restrict a symmetry to a point set.
+
+    >>> str(to_partial_perm(DihedralElement.rotation(4, 3), [2, 4]))
+    'n=4;2>1,4>3'
+    """
+    return PartialPerm(
+        sigma.n, tuple((a, sigma.apply(a)) for a in sorted_points(sigma.n, points))
+    )
+
+
+def extensions(p: PartialPerm) -> tuple[DihedralElement, ...]:
+    """All symmetries agreeing with the map on its domain, in canonical order.
+
+    Nonempty exactly when the map is a partial isometry.  The count is 2n
+    for the empty map, 2 for rank 1, 2 for rank 2 with antipodal domain
+    endpoints, and 1 otherwise.
+
+    >>> [str(s) for s in extensions(PartialPerm.parse("n=5;1>3,2>4,3>5,5>2"))]
+    ['g^2']
+    """
+    dom = p.domain
+    return tuple(
+        sigma for sigma in all_elements(p.n) if to_partial_perm(sigma, dom) == p
+    )
+
+
+def is_in_b2(p: PartialPerm) -> bool:
+    """Whether the map is a rank-2 isometry with antipodal domain endpoints.
+
+    >>> is_in_b2(PartialPerm.parse("n=4;1>2,3>4"))
+    True
+    """
+    if p.n % 2 or p.rank != 2:
+        return False
+    (a, _), (b, _) = p.pairs
+    return distance(p.n, a, b) == p.n // 2 and is_partial_isometry(p)
+
+
+def b2_count(n: int) -> int:
+    """Number of rank-2 isometries with antipodal domain endpoints: n^2/2."""
+    if not isinstance(n, int) or n < 3:
+        raise DomainError(f"need n >= 3, got {n!r}")
+    return n * n // 2 if n % 2 == 0 else 0
+
+
+@dataclass(frozen=True)
+class MembershipReport:
+    """Membership of one partial permutation in the four studied monoids."""
+
+    in_di: bool
+    in_odi: bool
+    in_mdi: bool
+    in_opdi: bool
+    extensions: tuple[DihedralElement, ...]
+
+
+def classify(p: PartialPerm) -> MembershipReport:
+    """Membership report: isometry flags come from the extension scan,
+    order flags narrow it down to the submonoids."""
+    exts = extensions(p)
+    flags = classify_order(p)
+    in_di = bool(exts)
+    return MembershipReport(
+        in_di=in_di,
+        in_odi=in_di and flags.order_preserving,
+        in_mdi=in_di and flags.monotone,
+        in_opdi=in_di and flags.orientation_preserving,
+        extensions=exts,
+    )
+
+
+def in_kind(p: PartialPerm, kind: str) -> bool:
+    check_kind(kind, allow_di=True)
+    rep = classify(p)
+    return {
+        "di": rep.in_di,
+        "odi": rep.in_odi,
+        "mdi": rep.in_mdi,
+        "opdi": rep.in_opdi,
+    }[kind]

@@ -1,0 +1,326 @@
+"""Finite-monoid machinery over partial permutations.
+
+Closure from generators, Green's relations computed two independent ways
+(structurally from images/domains versus the distance-sequence test), and
+deterministic element-set serialization.
+"""
+
+from __future__ import annotations
+
+import gzip
+import io
+import json
+from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from pathlib import Path
+
+from .errors import (
+    AmbientMismatchError,
+    NotInverseClosedError,
+    ParseError,
+)
+from .partial_perm import PartialPerm, identity
+from .geometry import distance_sequence
+from .dihedral import check_kind
+
+__all__ = [
+    "EnumeratedMonoid",
+    "GreenDecomposition",
+    "CrossCheckReport",
+    "close",
+    "green_structural",
+    "j_related",
+    "j_partition",
+    "cross_check_green",
+    "idempotents",
+    "export_bytes",
+    "export_elements",
+    "import_elements",
+]
+
+
+class EnumeratedMonoid:
+    """A canonically sorted element set, optionally with generator words.
+
+    ``words`` maps an element to a shortest discovered word as a tuple of
+    indices into ``generators``; it is populated by ``close`` and empty
+    for sets built directly from elements.
+    """
+
+    def __init__(self, n, elements, generators=(), words=None):
+        self.n = n
+        self.elements = tuple(sorted(elements))
+        self.generators = tuple(generators)
+        self.words = dict(words) if words else {}
+        for p in self.elements:
+            if p.n != n:
+                raise AmbientMismatchError(f"element {p} does not live on n={n}")
+        self._members = frozenset(self.elements)
+
+    @property
+    def size(self) -> int:
+        return len(self.elements)
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __iter__(self):
+        return iter(self.elements)
+
+    def __contains__(self, p) -> bool:
+        return p in self._members
+
+
+def _expand(frontier, gens, workers):
+    """Products of one BFS layer with every generator, in a fixed order."""
+    if workers <= 1 or len(frontier) < 2:
+        chunks = [frontier]
+    else:
+        step = -(-len(frontier) // workers)
+        chunks = [frontier[i : i + step] for i in range(0, len(frontier), step)]
+
+    def work(chunk):
+        return [(p * g, p, gi) for p in chunk for gi, g in enumerate(gens)]
+
+    if len(chunks) == 1:
+        parts = [work(chunks[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(work, chunks))
+    return [c for part in parts for c in part]
+
+
+def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
+    """Smallest composition-closed set containing the identity and the
+    generators, via right-multiplication breadth-first search.
+
+    The result is independent of generator order duplication and of
+    ``workers``: each layer is expanded in canonical element order, and
+    the first word found for an element (shortest layer, then generator
+    index) is kept.
+    """
+    gens = tuple(generators)
+    for g in gens:
+        if g.n != n:
+            raise AmbientMismatchError(f"generator {g} does not live on n={n}")
+    start = identity(n)
+    words = {start: ()}
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        frontier.sort()
+        next_frontier = []
+        for prod, parent, gi in _expand(frontier, gens, workers):
+            if prod not in seen:
+                seen.add(prod)
+                words[prod] = words[parent] + (gi,)
+                next_frontier.append(prod)
+        frontier = next_frontier
+    return EnumeratedMonoid(n, seen, gens, words)
+
+
+@dataclass(frozen=True)
+class GreenDecomposition:
+    """Partitions of an element set into L-, R-, H-, and D-classes.
+
+    L groups by image, R by domain, H by the pair, and D is the join of
+    L and R.  For these finite monoids D coincides with J.
+    """
+
+    l_classes: tuple[tuple[PartialPerm, ...], ...]
+    r_classes: tuple[tuple[PartialPerm, ...], ...]
+    h_classes: tuple[tuple[PartialPerm, ...], ...]
+    d_classes: tuple[tuple[PartialPerm, ...], ...]
+
+
+class _UnionFind:
+    def __init__(self):
+        self.parent = {}
+
+    def find(self, x):
+        self.parent.setdefault(x, x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        self.parent[self.find(a)] = self.find(b)
+
+
+def _grouped(elements, key) -> tuple[tuple[PartialPerm, ...], ...]:
+    groups = defaultdict(list)
+    for p in elements:
+        groups[key(p)].append(p)
+    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+def green_structural(m: EnumeratedMonoid) -> GreenDecomposition:
+    """L/R/H from image and domain keys, D as their transitive closure.
+
+    Requires an inversion-closed set; the keyed description of L and R is
+    only valid in an inverse submonoid of the partial permutations.
+    """
+    for p in m.elements:
+        if p.inverse() not in m:
+            raise NotInverseClosedError(f"inverse of {p} is missing from the set")
+    uf = _UnionFind()
+    for p in m.elements:
+        uf.union(("im", p.image), ("dom", p.domain))
+    return GreenDecomposition(
+        l_classes=_grouped(m.elements, lambda p: p.image),
+        r_classes=_grouped(m.elements, lambda p: p.domain),
+        h_classes=_grouped(m.elements, lambda p: (p.domain, p.image)),
+        d_classes=_grouped(m.elements, lambda p: uf.find(("im", p.image))),
+    )
+
+
+def _reflected(n, points):
+    return [n - b + 1 for b in points]
+
+def _rotated(n, points, s):
+    # the set B g^(-s), written without wrapping into dihedral elements
+    return [(b - 1 - s) % n + 1 for b in points]
+
+
+def j_related(a: PartialPerm, b: PartialPerm, kind: str) -> bool:
+    """The two-sided Green relation, decided from domains alone.
+
+    Members of the same kind are J-related iff their ranks agree and are
+    at most 1, or the ranks agree and the domain distance sequences match
+    up to the symmetries the kind allows: nothing for order-preserving,
+    reflection for monotone, any rotation for orientation-preserving.
+    """
+    check_kind(kind)
+    if a.n != b.n:
+        raise AmbientMismatchError(f"cannot compare n={a.n} with n={b.n}")
+    if a.rank != b.rank:
+        return False
+    if a.rank <= 1:
+        return True
+    n = a.n
+    da = distance_sequence(n, a.domain)
+    bdom = b.domain
+    if kind == "odi":
+        return da == distance_sequence(n, bdom)
+    if kind == "mdi":
+        return da == distance_sequence(n, bdom) or da == distance_sequence(
+            n, _reflected(n, bdom)
+        )
+    return any(
+        da == distance_sequence(n, _rotated(n, bdom, s)) for s in range(n)
+    )
+
+
+def j_partition(m: EnumeratedMonoid, kind: str) -> tuple[tuple[PartialPerm, ...], ...]:
+    """Partition of the element set induced by ``j_related``, built by
+    comparing against one representative per class."""
+    reps: list[PartialPerm] = []
+    classes: list[list[PartialPerm]] = []
+    for p in m.elements:
+        for rep, cls in zip(reps, classes):
+            if j_related(p, rep, kind):
+                cls.append(p)
+                break
+        else:
+            reps.append(p)
+            classes.append([p])
+    return tuple(tuple(c) for c in classes)
+
+
+@dataclass(frozen=True)
+class CrossCheckReport:
+    passed: bool
+    d_class_count: int
+    j_class_count: int
+    counterexample: tuple[PartialPerm, PartialPerm] | None
+
+
+def cross_check_green(m: EnumeratedMonoid, kind: str) -> CrossCheckReport:
+    """Compare the structural D-partition with the j_related partition.
+
+    On mismatch the report carries a pair of elements on which the two
+    relations disagree.
+    """
+    d_classes = green_structural(m).d_classes
+    j_classes = j_partition(m, kind)
+    if {frozenset(c) for c in d_classes} == {frozenset(c) for c in j_classes}:
+        return CrossCheckReport(True, len(d_classes), len(j_classes), None)
+    d_of = {p: frozenset(c) for c in d_classes for p in c}
+    j_of = {p: frozenset(c) for c in j_classes for p in c}
+    for p in m.elements:
+        if d_of[p] != j_of[p]:
+            q = min(d_of[p] ^ j_of[p])
+            return CrossCheckReport(False, len(d_classes), len(j_classes), (p, q))
+    raise AssertionError("partitions differ but no witness found")
+
+
+def idempotents(m: EnumeratedMonoid) -> tuple[PartialPerm, ...]:
+    """Elements equal to their own square; here, the partial identities."""
+    return tuple(p for p in m.elements if p * p == p)
+
+
+def _render_line(p: PartialPerm, fmt: str) -> str:
+    if fmt == "txt":
+        return str(p)
+    if fmt == "jsonl":
+        return json.dumps(p.to_json(), separators=(",", ":"))
+    raise ParseError(f"unknown format {fmt!r}; expected txt or jsonl")
+
+
+def export_bytes(m: EnumeratedMonoid, fmt: str = "txt", compress: bool = False) -> bytes:
+    """Serialize the sorted element list, one canonical line per element.
+
+    Deterministic: fixed input gives byte-identical output, gzip included
+    (no timestamps in the header).
+    """
+    raw = "".join(_render_line(p, fmt) + "\n" for p in m.elements).encode()
+    if not compress:
+        return raw
+    buf = io.BytesIO()
+    with gzip.GzipFile(fileobj=buf, mode="wb", mtime=0) as zf:
+        zf.write(raw)
+    return buf.getvalue()
+
+
+def export_elements(m: EnumeratedMonoid, path, fmt: str = "txt", compress: bool = False) -> None:
+    Path(path).write_bytes(export_bytes(m, fmt, compress))
+
+
+def import_elements(path) -> EnumeratedMonoid:
+    """Read an element dump, rejecting anything a canonical export would
+    not produce: unparsable lines, non-canonical spellings, duplicates,
+    or elements on different cycles."""
+    data = Path(path).read_bytes()
+    if data[:2] == b"\x1f\x8b":
+        data = gzip.decompress(data)
+    lines = data.decode().splitlines()
+    fmt = "jsonl" if lines and lines[0].lstrip().startswith("{") else "txt"
+    seen = set()
+    elements = []
+    n = None
+    for num, line in enumerate(lines, start=1):
+        if fmt == "jsonl":
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"line {num}: invalid JSON: {exc}") from None
+            p = PartialPerm.from_json(obj)
+        else:
+            p = PartialPerm.parse(line)
+        if _render_line(p, fmt) != line:
+            raise ParseError(f"line {num}: not in canonical form")
+        if p in seen:
+            raise ParseError(f"line {num}: duplicate element {p}")
+        if n is None:
+            n = p.n
+        elif p.n != n:
+            raise ParseError(f"line {num}: ambient size {p.n} differs from {n}")
+        seen.add(p)
+        elements.append(p)
+    if n is None:
+        raise ParseError("empty element dump")
+    return EnumeratedMonoid(n, elements)

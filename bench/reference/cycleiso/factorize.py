@@ -1,0 +1,187 @@
+"""Constructive factorization over the standard generating sets.
+
+Every member either extends to a rotation, in which case it is a partial
+identity followed by a power of the shift, or it is a rank-2 piece of a
+reflection, which one straddling generator plus shifts produces.  The
+monotone and orientation-preserving alphabets are reached by rewriting
+the order-preserving letters.
+
+Word lengths stay linear in n: partial identities cost one or two letters
+per missing point in the order-preserving alphabet, and the rotation
+alphabet spells them with exactly n rotation letters total by walking the
+missing points once in descending order.
+"""
+
+from __future__ import annotations
+
+from .errors import MembershipError
+from .partial_perm import PartialPerm, classify_order
+from .dihedral import DihedralElement, check_kind, classify, extensions, to_partial_perm
+
+__all__ = ["factorize"]
+
+
+def factorize(p: PartialPerm, kind: str) -> tuple[str, ...]:
+    """A word over ``standard_generators(kind, p.n)`` evaluating to ``p``.
+
+    Deterministic: of the at most two dihedral extensions the rotation is
+    preferred, then the smaller exponent.
+    """
+    check_kind(kind)
+    report = classify(p)
+    member = {"odi": report.in_odi, "mdi": report.in_mdi, "opdi": report.in_opdi}[kind]
+    if not member:
+        raise MembershipError(f"{p} is not in {kind.upper()}_{p.n}")
+    if kind == "odi":
+        return tuple(_odi_word(p))
+    if kind == "mdi":
+        return tuple(_mdi_word(p))
+    return tuple(_opdi_word(p))
+
+
+def _op_identity_word(n: int, missing) -> list[str]:
+    """The partial identity off ``missing``, spelled with e letters; the
+    two partial identities that are not generators factor through the
+    shift: yx misses 1, xy misses n."""
+    out: list[str] = []
+    for pt in sorted(missing):
+        if pt == 1:
+            out += ["y", "x"]
+        elif pt == n:
+            out += ["x", "y"]
+        else:
+            out.append(f"e{pt}")
+    return out
+
+
+def _rank2_reflection_word(n: int, k: int, i: int, j: int) -> list[str]:
+    """Order-preserving word for the restriction of the k-th reflection to
+    {i, j}, where i <= k < j (exactly the order-preserving case).
+
+    Shift i to 1, jump the gap with one straddling generator, then shift
+    into place.  When the gap is half the circumference no straddling
+    generator exists and the map is a shifted partial identity instead;
+    that case also extends to a rotation, so ``factorize`` never takes it,
+    but the word is still produced for completeness.
+    """
+    assert 1 <= i <= k < j <= n
+    gap = j - i
+    if 2 * gap == n:
+        word = _op_identity_word(n, set(range(1, n + 1)) - {i, j})
+        if 2 * i < k + 1:
+            word += ["x"] * (k - 2 * i + 1)
+        elif 2 * i > k + 1:
+            word += ["y"] * (2 * i - k - 1)
+        return word
+    if gap <= (n - 1) // 2:
+        jump = f"x{gap}"
+    else:
+        jump = f"y{n - gap}"
+    return ["y"] * (i - 1) + [jump] + ["x"] * (k - i)
+
+
+def _odi_word(p: PartialPerm) -> list[str]:
+    n = p.n
+    sigma = extensions(p)[0]
+    if sigma.j == 0:
+        missing = set(range(1, n + 1)) - set(p.domain)
+        word = _op_identity_word(n, missing)
+        t = sigma.k
+        if all(a <= n - t for a in p.domain):
+            return word + ["x"] * t
+        # an order-preserving rotation piece fits one of the two arcs
+        assert all(a >= n - t + 1 for a in p.domain)
+        return word + ["y"] * (n - t)
+    i, j = p.domain
+    return _rank2_reflection_word(n, sigma.k, i, j)
+
+
+def _to_monotone_alphabet(n: int, letters) -> list[str]:
+    """Rewrite order-preserving letters for the monotone set, which keeps
+    only the reflection-closed half of the partial identities: y = hxh
+    and e_i = h e_(n-i+1) h."""
+    half = (n + 1) // 2
+    out: list[str] = []
+    for w in letters:
+        if w == "y":
+            out += ["h", "x", "h"]
+        elif w[0] == "e" and int(w[1:]) > half:
+            out += ["h", f"e{n - int(w[1:]) + 1}", "h"]
+        else:
+            out.append(w)
+    return out
+
+
+def _mdi_word(p: PartialPerm) -> list[str]:
+    n = p.n
+    if classify_order(p).order_preserving:
+        return _to_monotone_alphabet(n, _odi_word(p))
+    # p is order-reversing of rank >= 2; peeling the reflection off the
+    # right leaves an order-preserving member
+    h = to_partial_perm(DihedralElement.reflection(n, 0), range(1, n + 1))
+    return _to_monotone_alphabet(n, _odi_word(p * h)) + ["h"]
+
+
+def _rot_identity_word(n: int, missing) -> list[str]:
+    """The partial identity off ``missing`` over the rotation alphabet,
+    via e_l = g^(n-l) e_n g^l.  Walking the missing points in descending
+    order telescopes the rotation letters to exactly n."""
+    pts = sorted(missing, reverse=True)
+    if not pts:
+        return []
+    out = ["g"] * (n - pts[0]) + [f"e{n}"]
+    for prev, cur in zip(pts, pts[1:]):
+        out += ["g"] * (prev - cur) + [f"e{n}"]
+    return out + ["g"] * pts[-1]
+
+
+def _to_rotation_alphabet(n: int, letters) -> list[str]:
+    """Rewrite order-preserving letters over {g, e_n, straddles}: x = e_n g,
+    runs of y become a partial identity plus a rotation, y_l = g^l x_l g^l,
+    and e_l = g^(n-l) e_n g^l."""
+    out: list[str] = []
+    run = 0
+    for w in list(letters) + [""]:
+        if w == "y":
+            run += 1
+            continue
+        if run:
+            # y^a = (identity off 1..a) g^(n-a)
+            out += _rot_identity_word(n, range(1, run + 1)) + ["g"] * (n - run)
+            run = 0
+        if not w:
+            break
+        if w == "x":
+            out += [f"e{n}", "g"]
+        elif w[0] == "y":
+            idx = int(w[1:])
+            out += ["g"] * idx + [f"x{idx}"] + ["g"] * idx
+        elif w[0] == "e":
+            idx = int(w[1:])
+            if idx == n:
+                out.append(w)
+            else:
+                out += ["g"] * (n - idx) + [f"e{n}"] + ["g"] * idx
+        else:
+            assert w[0] == "x", f"unexpected letter {w!r}"
+            out.append(w)
+    return out
+
+
+def _opdi_word(p: PartialPerm) -> list[str]:
+    n = p.n
+    sigma = extensions(p)[0]
+    if sigma.j == 0:
+        missing = set(range(1, n + 1)) - set(p.domain)
+        return _rot_identity_word(n, missing) + ["g"] * sigma.k
+    # reflection-only extension forces rank 2; rotate the domain until the
+    # piece is order-preserving, then reuse the straddle construction
+    for k in range(n):
+        beta = to_partial_perm(DihedralElement.rotation(n, n - k), range(1, n + 1)) * p
+        if classify_order(beta).order_preserving:
+            break
+    else:
+        raise MembershipError(f"{p} is not orientation-preserving")
+    tau = extensions(beta)[0]
+    i, j = beta.domain
+    return ["g"] * k + _to_rotation_alphabet(n, _rank2_reflection_word(n, tau.k, i, j))

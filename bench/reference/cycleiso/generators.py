@@ -1,0 +1,146 @@
+"""Named generating sets and words over them.
+
+Generator names are single letters with optional inline indices:
+
+  g, h      the full rotation and reflection
+  x, y      the rotation and its inverse cut to rank n - 1
+            (x moves i to i + 1 on 1..n-1, y moves it back)
+  e2, e3    partial identities missing one point
+  x1, y1    the rank-2 straddling maps x_i = (1 -> 1, 1+i -> n-i+1)
+            and their inverses, for 1 <= i <= (n - 1) // 2
+
+A word is a tuple of names, evaluated left to right starting from the
+identity; the empty word prints as "ε".
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
+from .errors import DomainError, ParseError
+from .partial_perm import PartialPerm, identity, identity_off
+from .dihedral import DihedralElement, check_kind, to_partial_perm
+
+__all__ = [
+    "GeneratorSet",
+    "generator",
+    "standard_generators",
+    "parse_word",
+    "word_text",
+]
+
+EMPTY_WORD_TEXT = "ε"
+
+_NAME = re.compile(r"[ghxy]|[exy][1-9]\d*")
+
+
+def generator(n: int, name: str) -> PartialPerm:
+    """The element a generator name denotes on the n-cycle."""
+    if not _NAME.fullmatch(name):
+        raise ParseError(f"bad generator name {name!r}")
+    if name == "g":
+        return to_partial_perm(DihedralElement.rotation(n, 1), range(1, n + 1))
+    if name == "h":
+        return to_partial_perm(DihedralElement.reflection(n, 0), range(1, n + 1))
+    if name == "x":
+        return to_partial_perm(DihedralElement.rotation(n, 1), range(1, n))
+    if name == "y":
+        return generator(n, "x").inverse()
+    index = int(name[1:])
+    if name[0] == "e":
+        return identity_off(n, index)
+    if not 1 <= index <= (n - 1) // 2:
+        raise DomainError(
+            f"straddle index {index} is outside 1..{(n - 1) // 2} for n={n}"
+        )
+    straddle = PartialPerm(n, ((1, 1), (1 + index, n - index + 1)))
+    return straddle if name[0] == "x" else straddle.inverse()
+
+
+@dataclass(frozen=True)
+class GeneratorSet:
+    """An ordered list of named generators sharing one ambient size."""
+
+    kind: str
+    n: int
+    names: tuple[str, ...]
+    elements: tuple[PartialPerm, ...]
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __iter__(self):
+        return iter(zip(self.names, self.elements))
+
+    def element(self, name: str) -> PartialPerm:
+        try:
+            return self.elements[self.names.index(name)]
+        except ValueError:
+            raise ParseError(
+                f"name {name!r} is not in the {self.kind} generating set"
+            ) from None
+
+    def evaluate(self, word) -> PartialPerm:
+        """Compose the named generators left to right."""
+        result = identity(self.n)
+        for name in word:
+            result = result * self.element(name)
+        return result
+
+
+def standard_generators(kind: str, n: int) -> GeneratorSet:
+    """The reference generating set of each monoid.
+
+    The order-preserving monoid takes x, y, the interior partial
+    identities, and all straddling pairs; the monotone one swaps y and
+    half the partial identities for the reflection; the orientation-
+    preserving one needs only the rotation, one partial identity, and the
+    straddles.  For n = 3 the same construction applies but is larger
+    than the true rank.
+    """
+    check_kind(kind, allow_di=True)
+    if not isinstance(n, int) or n < 3:
+        raise DomainError(f"need n >= 3, got {n!r}")
+    m = (n - 1) // 2
+    if kind == "odi":
+        names = ["x", "y"]
+        names += [f"e{i}" for i in range(2, n)]
+        names += [f"x{i}" for i in range(1, m + 1)]
+        names += [f"y{i}" for i in range(1, m + 1)]
+    elif kind == "mdi":
+        names = ["h", "x"]
+        names += [f"e{i}" for i in range(2, (n + 1) // 2 + 1)]
+        names += [f"x{i}" for i in range(1, m + 1)]
+        names += [f"y{i}" for i in range(1, m + 1)]
+    elif kind == "opdi":
+        names = ["g", f"e{n}"]
+        names += [f"x{i}" for i in range(1, m + 1)]
+    else:
+        names = ["g", "h", f"e{n}"]
+    return GeneratorSet(
+        kind, n, tuple(names), tuple(generator(n, nm) for nm in names)
+    )
+
+
+def parse_word(text: str) -> tuple[str, ...]:
+    """Inverse of ``word_text``.
+
+    >>> parse_word("y x1 x x")
+    ('y', 'x1', 'x', 'x')
+    >>> parse_word("ε")
+    ()
+    """
+    stripped = text.strip()
+    if stripped in ("", EMPTY_WORD_TEXT):
+        return ()
+    names = tuple(stripped.split())
+    for name in names:
+        if not _NAME.fullmatch(name):
+            raise ParseError(f"bad generator name {name!r} in word {text!r}")
+    return names
+
+
+def word_text(word) -> str:
+    """Space-separated names; the empty word prints as the empty-word sign."""
+    return " ".join(word) if word else EMPTY_WORD_TEXT

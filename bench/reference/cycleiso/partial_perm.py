@@ -1,0 +1,249 @@
+"""Partial permutations of {1, ..., n} with right-action composition.
+
+A partial permutation is an injective map from a subset of {1, ..., n}
+into {1, ..., n}.  An element is its ambient size ``n`` plus the tuple of
+(point, image) pairs sorted by point, so equal maps hash equal and the
+tuple ordering doubles as the canonical sort.
+
+Maps act on the right and compose left to right: ``x`` under ``a * b`` is
+``(x a) b``, defined when ``x a`` lands in the domain of ``b``.
+
+Text form lists pairs in ascending point order; the empty map on five
+points is ``"n=5;"``.
+
+>>> a = PartialPerm.parse("n=5;2>1,4>3,5>4")
+>>> a.domain, a.image
+((2, 4, 5), (1, 3, 4))
+>>> str(a.inverse())
+'n=5;1>2,3>4,4>5'
+>>> str(a * a.inverse())
+'n=5;2>2,4>4,5>5'
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
+from .errors import (
+    AmbientMismatchError,
+    DomainError,
+    NotInjectiveError,
+    ParseError,
+)
+
+__all__ = [
+    "PartialPerm",
+    "OrderFlags",
+    "classify_order",
+    "identity",
+    "identity_on",
+    "identity_off",
+    "empty_map",
+    "sorted_points",
+]
+
+_TEXT = re.compile(
+    r"n=([1-9]\d*);((?:[1-9]\d*>[1-9]\d*)(?:,[1-9]\d*>[1-9]\d*)*)?"
+)
+
+
+def sorted_points(n: int, points) -> tuple[int, ...]:
+    """Validate an iterable of distinct points of 1..n; return them sorted."""
+    pts = sorted(points)
+    for p in pts:
+        if not isinstance(p, int) or not 1 <= p <= n:
+            raise DomainError(f"point {p!r} is outside 1..{n}")
+    for a, b in zip(pts, pts[1:]):
+        if a == b:
+            raise DomainError(f"point {a} repeats")
+    return tuple(pts)
+
+
+@dataclass(frozen=True, order=True)
+class PartialPerm:
+    """An injective partial self-map of {1, ..., n} in canonical form."""
+
+    n: int
+    pairs: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or self.n < 1:
+            raise DomainError(f"ambient size must be a positive int, got {self.n!r}")
+        prev = 0
+        seen = set()
+        for pair in self.pairs:
+            a, b = pair
+            if not 1 <= a <= self.n or not 1 <= b <= self.n:
+                raise DomainError(f"pair {a}>{b} leaves 1..{self.n}")
+            if a <= prev:
+                raise DomainError("pairs must be strictly ascending in the point")
+            if b in seen:
+                raise NotInjectiveError(f"image point {b} repeats")
+            prev = a
+            seen.add(b)
+
+    @classmethod
+    def from_map(cls, n: int, mapping) -> "PartialPerm":
+        """Build from a {point: image} mapping or an iterable of pairs."""
+        return cls(n, tuple(sorted(dict(mapping).items())))
+
+    @classmethod
+    def parse(cls, text: str) -> "PartialPerm":
+        """Parse the canonical text form.
+
+        >>> PartialPerm.parse("n=3;").rank
+        0
+        """
+        m = _TEXT.fullmatch(text.strip())
+        if m is None:
+            raise ParseError(f"not an element in n=<n>;a>b,... form: {text!r}")
+        n = int(m.group(1))
+        pairs = ()
+        if m.group(2):
+            pairs = tuple(
+                (int(a), int(b))
+                for a, b in (item.split(">") for item in m.group(2).split(","))
+            )
+        return cls(n, pairs)
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "map": [[a, b] for a, b in self.pairs]}
+
+    @classmethod
+    def from_json(cls, obj) -> "PartialPerm":
+        if (
+            not isinstance(obj, dict)
+            or not isinstance(obj.get("n"), int)
+            or not isinstance(obj.get("map"), list)
+        ):
+            raise ParseError(f"expected {{'n': int, 'map': [[a, b], ...]}}, got {obj!r}")
+        pairs = []
+        for item in obj["map"]:
+            if (
+                not isinstance(item, list)
+                or len(item) != 2
+                or not all(isinstance(v, int) for v in item)
+            ):
+                raise ParseError(f"bad map entry {item!r}")
+            pairs.append((item[0], item[1]))
+        return cls(obj["n"], tuple(pairs))
+
+    @property
+    def rank(self) -> int:
+        """Number of points the map is defined on (= size of the image)."""
+        return len(self.pairs)
+
+    @property
+    def domain(self) -> tuple[int, ...]:
+        return tuple(a for a, _ in self.pairs)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """Images read along the ascending domain."""
+        return tuple(b for _, b in self.pairs)
+
+    @property
+    def image(self) -> tuple[int, ...]:
+        return tuple(sorted(b for _, b in self.pairs))
+
+    def as_dict(self) -> dict[int, int]:
+        return dict(self.pairs)
+
+    def __mul__(self, other: "PartialPerm") -> "PartialPerm":
+        if not isinstance(other, PartialPerm):
+            return NotImplemented
+        if other.n != self.n:
+            raise AmbientMismatchError(f"cannot compose n={self.n} with n={other.n}")
+        lookup = dict(other.pairs)
+        return PartialPerm(
+            self.n,
+            tuple((a, lookup[b]) for a, b in self.pairs if b in lookup),
+        )
+
+    def inverse(self) -> "PartialPerm":
+        return PartialPerm(self.n, tuple(sorted((b, a) for a, b in self.pairs)))
+
+    def restrict(self, points) -> "PartialPerm":
+        """Restrict to the given points; points outside the domain just drop.
+
+        >>> str(PartialPerm.parse("n=4;1>1,2>4,3>3,4>2").restrict([1, 3]))
+        'n=4;1>1,3>3'
+        """
+        keep = set(sorted_points(self.n, points))
+        return PartialPerm(self.n, tuple(p for p in self.pairs if p[0] in keep))
+
+    def __str__(self) -> str:
+        return f"n={self.n};" + ",".join(f"{a}>{b}" for a, b in self.pairs)
+
+
+def identity(n: int) -> PartialPerm:
+    """The identity on all of 1..n."""
+    return PartialPerm(n, tuple((i, i) for i in range(1, n + 1)))
+
+
+def identity_on(n: int, points) -> PartialPerm:
+    """The partial identity defined exactly on the given points."""
+    return PartialPerm(n, tuple((p, p) for p in sorted_points(n, points)))
+
+
+def identity_off(n: int, skip: int) -> PartialPerm:
+    """The partial identity on everything except one point.
+
+    >>> str(identity_off(4, 2))
+    'n=4;1>1,3>3,4>4'
+    """
+    if not 1 <= skip <= n:
+        raise DomainError(f"point {skip} is outside 1..{n}")
+    return PartialPerm(n, tuple((i, i) for i in range(1, n + 1) if i != skip))
+
+
+def empty_map(n: int) -> PartialPerm:
+    """The nowhere-defined map."""
+    return PartialPerm(n, ())
+
+
+@dataclass(frozen=True)
+class OrderFlags:
+    """How an image sequence behaves along the ascending domain.
+
+    Empty and singleton sequences satisfy all four properties.  A length-2
+    sequence is both orientation-preserving and orientation-reversing.
+    """
+
+    order_preserving: bool
+    order_reversing: bool
+    orientation_preserving: bool
+    orientation_reversing: bool
+
+    @property
+    def monotone(self) -> bool:
+        return self.order_preserving or self.order_reversing
+
+    @property
+    def oriented(self) -> bool:
+        return self.orientation_preserving or self.orientation_reversing
+
+
+def classify_order(p: PartialPerm) -> OrderFlags:
+    """Order and orientation behavior of the image sequence.
+
+    The sequence is orientation-preserving when it is cyclic (at most one
+    descent, read cyclically) and orientation-reversing when it is
+    anti-cyclic (at most one ascent).
+
+    >>> classify_order(PartialPerm.parse("n=5;2>5,3>3,4>2,5>1")).order_reversing
+    True
+    >>> f = classify_order(PartialPerm.parse("n=5;1>2,3>3,4>4,5>1"))
+    >>> (f.order_preserving, f.orientation_preserving)
+    (False, True)
+    """
+    v = p.values
+    t = len(v)
+    if t <= 1:
+        return OrderFlags(True, True, True, True)
+    inc = all(v[i] < v[i + 1] for i in range(t - 1))
+    dec = all(v[i] > v[i + 1] for i in range(t - 1))
+    descents = sum(v[i] > v[(i + 1) % t] for i in range(t))
+    ascents = sum(v[i] < v[(i + 1) % t] for i in range(t))
+    return OrderFlags(inc, dec, descents <= 1, ascents <= 1)

@@ -1,0 +1,224 @@
+"""Minimality certificates for generating sets.
+
+The lower bounds mirror the counting arguments that pin the ranks down:
+any generating set must contain, for each of a list of pairwise disjoint
+requirements, a distinct generator meeting it.  A set is certified
+minimal when it generates, meets every requirement, and its size equals
+both the requirement count and the closed-form rank.
+
+The requirement machinery needs n >= 4; at n = 3 exhaustive search over
+candidate subsets is still feasible and is used instead.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+from .errors import DomainError, NotGeneratingError
+from .partial_perm import PartialPerm, identity
+from .dihedral import DihedralElement, check_kind, in_kind, to_partial_perm
+from .engine import close
+from .formulas import card, rank_formula
+from .brute_force import kind_elements
+
+__all__ = [
+    "Requirement",
+    "CertificateReport",
+    "gap_requirements",
+    "lower_bound_certificate",
+    "brute_force_rank",
+]
+
+
+@dataclass(frozen=True)
+class Requirement:
+    description: str
+    satisfied: bool
+    witness: str | None
+
+
+@dataclass(frozen=True)
+class CertificateReport:
+    kind: str
+    n: int
+    generates: bool
+    requirements: tuple[Requirement, ...]
+    lower_bound: int
+    generator_count: int
+    expected_rank: int
+    certified: bool
+    notes: tuple[str, ...]
+
+
+def _domain_gap(p: PartialPerm) -> int:
+    (a, _), (b, _) = p.pairs
+    return b - a
+
+
+def _find(candidates, pred) -> PartialPerm | None:
+    for p in candidates:
+        if pred(p):
+            return p
+    return None
+
+
+def gap_requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
+    """Rank-2 coverage every generating set needs: for each gap size i up
+    to (n - 1) // 2, some rank-2 generator with domain gap exactly i and
+    one with gap exactly n - i; orientation-preserving sets may cover the
+    pair {i, n - i} with a single generator."""
+    check_kind(kind)
+    m = (n - 1) // 2
+    rank2 = [p for p in elements if p.rank == 2]
+    reqs = []
+    if kind == "opdi":
+        for i in range(1, m + 1):
+            w = _find(rank2, lambda p: _domain_gap(p) in (i, n - i))
+            reqs.append(
+                Requirement(
+                    f"rank-2 generator with domain gap {i} or {n - i}",
+                    w is not None,
+                    str(w) if w else None,
+                )
+            )
+    else:
+        for gap in list(range(1, m + 1)) + [n - i for i in range(1, m + 1)]:
+            w = _find(rank2, lambda p: _domain_gap(p) == gap)
+            reqs.append(
+                Requirement(
+                    f"rank-2 generator with domain gap {gap}",
+                    w is not None,
+                    str(w) if w else None,
+                )
+            )
+    return tuple(reqs)
+
+
+def _requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
+    ident = identity(n)
+    gens = [p for p in elements if p != ident]
+    points = set(range(1, n + 1))
+    reqs = []
+    if kind == "odi":
+        for i in range(1, n + 1):
+            want = points - {i}
+            w = _find(gens, lambda p: p.rank == n - 1 and set(p.image) == want)
+            reqs.append(
+                Requirement(
+                    f"rank n-1 generator with image missing {i}",
+                    w is not None,
+                    str(w) if w else None,
+                )
+            )
+    elif kind == "mdi":
+        h = to_partial_perm(DihedralElement.reflection(n, 0), range(1, n + 1))
+        reqs.append(
+            Requirement("the full reflection", h in gens, str(h) if h in gens else None)
+        )
+        for i in range(1, (n + 1) // 2 + 1):
+            orbit = {i, n - i + 1}
+            w = _find(
+                gens,
+                lambda p: p.rank == n - 1 and points - set(p.image) <= orbit,
+            )
+            label = " or ".join(str(v) for v in sorted(orbit))
+            reqs.append(
+                Requirement(
+                    f"rank n-1 generator with image missing {label}",
+                    w is not None,
+                    str(w) if w else None,
+                )
+            )
+    else:
+        w = _find(gens, lambda p: p.rank == n)
+        reqs.append(
+            Requirement(
+                "a nonidentity permutation", w is not None, str(w) if w else None
+            )
+        )
+        w = _find(gens, lambda p: p.rank == n - 1)
+        reqs.append(
+            Requirement(
+                "a rank n-1 generator", w is not None, str(w) if w else None
+            )
+        )
+    return reqs + list(gap_requirements(kind, n, gens))
+
+
+def lower_bound_certificate(kind: str, n: int, gens) -> CertificateReport:
+    """Certify a generating set as minimal.
+
+    Raises when the set does not generate the monoid (including when some
+    claimed generator is not even a member).  Otherwise reports the
+    disjoint-requirement lower bound and whether it pins the set's size
+    to the closed-form rank.
+    """
+    check_kind(kind)
+    gens = tuple(gens)
+    for p in gens:
+        if p.n != n:
+            raise DomainError(f"generator {p} does not live on n={n}")
+        if not in_kind(p, kind):
+            raise NotGeneratingError(f"{p} is not a member of {kind.upper()}_{n}")
+    target = card(kind, n)
+    reached = close(n, gens).size
+    if reached != target:
+        raise NotGeneratingError(
+            f"closure reaches {reached} of {target} elements of {kind.upper()}_{n}"
+        )
+    expected = rank_formula(kind, n)
+    notes: list[str] = []
+    if n == 3:
+        found = brute_force_rank(kind, 3)
+        reqs: tuple[Requirement, ...] = (
+            Requirement(
+                f"exhaustive search puts the minimum generating set size at {found}",
+                True,
+                None,
+            ),
+        )
+        lower = found
+    else:
+        reqs = tuple(_requirements(kind, n, gens))
+        lower = len(reqs)
+    count = len(gens)
+    certified = all(r.satisfied for r in reqs) and lower == count == expected
+    if count > expected:
+        notes.append(
+            f"the set has {count} generators but the rank is {expected}; "
+            "it generates without being minimal"
+        )
+    if lower > count:
+        # disjoint requirements each need a distinct generator, so this
+        # would contradict the set generating at all
+        notes.append("requirement count exceeds the generator count")
+    return CertificateReport(
+        kind=kind,
+        n=n,
+        generates=True,
+        requirements=reqs,
+        lower_bound=lower,
+        generator_count=count,
+        expected_rank=expected,
+        certified=certified,
+        notes=tuple(notes),
+    )
+
+
+def brute_force_rank(kind: str, n: int) -> int:
+    """Smallest size of a generating set, by exhaustive search.
+
+    Only n = 3 is supported; the subset lattice is hopeless beyond that
+    and the certificate route exists precisely to avoid it.
+    """
+    check_kind(kind)
+    if n != 3:
+        raise DomainError("exhaustive rank search is only feasible for n = 3")
+    target = kind_elements(kind, n)
+    pool = [p for p in target if p != identity(n)]
+    for size in range(1, len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            if close(n, combo).size == len(target):
+                return size
+    raise AssertionError("the full element set failed to generate itself")
