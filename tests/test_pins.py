@@ -1,0 +1,181 @@
+"""Byte-level pins of closure output, taken before the image-array kernel.
+
+Each entry holds the sha256 of the ``txt`` export, of the ``jsonl``
+export, and of a listing with one ``<element> <word>`` line per element
+(the word as comma-separated generator indices), for the closure of the
+standard generators.  Gzip exports are pinned on their decompressed bytes,
+since the compressed stream may depend on the zlib build, plus a zero
+header timestamp.
+"""
+
+import gzip
+import hashlib
+
+import pytest
+
+from cycleiso import close, export_bytes, standard_generators
+
+PINS = {
+    ("odi", 3): (
+        "d5048add094f0688cba27df0a93d82cb20fd12c3444f68f3206ae878692dbaf1",
+        "a7946e4018ca6d001c4d66d4fd32568c21c6dad33496cfa9e9f2a2af4cad7f54",
+        "61dee369f49b8dce5ba4d28919386ad2c02dda4264f5746d82740948e2823ab2",
+    ),
+    ("odi", 4): (
+        "c20a85d70175d895ba47fbdbe2016d938679f2bd6ae9b01ac57aa1f102788794",
+        "03c55f4a34e5855ab4a246d59c8a0514ad6c8b51efbfe46335f3f4d77cb6956d",
+        "5ffda614fe45cb97ad5c9013dcaac6e07a32ce15b49a881c779037adda0f51a6",
+    ),
+    ("odi", 5): (
+        "bc8fc75dd703cc00dafccb5e34a927473960a7f230536f213a70f00852e533ee",
+        "74e0ff659674639c7b453012aa57e79354f02909dd42aff0f37409209f04efbc",
+        "39844e7e9bff3d2f191d7c8d49c0fc5554f4916c793e5485a226a780808ebf89",
+    ),
+    ("odi", 6): (
+        "724d352fe20b22823d5f0b388eb3045ce0b80cda2faea6da29854c492725d1b8",
+        "eb5da489793b4325bfa49ec495bdf8db80f303deaa39488c2bc144e2391a8ced",
+        "821b20379f044fe950985005d56372075136043b1024607e8ede3fd16612bbe1",
+    ),
+    ("odi", 7): (
+        "0770e8fe516dd332788de1378c3f25d2f7d4a83ac5140a713084b4842df9952c",
+        "d8c555331d6faa5c03a831f34c25b01d1cc862b275ea0903a5d1462367baf1e8",
+        "01b6884e796e704503ba3a26b488b1b3d031120406b3dacac22dcd5596c38dfc",
+    ),
+    ("odi", 8): (
+        "b56533b3359b5862b7b0e460ecda7cc8ba7826b5c6bf7f37c50f9f5e3555c444",
+        "166b8269b9be9e779b17322b4d51f9b5099070a0e4c329650c362c3e5168b27a",
+        "2686cd0abeb950b18e05874ef486041aca9a2a201641605498a098cb4af6907e",
+    ),
+    ("odi", 9): (
+        "7ec4744e4db0da06bde5318e8b0db4519b51a6bf3277cb2b587981d5de545752",
+        "b74b26ec5dee6f1814b321ffda1061ee5081841781d8bb0a123a1433c2b8953b",
+        "3bd1993ac153101f2b75f9963daadd405a6e9578d7fe2b71577da8fb4a047536",
+    ),
+    ("mdi", 3): (
+        "5b948c70ab4e629bef2fd54ec9106c40b8ee711a6747b1300bb6741b9b60b46f",
+        "7b421b7bd13257d49092a4f3afaa73fea46c233fa3f15db418d8dca6ed456ab3",
+        "6f392e170d97a3587ad90c18275ee0fbc4a5529cf115683ab56ea05790679cb8",
+    ),
+    ("mdi", 4): (
+        "9365662238fcc3cceab60c2d64223318baa3ade1fd694d3165e6daee816ef5b7",
+        "9d30cf3c8162178ef73d9fc8a38d44a4ef88af5d1931f5f1b43e6cccd18c7b95",
+        "a54ad8690e541a7e22d4f82d33a7a86b9411e06a77a98c32640398d0cf956bea",
+    ),
+    ("mdi", 5): (
+        "ef60c28f48a25a95c6c3e6af2362047f3a9f4f5014baba3a88a505eeda6bf8a0",
+        "e8b1b8d99980fea30b26d113afe1e2c806d21e6e3f5b441f487b4d23515fd2a0",
+        "3d6fd4feea148f4b0039911d9131dec7364eb8e37bec41c869067e54eaf01f8c",
+    ),
+    ("mdi", 6): (
+        "b66d261e83f6087becd71b4927c496c79072eb2338f2e2215d2cde738219fe67",
+        "fcf01ae94b6c728e7520a37f78be8392be7e151379dec1faaa36c15be7051f95",
+        "29ae51d98c6da02045fc450b62907d44a66d160b276f6d80e4d2d547bbd3d299",
+    ),
+    ("mdi", 7): (
+        "a1cc1a1ac33540653e7c6b233e74bd719a15f7cbc326371f4c3621293b3e8f13",
+        "7fbc6dd461718510b81afd5a323ff075a83194a77ec7bccd880b2321817dd875",
+        "032dfc4d219a33592fdd5aef9e076c00e279cc63382eb9271ca66bf632845e87",
+    ),
+    ("mdi", 8): (
+        "cf7378ea8067d3c7461a045f6174de1f63a11b1514b1b0d07a29543732a59c77",
+        "b401ad7c4b5644a107550d14ae62fcb3d2ae436244e7d4a7be2e65cb7ecd9a58",
+        "3d4d3ba436a19a915937d4e58f32670b60eaefa87821ce22e92751573b7bde50",
+    ),
+    ("mdi", 9): (
+        "15ed1bfae2ba3866ab885318295379cc3ef3adfdccfcb51e5a487d694d1b87cc",
+        "3a169229fc47813591a6af5aac94e20fd6773bf93ff784e580e367c977d2478c",
+        "a5c6dd1964770b5b545bdbd23cda782c25b4911b7e064daa0911d1a8e42d0e8c",
+    ),
+    ("opdi", 3): (
+        "1aab9ba6487cc42da208acea28468e98fefd185f6b2f99a4795cea2ee5710061",
+        "1ff12f478dd25a2ab3c697e3809c4106bf13d77f34b98d1cc909803084b5bd94",
+        "3de7a5a9f6d3557e9b20d97cc4e1c20acbbb3083a30658eb7efcb16356080924",
+    ),
+    ("opdi", 4): (
+        "7f298c24e07eacb801dd9de67cdfe78d14e8d41f29f87b22cfa0011535152965",
+        "50a79fd6028f40132b1799ea8c72b128db49a792a0b5e82ab8ddbe8173abb2a4",
+        "3ede9bbc4471864686754fd777a150b68f48762edec106a7d56ea773d0507895",
+    ),
+    ("opdi", 5): (
+        "f0230b1a2641d0a20a9a09458726944cc85e041cb954e4fda0f40d444a422f62",
+        "3a401999529997b5d5ad4674acc16a65f7b3745c86affe280a6fed821657dd86",
+        "036501b5d32a2e55dddc417bf1153eb13c020a1e29c1cc6cfbab9fe479b2bfc6",
+    ),
+    ("opdi", 6): (
+        "aad0652ad9a567f422f2f14fa1a5f3491b4b3e7af4936adb6b607436f97410ae",
+        "225d6d4cc417c6ddb5eed966cab34ebc44120e040035b0ebe7f53d1682b15060",
+        "82da38b8c0f8ea50a2e8a2fb8b56cc10b5e49e7e353cfb625ff761f7b71cdb17",
+    ),
+    ("opdi", 7): (
+        "ee6818d186d9f87803d8f321198ce7718f6be7f35f653c05f691981bf03b3a47",
+        "798576c65d74fe2ef4ac37a1df6362812451369e31cf20f3489c74b47e633ccd",
+        "43db0c085f314d1bdc385223104cda1d0ab015f09cd779c61330ddf4196d8bb6",
+    ),
+    ("opdi", 8): (
+        "796d678ca4faf74d72c4f37c24b09bda9943252c333e4a91a668adedad512c3b",
+        "dc1df17a5ab50f71c5ca615f55207155281c6d53472a8a89e2a9fdbdadeebf20",
+        "2ad265e3c2eeb6d93a4ed6d83991a9000f80e07a32031032cc1e91a84e65293e",
+    ),
+    ("opdi", 9): (
+        "311b91472d99ce9a3911b90a4b8e8268d5d205923292eae78d2719baa5267084",
+        "09a887c01155a2cb888c9339377e90d6842b0d46758f353df6a25a67c8586a91",
+        "77bd546e6e37f1e1d4f2c08369ff1295507c84d88579255569dd32a2423171d3",
+    ),
+    ("di", 3): (
+        "b038e8d638db1675887909971719550492e450aeac99b0129650756d79deffa0",
+        "1698b94ef4ecdebdf27b14dbb6de2155e6b9d60fafd2c449a635e8d38b4ad131",
+        "9d3a36fac7f657f7c45a768c23086eae19c0962a4da72be9df7f150113c74955",
+    ),
+    ("di", 4): (
+        "1dcd2a1caa3d4d614cbcc93d2c8c5f1a357387da66a100617a79131151389a14",
+        "058a6b475553f4dcfe54794ffe5523123bb4232b42f4e30a46d3d1cc0801d5f0",
+        "aca11c86d68460b600320f1d1580a1612079174bab4b5b7a2393ff542b93c0d4",
+    ),
+    ("di", 5): (
+        "2567493e0dabe5b837f32f59692a938cdfa2950dff5b98ef0d6d6c9a957c8a69",
+        "f6c0e39c4fba4eb9aad1d142a509aae3a6edee10769c34d31d2cd8ec694d9a9b",
+        "ad562cf1c9237c01c5f54c2cac99619eadaf9b575a60e400c49b74987a5c6afc",
+    ),
+    ("di", 6): (
+        "65031717355f1b4f9f5acadc6e1082ff90771c694708c7b59392d9da9728d9fa",
+        "f656fb7533e7e76c1354581fb6abfef2b07f6b7dc6f87e2ad27456d105bf4771",
+        "1e5b7c8e58f5b0711be55197047cd96b0ec05074c06e7c5a9acb5dd6b5e66344",
+    ),
+    ("di", 7): (
+        "3f79ce7332a4010bab377ec5cd8f0d8a9a05d03a0c7300551076afcf8050fab8",
+        "7720c3c4a5e5af9748ce1f68e66deadfa1f362286cf507a868bed0390b3e902c",
+        "92951b4e6df86882175617a899fbf23df3ea21458eaa396418c000004c43c496",
+    ),
+    ("di", 8): (
+        "816f5caeffb13d50beccff18f3fac6e03cf6336a664e9dafe73048a1c5417232",
+        "416c73108f76a8047bfbf9e22ccff9c657324336ee176144fd76e41925e1c85d",
+        "d2d7540209abe46bfde1586bbd229238c5f78049ae7fad9987ddcb7097f0d302",
+    ),
+    ("di", 9): (
+        "3662828ad78c7f4fe13091380ccd2dbd6d66770065b699e0cf131e8e92311b40",
+        "0625980b0d6c1650b83c470a193945a5a035b856d15f1f14e4d155ec8ce9b054",
+        "2e325df8efbe001a7efe31bbd3a79d9feb291447076f5e739e9cc8889687a698",
+    ),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _word_listing(m) -> bytes:
+    return "".join(
+        f"{p} {','.join(map(str, m.words[p]))}\n" for p in m.elements
+    ).encode()
+
+
+@pytest.mark.parametrize("kind,n", sorted(PINS), ids=lambda v: str(v))
+def test_closure_output_matches_pin(kind, n):
+    txt_pin, jsonl_pin, words_pin = PINS[kind, n]
+    m = close(n, standard_generators(kind, n).elements)
+    for fmt, pin in (("txt", txt_pin), ("jsonl", jsonl_pin)):
+        assert _sha(export_bytes(m, fmt)) == pin
+        blob = export_bytes(m, fmt, compress=True)
+        assert blob[4:8] == bytes(4)  # gzip MTIME field
+        assert _sha(gzip.decompress(blob)) == pin
+    assert _sha(_word_listing(m)) == words_pin
