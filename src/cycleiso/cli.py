@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter
 
-from .errors import CycleIsoError
+from .errors import CycleIsoError, DomainError
 from .partial_perm import PartialPerm, classify_order
 from .dihedral import KINDS, classify, extensions
 from .engine import close, cross_check_green, export_bytes, green_structural
@@ -41,6 +40,10 @@ def _bool(v: bool) -> str:
 
 def _cmd_card(args) -> int:
     formula = card(args.kind, args.n)
+    try:
+        str(formula)
+    except ValueError:  # more digits than the interpreter will print
+        raise DomainError(f"card {args.kind} n={args.n} is too long to print") from None
     if not args.enumerate:
         if args.json:
             _emit_json({"kind": args.kind, "n": args.n, "formula": formula})
@@ -307,8 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=max(1, os.cpu_count() or 1),
-        help="closure workers; the output does not depend on this",
+        default=1,
+        help="positive int; the closure is serial, so neither work nor output depends on it",
     )
     p.set_defaults(handler=_cmd_enumerate)
 

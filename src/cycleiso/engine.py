@@ -11,12 +11,13 @@ import gzip
 import io
 import json
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from .errors import (
     AmbientMismatchError,
+    DomainError,
     NotInverseClosedError,
     ParseError,
 )
@@ -39,18 +40,21 @@ __all__ = [
     "import_elements",
 ]
 
+_defined = itemgetter(1)
+
 
 class EnumeratedMonoid:
     """A canonically sorted element set, optionally with generator words.
 
-    ``words`` maps an element to a shortest discovered word as a tuple of
-    indices into ``generators``; it is populated by ``close`` and empty
-    for sets built directly from elements.
+    Elements are sorted by the canonical ``(n, pairs)`` key.  ``words``
+    maps an element to the shortest word that the image-array search of
+    ``close`` found, as a tuple of indices into ``generators``; it is
+    empty for sets built directly from elements.
     """
 
     def __init__(self, n, elements, generators=(), words=None):
         self.n = n
-        self.elements = tuple(sorted(elements))
+        self.elements = tuple(sorted(elements, key=attrgetter("n", "pairs")))
         self.generators = tuple(generators)
         self.words = dict(words) if words else {}
         for p in self.elements:
@@ -72,52 +76,42 @@ class EnumeratedMonoid:
         return p in self._members
 
 
-def _expand(frontier, gens, workers):
-    """Products of one BFS layer with every generator, in a fixed order."""
-    if workers <= 1 or len(frontier) < 2:
-        chunks = [frontier]
-    else:
-        step = -(-len(frontier) // workers)
-        chunks = [frontier[i : i + step] for i in range(0, len(frontier), step)]
-
-    def work(chunk):
-        return [(p * g, p, gi) for p in chunk for gi, g in enumerate(gens)]
-
-    if len(chunks) == 1:
-        parts = [work(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = list(pool.map(work, chunks))
-    return [c for part in parts for c in part]
-
-
 def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     """Smallest composition-closed set containing the identity and the
     generators, via right-multiplication breadth-first search.
 
-    The result is independent of generator order duplication and of
-    ``workers``: each layer is expanded in canonical element order, and
-    the first word found for an element (shortest layer, then generator
-    index) is kept.
+    The search runs on image arrays: tuples whose entry x is the image of
+    x, 0 where undefined, so ``p * g`` is ``itemgetter(*p)(g)``.  Each
+    layer is visited in canonical order, each element against the
+    generators in index order, and the first word found (shortest layer,
+    then generator index) is kept, so generator duplication changes
+    nothing.  ``workers`` must be a positive int; the search is serial.
     """
     gens = tuple(generators)
     for g in gens:
         if g.n != n:
             raise AmbientMismatchError(f"generator {g} does not live on n={n}")
-    start = identity(n)
+    if type(workers) is not int or workers < 1:
+        raise DomainError(f"workers must be a positive int, got {workers!r}")
+    gen_images = [tuple(dict(g.pairs).get(x, 0) for x in range(n + 1)) for g in gens]
+    start = tuple(range(n + 1))
     words = {start: ()}
-    seen = {start}
-    frontier = [start]
+    frontier = [(identity(n).pairs, start)]
+    elements = {}
     while frontier:
         frontier.sort()
         next_frontier = []
-        for prod, parent, gi in _expand(frontier, gens, workers):
-            if prod not in seen:
-                seen.add(prod)
-                words[prod] = words[parent] + (gi,)
-                next_frontier.append(prod)
+        for pairs, img in frontier:
+            word = elements[PartialPerm._trusted(n, pairs)] = words[img]
+            image_of = itemgetter(*img)
+            for gi, g in enumerate(gen_images):
+                prod = image_of(g)
+                if prod not in words:
+                    words[prod] = word + (gi,)
+                    # the pairs are the defined (point, image) entries
+                    next_frontier.append((tuple(filter(_defined, enumerate(prod))), prod))
         frontier = next_frontier
-    return EnumeratedMonoid(n, seen, gens, words)
+    return EnumeratedMonoid(n, elements, gens, elements)
 
 
 @dataclass(frozen=True)

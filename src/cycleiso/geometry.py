@@ -20,7 +20,7 @@ __all__ = [
 
 
 def _check_cycle(n: int) -> None:
-    if not isinstance(n, int) or n < 3:
+    if type(n) is not int or n < 3:
         raise DomainError(f"the cycle graph needs n >= 3, got {n!r}")
 
 
@@ -34,7 +34,7 @@ def distance(n: int, x: int, y: int) -> int:
     """
     _check_cycle(n)
     for v in (x, y):
-        if not isinstance(v, int) or not 1 <= v <= n:
+        if type(v) is not int or not 1 <= v <= n:
             raise DomainError(f"point {v!r} is outside 1..{n}")
     return min(abs(x - y), n - abs(x - y))
 

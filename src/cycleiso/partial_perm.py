@@ -52,7 +52,7 @@ def sorted_points(n: int, points) -> tuple[int, ...]:
     """Validate an iterable of distinct points of 1..n; return them sorted."""
     pts = sorted(points)
     for p in pts:
-        if not isinstance(p, int) or not 1 <= p <= n:
+        if type(p) is not int or not 1 <= p <= n:
             raise DomainError(f"point {p!r} is outside 1..{n}")
     for a, b in zip(pts, pts[1:]):
         if a == b:
@@ -68,20 +68,27 @@ class PartialPerm:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:
             raise DomainError(f"ambient size must be a positive int, got {self.n!r}")
         prev = 0
         seen = set()
         for pair in self.pairs:
             a, b = pair
-            if not 1 <= a <= self.n or not 1 <= b <= self.n:
-                raise DomainError(f"pair {a}>{b} leaves 1..{self.n}")
+            if not (type(a) is type(b) is int and 1 <= a <= self.n and 1 <= b <= self.n):
+                raise DomainError(f"pair {a!r}>{b!r} is not a pair of ints in 1..{self.n}")
             if a <= prev:
                 raise DomainError("pairs must be strictly ascending in the point")
             if b in seen:
                 raise NotInjectiveError(f"image point {b} repeats")
             prev = a
             seen.add(b)
+
+    @classmethod
+    def _trusted(cls, n: int, pairs) -> "PartialPerm":
+        """Build without validation, for results valid by construction."""
+        p = object.__new__(cls)
+        p.__dict__.update(n=n, pairs=pairs)
+        return p
 
     @classmethod
     def from_map(cls, n: int, mapping) -> "PartialPerm":
@@ -114,7 +121,7 @@ class PartialPerm:
     def from_json(cls, obj) -> "PartialPerm":
         if (
             not isinstance(obj, dict)
-            or not isinstance(obj.get("n"), int)
+            or type(obj.get("n")) is not int
             or not isinstance(obj.get("map"), list)
         ):
             raise ParseError(f"expected {{'n': int, 'map': [[a, b], ...]}}, got {obj!r}")
@@ -123,7 +130,7 @@ class PartialPerm:
             if (
                 not isinstance(item, list)
                 or len(item) != 2
-                or not all(isinstance(v, int) for v in item)
+                or not all(type(v) is int for v in item)
             ):
                 raise ParseError(f"bad map entry {item!r}")
             pairs.append((item[0], item[1]))
@@ -156,13 +163,13 @@ class PartialPerm:
         if other.n != self.n:
             raise AmbientMismatchError(f"cannot compose n={self.n} with n={other.n}")
         lookup = dict(other.pairs)
-        return PartialPerm(
+        return PartialPerm._trusted(
             self.n,
             tuple((a, lookup[b]) for a, b in self.pairs if b in lookup),
         )
 
     def inverse(self) -> "PartialPerm":
-        return PartialPerm(self.n, tuple(sorted((b, a) for a, b in self.pairs)))
+        return PartialPerm._trusted(self.n, tuple(sorted((b, a) for a, b in self.pairs)))
 
     def restrict(self, points) -> "PartialPerm":
         """Restrict to the given points; points outside the domain just drop.
@@ -171,7 +178,7 @@ class PartialPerm:
         'n=4;1>1,3>3'
         """
         keep = set(sorted_points(self.n, points))
-        return PartialPerm(self.n, tuple(p for p in self.pairs if p[0] in keep))
+        return PartialPerm._trusted(self.n, tuple(p for p in self.pairs if p[0] in keep))
 
     def __str__(self) -> str:
         return f"n={self.n};" + ",".join(f"{a}>{b}" for a, b in self.pairs)

@@ -22,7 +22,7 @@ from .geometry import (
     is_partial_isometry_fast,
 )
 from .dihedral import KINDS, b2_count, extensions, is_in_b2
-from .engine import close, cross_check_green, export_bytes
+from .engine import _reflected, _rotated, close, cross_check_green, export_bytes
 from .formulas import card, card_rank_le1, rank_formula
 from .generators import standard_generators
 from .factorize import factorize
@@ -132,10 +132,6 @@ def _check_fast_isometry(top):
     return True, f"{exhaustive} exhaustive + {sampled} random maps agree"
 
 
-def _rotated(n, points, s):
-    return [(b - 1 - s) % n + 1 for b in points]
-
-
 def _check_distance_sequence_laws(top):
     from itertools import combinations
 
@@ -151,9 +147,7 @@ def _check_distance_sequence_laws(top):
                     same = da == seqs[b_set]
                     if same != is_partial_isometry(delta(n, a_set, b_set)):
                         return False, f"order-preserving law fails on {a_set}, {b_set} (n={n})"
-                    reflected = da == distance_sequence(
-                        n, [n - b + 1 for b in b_set]
-                    )
+                    reflected = da == distance_sequence(n, _reflected(n, b_set))
                     if reflected != is_partial_isometry(
                         order_reversing_bijection(n, a_set, b_set)
                     ):

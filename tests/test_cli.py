@@ -49,6 +49,14 @@ def test_card_rejects_small_n(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_card_too_long_to_print_is_refused(capsys, extra):
+    code, out, err = run(capsys, "card", "odi", "20000", *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "n=20000" in err
+
+
 def test_unknown_kind_is_a_usage_error(capsys):
     code, _, err = run(capsys, "card", "xyz", "4")
     assert code == 2
@@ -89,6 +97,14 @@ def test_enumerate_workers_do_not_change_the_file(tmp_path, capsys):
             "--workers", workers)
         paths.append(path.read_bytes())
     assert paths[0] == paths[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_enumerate_rejects_nonpositive_workers(capsys, workers):
+    code, out, err = run(capsys, "enumerate", "odi", "4", "--workers", workers)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and workers in err
 
 
 def test_greens_summary_and_histogram(capsys):

@@ -2,11 +2,14 @@
 
 import gzip
 import json
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycleiso import (
     AmbientMismatchError,
+    DomainError,
     EnumeratedMonoid,
     NotInverseClosedError,
     ParseError,
@@ -25,6 +28,8 @@ from cycleiso import (
     standard_generators,
 )
 from cycleiso.brute_force import kind_elements, kind_monoid
+
+from conftest import perm_on
 
 ODI4_JCLASS_RANKS = [1, 1, 2, 3, 1]  # classes of rank 0, 1, 2, 3, 4
 MDI4_JCLASS_RANKS = [1, 1, 2, 2, 1]
@@ -66,6 +71,57 @@ def test_closure_is_independent_of_workers_and_duplicates():
         assert again.words == reference.words
     doubled = close(6, gens + gens)
     assert doubled.elements == reference.elements
+
+
+@pytest.mark.parametrize("workers", [0, -3, True, 2.0])
+def test_closure_rejects_bad_worker_counts(workers):
+    with pytest.raises(DomainError, match=re.escape(repr(workers))):
+        close(4, standard_generators("odi", 4).elements, workers=workers)
+
+
+def _validated_product(a, b):
+    """Composition through the validating constructor only."""
+    lookup = dict(b.pairs)
+    return PartialPerm(a.n, tuple((x, lookup[y]) for x, y in a.pairs if y in lookup))
+
+
+def _naive_closure(n, gens):
+    """Layer-by-layer fixpoint with validated products: each layer in
+    sorted order, each element against the generators in index order, the
+    first word found for an element kept."""
+    words = {identity(n): ()}
+    layer = [identity(n)]
+    while layer:
+        fresh = []
+        for p in sorted(layer):
+            for gi, g in enumerate(gens):
+                q = _validated_product(p, g)
+                if q not in words:
+                    words[q] = words[p] + (gi,)
+                    fresh.append(q)
+        layer = fresh
+    return words
+
+
+@st.composite
+def _generator_sets(draw):
+    n = draw(st.integers(1, 6))
+    return n, draw(st.lists(perm_on(n), max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets())
+def test_closure_matches_naive_fixpoint(case):
+    n, gens = case
+    m = close(n, gens)
+    words = _naive_closure(n, gens)
+    assert m.elements == tuple(sorted(words))
+    assert m.words == words
+    for p, word in m.words.items():
+        value = identity(n)
+        for gi in word:
+            value = _validated_product(value, gens[gi])
+        assert value == p
 
 
 def test_closure_rejects_foreign_generators():

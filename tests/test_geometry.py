@@ -71,6 +71,13 @@ def test_distance_sequence_needs_two_points():
         distance_sequence(5, [])
 
 
+def test_distance_sequence_rejects_bools():
+    with pytest.raises(DomainError):
+        distance_sequence(5, [True, 3])
+    with pytest.raises(DomainError):
+        distance_sequence(True, [1, 3])
+
+
 def test_delta_builds_the_ascending_pairing():
     assert str(delta(4, [1, 2], [1, 4])) == "n=4;1>1,2>4"
     assert delta(5, [], []).rank == 0

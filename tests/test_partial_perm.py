@@ -88,6 +88,9 @@ def test_json_round_trip():
         {"n": 5, "map": [(1, 2)]},
         {"n": 5, "map": [[1, "2"]]},
         [5, []],
+        {"n": True, "map": []},
+        {"n": 5, "map": [[True, 2]]},
+        {"n": True, "map": [[True, True]]},
     ],
 )
 def test_from_json_rejects_wrong_shapes(obj):
@@ -145,6 +148,13 @@ def test_inverse_reverses_products(ab):
     assert (a * b).inverse() == b.inverse() * a.inverse()
 
 
+@given(perm_pairs())
+def test_unvalidated_results_pass_validation(ab):
+    a, b = ab
+    for p in (a * b, a.inverse(), a.restrict(b.domain)):
+        assert PartialPerm(p.n, p.pairs) == p
+
+
 @given(perms())
 def test_restrict_agrees_with_left_identity(p):
     sub = p.domain[::2]
@@ -163,6 +173,22 @@ def test_sorted_points_rejects_repeats_and_strays():
         sorted_points(5, [1, 1])
     with pytest.raises(DomainError):
         sorted_points(5, [7])
+
+
+@pytest.mark.parametrize(
+    "n,pairs",
+    [(True, ()), (5, ((True, 2),)), (5, ((1, True),)), (5, ((1.0, 2),))],
+)
+def test_constructor_rejects_non_int_values(n, pairs):
+    with pytest.raises(DomainError):
+        PartialPerm(n, pairs)
+
+
+def test_sorted_points_rejects_bools():
+    with pytest.raises(DomainError):
+        sorted_points(5, [True, 3])
+    with pytest.raises(DomainError):
+        PartialPerm.parse("n=4;1>2").restrict([True])
 
 
 def test_identity_factories():
