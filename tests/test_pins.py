@@ -1,11 +1,15 @@
-"""Byte-level pins of closure output, taken before the image-array kernel.
+"""Byte-level pins of closure output and of factorization words.
 
-Each entry holds the sha256 of the ``txt`` export, of the ``jsonl``
+Each ``PINS`` entry, taken before the image-array kernel, holds the sha256 of the ``txt`` export, of the ``jsonl``
 export, and of a listing with one ``<element> <word>`` line per element
 (the word as comma-separated generator indices), for the closure of the
 standard generators.  Gzip exports are pinned on their decompressed bytes,
 since the compressed stream may depend on the zlib build, plus a zero
 header timestamp.
+
+Each ``WORD_PINS`` entry holds the sha256 of a listing with one
+``<element> <word>`` line per member of the kind, in canonical order, where
+the word is ``factorize``'s letters joined by commas.
 """
 
 import gzip
@@ -13,7 +17,8 @@ import hashlib
 
 import pytest
 
-from cycleiso import close, export_bytes, standard_generators
+from cycleiso import close, export_bytes, factorize, standard_generators
+from cycleiso.brute_force import kind_elements
 
 PINS = {
     ("odi", 3): (
@@ -158,6 +163,27 @@ PINS = {
     ),
 }
 
+WORD_PINS = {
+    ("odi", 3): "8bd716ed00c12133a80b81a8c20b3410fa0eb7531a6e432e88fb0921ad5ec6d3",
+    ("odi", 4): "a2181fb7880bcc16fe58de7e797d49dbc7b1ee63f20a0874f32f0b0fce2ade97",
+    ("odi", 5): "4eed99b26c81591377a80cd2e3bc9c2d15e21fd3cf758aca417ba15fb398546e",
+    ("odi", 6): "f8a330d3ee124df255f38a1a5645b26d4e2fe84f842b970f426697015ba8b6a8",
+    ("odi", 7): "2c1cd0e9285fc9e81bc8e600da2f6982a2cdd00f9cf1fb5df604a6e7a464d99a",
+    ("odi", 8): "4511e845f151cf5f9039c3c69d8a13e8d1fe52eaa8bb673de29b69b513e6808f",
+    ("mdi", 3): "985a4bd8760db7a159c12553d818eb097714f25af37bda00bc35ee4893171477",
+    ("mdi", 4): "bc72a21fde4a9f83b8c2148da600bb1946ca1b50f7ecd20773b67454c9ef830b",
+    ("mdi", 5): "ac42836b0d8d85d53de9f3dee7c621c37c8809b6e934dc61565426753df31e44",
+    ("mdi", 6): "e790e53eab8a3b2ec2775f9b2f97c8a404ab5ed2d6b526b8f2d8766bc2194450",
+    ("mdi", 7): "3c9624644d11a841901a7d9a21d9ea06c23cd58e3472aa816ab8ad89142b7e16",
+    ("mdi", 8): "43c9a6902ee7ea61d34e869a0d57b8ba6f7e72f85887a51c33d0e850b97c7422",
+    ("opdi", 3): "57dc37048f5a9ab7636065296df79009444846d60a91ef0b14033f0d9aa70b3a",
+    ("opdi", 4): "6a291b4d37d78e3b0c821a3e1761fdc5069df47fef584d9a75385ff3d4c9d07b",
+    ("opdi", 5): "efb50fc410ecd9121c5e7922725e08a8b636e5d352bcbfaf41e3eb937ffacfa9",
+    ("opdi", 6): "b6992fccc876a6742f8202c22ae6466aa8294662e90db5c7e897f13685f44648",
+    ("opdi", 7): "ddf0a9560a25810934b5a19d70d51e459ee6feb3733dec380c243eae8cd64ed8",
+    ("opdi", 8): "8040746cea66c1fd0c5a8b8ef715fc4d0c741f0c150b9f90ba1f0911d22e29b1",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -179,3 +205,11 @@ def test_closure_output_matches_pin(kind, n):
         assert blob[4:8] == bytes(4)  # gzip MTIME field
         assert _sha(gzip.decompress(blob)) == pin
     assert _sha(_word_listing(m)) == words_pin
+
+
+@pytest.mark.parametrize("kind,n", sorted(WORD_PINS), ids=lambda v: str(v))
+def test_factorize_words_match_pin(kind, n):
+    listing = "".join(
+        f"{p} {','.join(factorize(p, kind))}\n" for p in kind_elements(kind, n)
+    ).encode()
+    assert _sha(listing) == WORD_PINS[kind, n]
