@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import asdict
 
 from .errors import CycleIsoError, DomainError
 from .partial_perm import PartialPerm, classify_order
@@ -32,10 +33,6 @@ _ALL_KINDS = KINDS + ("di",)
 
 def _emit_json(payload: dict) -> None:
     print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}))
-
-
-def _bool(v: bool) -> str:
-    return "true" if v else "false"
 
 
 def _cmd_card(args) -> int:
@@ -121,37 +118,20 @@ def _cmd_greens(args) -> int:
 def _cmd_classify(args) -> int:
     p = PartialPerm.parse(args.element)
     report = classify(p)
-    flags = classify_order(p)
-    ext = [str(s) for s in report.extensions]
-    if args.json:
-        _emit_json(
-            {
-                "element": str(p),
-                "rank": p.rank,
-                "in_di": report.in_di,
-                "in_odi": report.in_odi,
-                "in_mdi": report.in_mdi,
-                "in_opdi": report.in_opdi,
-                "order_preserving": flags.order_preserving,
-                "order_reversing": flags.order_reversing,
-                "orientation_preserving": flags.orientation_preserving,
-                "orientation_reversing": flags.orientation_reversing,
-                "extensions": ext,
-            }
-        )
-        return 0
-    print(f"element={p}")
-    print(f"rank={p.rank}")
+    fields = {"element": str(p), "rank": p.rank}
     for name in ("in_di", "in_odi", "in_mdi", "in_opdi"):
-        print(f"{name}={_bool(getattr(report, name))}")
-    for name in (
-        "order_preserving",
-        "order_reversing",
-        "orientation_preserving",
-        "orientation_reversing",
-    ):
-        print(f"{name}={_bool(getattr(flags, name))}")
-    print(f"extensions={','.join(ext)}")
+        fields[name] = getattr(report, name)
+    fields.update(asdict(classify_order(p)))
+    fields["extensions"] = [str(s) for s in report.extensions]
+    if args.json:
+        _emit_json(fields)
+        return 0
+    for name, value in fields.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, list):
+            value = ",".join(value)
+        print(f"{name}={value}")
     return 0
 
 

@@ -202,10 +202,4 @@ def classify(p: PartialPerm) -> MembershipReport:
 
 def in_kind(p: PartialPerm, kind: str) -> bool:
     check_kind(kind, allow_di=True)
-    rep = classify(p)
-    return {
-        "di": rep.in_di,
-        "odi": rep.in_odi,
-        "mdi": rep.in_mdi,
-        "opdi": rep.in_opdi,
-    }[kind]
+    return getattr(classify(p), f"in_{kind}")

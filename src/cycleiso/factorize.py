@@ -29,14 +29,10 @@ def factorize(p: PartialPerm, kind: str) -> tuple[str, ...]:
     """
     check_kind(kind)
     report = classify(p)
-    member = {"odi": report.in_odi, "mdi": report.in_mdi, "opdi": report.in_opdi}[kind]
-    if not member:
+    if not getattr(report, f"in_{kind}"):
         raise MembershipError(f"{p} is not in {kind.upper()}_{p.n}")
-    if kind == "odi":
-        return tuple(_odi_word(p))
-    if kind == "mdi":
-        return tuple(_mdi_word(p))
-    return tuple(_opdi_word(p))
+    word = {"odi": _odi_word, "mdi": _mdi_word, "opdi": _opdi_word}[kind]
+    return tuple(word(p, report.extensions[0]))
 
 
 def _op_identity_word(n: int, missing) -> list[str]:
@@ -80,9 +76,9 @@ def _rank2_reflection_word(n: int, k: int, i: int, j: int) -> list[str]:
     return ["y"] * (i - 1) + [jump] + ["x"] * (k - i)
 
 
-def _odi_word(p: PartialPerm) -> list[str]:
+def _odi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
+    """Order-preserving word for ``p``, given its preferred extension."""
     n = p.n
-    sigma = extensions(p)[0]
     if sigma.j == 0:
         missing = set(range(1, n + 1)) - set(p.domain)
         word = _op_identity_word(n, missing)
@@ -112,14 +108,15 @@ def _to_monotone_alphabet(n: int, letters) -> list[str]:
     return out
 
 
-def _mdi_word(p: PartialPerm) -> list[str]:
+def _mdi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
     n = p.n
     if classify_order(p).order_preserving:
-        return _to_monotone_alphabet(n, _odi_word(p))
+        return _to_monotone_alphabet(n, _odi_word(p, sigma))
     # p is order-reversing of rank >= 2; peeling the reflection off the
     # right leaves an order-preserving member
     h = to_partial_perm(DihedralElement.reflection(n, 0), range(1, n + 1))
-    return _to_monotone_alphabet(n, _odi_word(p * h)) + ["h"]
+    q = p * h
+    return _to_monotone_alphabet(n, _odi_word(q, extensions(q)[0])) + ["h"]
 
 
 def _rot_identity_word(n: int, missing) -> list[str]:
@@ -168,20 +165,16 @@ def _to_rotation_alphabet(n: int, letters) -> list[str]:
     return out
 
 
-def _opdi_word(p: PartialPerm) -> list[str]:
+def _opdi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
     n = p.n
-    sigma = extensions(p)[0]
     if sigma.j == 0:
         missing = set(range(1, n + 1)) - set(p.domain)
         return _rot_identity_word(n, missing) + ["g"] * sigma.k
-    # reflection-only extension forces rank 2; rotate the domain until the
-    # piece is order-preserving, then reuse the straddle construction
-    for k in range(n):
-        beta = to_partial_perm(DihedralElement.rotation(n, n - k), range(1, n + 1)) * p
-        if classify_order(beta).order_preserving:
-            break
-    else:
-        raise MembershipError(f"{p} is not orientation-preserving")
-    tau = extensions(beta)[0]
-    i, j = beta.domain
-    return ["g"] * k + _to_rotation_alphabet(n, _rank2_reflection_word(n, tau.k, i, j))
+    # a reflection-only extension forces rank 2; g^k followed by the piece
+    # beta = g^(-k) p is p, and the least k making beta order-preserving
+    # is 0 or the shift carrying j past n to 1, which moves i to i + k
+    (i, a), (j, b) = p.pairs
+    k = 0 if a < b else n - j + 1
+    tau = DihedralElement.rotation(n, -k) * sigma
+    lo, hi = (i, j) if k == 0 else (1, i + k)
+    return ["g"] * k + _to_rotation_alphabet(n, _rank2_reflection_word(n, tau.k, lo, hi))

@@ -56,11 +56,10 @@ def _domain_gap(p: PartialPerm) -> int:
     return b - a
 
 
-def _find(candidates, pred) -> PartialPerm | None:
-    for p in candidates:
-        if pred(p):
-            return p
-    return None
+def _requirement(description: str, candidates, pred) -> Requirement:
+    """The requirement met by the first candidate satisfying ``pred``."""
+    w = next((p for p in candidates if pred(p)), None)
+    return Requirement(description, w is not None, None if w is None else str(w))
 
 
 def gap_requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
@@ -71,78 +70,56 @@ def gap_requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
     check_kind(kind)
     m = (n - 1) // 2
     rank2 = [p for p in elements if p.rank == 2]
-    reqs = []
     if kind == "opdi":
-        for i in range(1, m + 1):
-            w = _find(rank2, lambda p: _domain_gap(p) in (i, n - i))
-            reqs.append(
-                Requirement(
-                    f"rank-2 generator with domain gap {i} or {n - i}",
-                    w is not None,
-                    str(w) if w else None,
-                )
+        return tuple(
+            _requirement(
+                f"rank-2 generator with domain gap {i} or {n - i}",
+                rank2,
+                lambda p: _domain_gap(p) in (i, n - i),
             )
-    else:
-        for gap in list(range(1, m + 1)) + [n - i for i in range(1, m + 1)]:
-            w = _find(rank2, lambda p: _domain_gap(p) == gap)
-            reqs.append(
-                Requirement(
-                    f"rank-2 generator with domain gap {gap}",
-                    w is not None,
-                    str(w) if w else None,
-                )
-            )
-    return tuple(reqs)
+            for i in range(1, m + 1)
+        )
+    return tuple(
+        _requirement(
+            f"rank-2 generator with domain gap {gap}",
+            rank2,
+            lambda p: _domain_gap(p) == gap,
+        )
+        for gap in list(range(1, m + 1)) + [n - i for i in range(1, m + 1)]
+    )
 
 
 def _requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
     ident = identity(n)
     gens = [p for p in elements if p != ident]
     points = set(range(1, n + 1))
-    reqs = []
     if kind == "odi":
-        for i in range(1, n + 1):
-            want = points - {i}
-            w = _find(gens, lambda p: p.rank == n - 1 and set(p.image) == want)
-            reqs.append(
-                Requirement(
-                    f"rank n-1 generator with image missing {i}",
-                    w is not None,
-                    str(w) if w else None,
-                )
+        reqs = [
+            _requirement(
+                f"rank n-1 generator with image missing {i}",
+                gens,
+                lambda p: p.rank == n - 1 and set(p.image) == points - {i},
             )
+            for i in range(1, n + 1)
+        ]
     elif kind == "mdi":
         h = to_partial_perm(DihedralElement.reflection(n, 0), range(1, n + 1))
-        reqs.append(
-            Requirement("the full reflection", h in gens, str(h) if h in gens else None)
-        )
+        reqs = [_requirement("the full reflection", gens, lambda p: p == h)]
         for i in range(1, (n + 1) // 2 + 1):
             orbit = {i, n - i + 1}
-            w = _find(
-                gens,
-                lambda p: p.rank == n - 1 and points - set(p.image) <= orbit,
-            )
             label = " or ".join(str(v) for v in sorted(orbit))
             reqs.append(
-                Requirement(
+                _requirement(
                     f"rank n-1 generator with image missing {label}",
-                    w is not None,
-                    str(w) if w else None,
+                    gens,
+                    lambda p: p.rank == n - 1 and points - set(p.image) <= orbit,
                 )
             )
     else:
-        w = _find(gens, lambda p: p.rank == n)
-        reqs.append(
-            Requirement(
-                "a nonidentity permutation", w is not None, str(w) if w else None
-            )
-        )
-        w = _find(gens, lambda p: p.rank == n - 1)
-        reqs.append(
-            Requirement(
-                "a rank n-1 generator", w is not None, str(w) if w else None
-            )
-        )
+        reqs = [
+            _requirement("a nonidentity permutation", gens, lambda p: p.rank == n),
+            _requirement("a rank n-1 generator", gens, lambda p: p.rank == n - 1),
+        ]
     return reqs + list(gap_requirements(kind, n, gens))
 
 
