@@ -59,11 +59,11 @@ class DihedralElement:
     k: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 3:
+        if type(self.n) is not int or self.n < 3:
             raise DomainError(f"the dihedral group needs n >= 3, got {self.n!r}")
-        if self.j not in (0, 1):
+        if type(self.j) is not int or self.j not in (0, 1):
             raise DomainError(f"reflection flag must be 0 or 1, got {self.j!r}")
-        if not isinstance(self.k, int) or not 0 <= self.k < self.n:
+        if type(self.k) is not int or not 0 <= self.k < self.n:
             raise DomainError(f"rotation exponent {self.k!r} is outside 0..{self.n - 1}")
 
     @classmethod

@@ -50,10 +50,11 @@ _TEXT = re.compile(
 
 def sorted_points(n: int, points) -> tuple[int, ...]:
     """Validate an iterable of distinct points of 1..n; return them sorted."""
-    pts = sorted(points)
+    pts = tuple(points)
     for p in pts:
         if type(p) is not int or not 1 <= p <= n:
             raise DomainError(f"point {p!r} is outside 1..{n}")
+    pts = sorted(pts)
     for a, b in zip(pts, pts[1:]):
         if a == b:
             raise DomainError(f"point {a} repeats")
@@ -70,9 +71,13 @@ class PartialPerm:
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 1:
             raise DomainError(f"ambient size must be a positive int, got {self.n!r}")
+        if type(self.pairs) is not tuple:
+            raise DomainError(f"pairs must be a tuple of 2-tuples, got {self.pairs!r}")
         prev = 0
         seen = set()
         for pair in self.pairs:
+            if type(pair) is not tuple or len(pair) != 2:
+                raise DomainError(f"pair {pair!r} is not a 2-tuple")
             a, b = pair
             if not (type(a) is type(b) is int and 1 <= a <= self.n and 1 <= b <= self.n):
                 raise DomainError(f"pair {a!r}>{b!r} is not a pair of ints in 1..{self.n}")

@@ -61,6 +61,14 @@ def test_construction_bounds():
     assert DihedralElement.rotation(5, 7).k == 2
 
 
+@pytest.mark.parametrize(
+    "n,j,k", [(5, 0, True), (5, True, 0), (True, 0, 0), (5.0, 0, 0), (5, 0, 1.0), (5, 1.0, 0)]
+)
+def test_construction_requires_exact_ints(n, j, k):
+    with pytest.raises(DomainError):
+        DihedralElement(n, j, k)
+
+
 @given(dihedrals(), dihedrals(), st.integers(1, 12))
 def test_multiplication_matches_the_point_action(s, t, i):
     i = (i - 1) % s.n + 1

@@ -78,6 +78,11 @@ def test_distance_sequence_rejects_bools():
         distance_sequence(True, [1, 3])
 
 
+def test_distance_sequence_rejects_mixed_point_types():
+    with pytest.raises(DomainError):
+        distance_sequence(5, [1, "a"])
+
+
 def test_delta_builds_the_ascending_pairing():
     assert str(delta(4, [1, 2], [1, 4])) == "n=4;1>1,2>4"
     assert delta(5, [], []).rank == 0

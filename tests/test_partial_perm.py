@@ -184,6 +184,21 @@ def test_constructor_rejects_non_int_values(n, pairs):
         PartialPerm(n, pairs)
 
 
+@pytest.mark.parametrize("pairs", [[(1, 2)], ([1, 2],), ((1, 2, 3),), ((1,),), (1, 2)])
+def test_constructor_rejects_pairs_that_are_not_a_tuple_of_two_tuples(pairs):
+    with pytest.raises(DomainError):
+        PartialPerm(5, pairs)
+
+
+def test_sorted_points_validates_before_sorting():
+    with pytest.raises(DomainError):
+        sorted_points(5, [1, "a"])
+    with pytest.raises(DomainError):
+        sorted_points(5, [None, 2])
+    with pytest.raises(DomainError):
+        PartialPerm.parse("n=4;1>2").restrict([1, "a"])
+
+
 def test_sorted_points_rejects_bools():
     with pytest.raises(DomainError):
         sorted_points(5, [True, 3])
