@@ -187,6 +187,8 @@ def j_related(a: PartialPerm, b: PartialPerm, kind: str) -> bool:
     at most 1, or the ranks agree and the domain distance sequences match
     up to the symmetries the kind allows: nothing for order-preserving,
     reflection for monotone, any rotation for orientation-preserving.
+    Both maps must be members of ``kind``; the answer for other maps is
+    unspecified.
     """
     check_kind(kind)
     if a.n != b.n:
