@@ -10,15 +10,31 @@ header timestamp.
 Each ``WORD_PINS`` entry holds the sha256 of a listing with one
 ``<element> <word>`` line per member of the kind, in canonical order, where
 the word is ``factorize``'s letters joined by commas.
+
+Each ``J_PARTITION_PINS`` entry holds the sha256 of ``j_partition`` over
+the kind's members, one line per class in the returned order, elements
+as text separated by spaces.  Each ``J_RELATED_PINS`` entry holds the
+sha256 of ``j_related``'s answers, one ``0``/``1`` character per ordered
+pair of partial identities of 1..n, both taken in order of size, then
+lexicographically.
 """
 
 import gzip
 import hashlib
+from itertools import combinations
 
 import pytest
 
-from cycleiso import close, export_bytes, factorize, standard_generators
-from cycleiso.brute_force import kind_elements
+from cycleiso import (
+    close,
+    export_bytes,
+    factorize,
+    identity_on,
+    j_partition,
+    j_related,
+    standard_generators,
+)
+from cycleiso.brute_force import kind_elements, kind_monoid
 
 PINS = {
     ("odi", 3): (
@@ -184,6 +200,45 @@ WORD_PINS = {
     ("opdi", 8): "8040746cea66c1fd0c5a8b8ef715fc4d0c741f0c150b9f90ba1f0911d22e29b1",
 }
 
+J_PARTITION_PINS = {
+    ("odi", 3): "a55baec9749f05d95b063c467ee4dd0227a7cb32618d2ec9d59a5f2299622a6a",
+    ("odi", 4): "66ebf2a5997b91be12bc48c32c4fe8d969fd191fc74e161c2919d39ed6881a63",
+    ("odi", 5): "b6e71f28370466b702fee04f8b351e93df82181d7d4ee721f3d515c24e150bf5",
+    ("odi", 6): "a6c9fd960d07663ffc15fabc9fc05857bdc187abf4e075b2471be736f12e58a4",
+    ("odi", 7): "d39d80d5010ee3dd59fc4a10cee1b3f1727d1391669aba69defacac061c117a3",
+    ("odi", 8): "d5b4b2c67698424a904348806e9c538ef4d300a43315d543e3c24caf29dcfd6f",
+    ("mdi", 3): "1bcc349c1e2e0b5f5b0b0b8ba4444a938488e42f3efb00751929243dc3e19f28",
+    ("mdi", 4): "111ea5ba025b570abe4e3962a8e1bff9a1ef745492eb4cb9c0518e8910bccc2c",
+    ("mdi", 5): "bd6cc70de629224c52e29ee876c1cc30214a1ac40236d3d81f53de42f4e506b2",
+    ("mdi", 6): "20bbbdadcc4fad19b4a789bbcdc51d68543e600de96c10ba6a4569cce1bd5f3e",
+    ("mdi", 7): "b96f13943b2ad31f12fdce899b2002c1d20ace2630aa78ba4e1a1b16b49e7475",
+    ("mdi", 8): "870b6a6417c53b2e732b4dbf57c2f0008b8c240af3d2bae6bff8f49db69180eb",
+    ("opdi", 3): "56b8be7c3c000701f26736f1d09d585b0da3cf325de6deb7007f777295ffa007",
+    ("opdi", 4): "89c09b41deed0a0a324f712f9cd950158369c10289083a2d7ebf8249afe5e380",
+    ("opdi", 5): "7b8080eddbefdc28b26f6eb0aaf6117dd28a366615336455badeb56bb61bda2c",
+    ("opdi", 6): "9b77806f958fa3e026c74509ab95aa96a0059e234406c56d40692b8fb61b48dc",
+    ("opdi", 7): "7408d0ca7a2fdd15994aecd9a975794eddf7e6c7bb8338f4a3c90bda68a00b01",
+    ("opdi", 8): "9c41c2fe6b6a3eb41e432a6646a96813992bbe50150bda8d084084bc3ec9130d",
+}
+
+J_RELATED_PINS = {
+    ("odi", 3): "110c37341e164c2e96e0f221fd0d248a8bf7372fb1b30c19a005bbb57ebcc489",
+    ("odi", 4): "61e606c7db8bac7123a1451853c83e4f73c3785f5786cf07ac1a217517d04332",
+    ("odi", 5): "bba68ecd5d1c9924cb2322f8143762a3b7914486a6b728754900e2287fc065c2",
+    ("odi", 6): "badd6d8b4184d0ce1060332a63a4941afcd9a832ca6cbda078741ccf49d0ba24",
+    ("odi", 7): "5672c24375395a50164005d9eb297d4ba5a4abb5f60eb1da789d99c23464d3ac",
+    ("mdi", 3): "110c37341e164c2e96e0f221fd0d248a8bf7372fb1b30c19a005bbb57ebcc489",
+    ("mdi", 4): "a199b4fd96bc8f760e5612e2175b9c12fe5cfea5bd06b6da33100797600ee439",
+    ("mdi", 5): "b578e59d6822fe8ad519c59c167050a1b5d162cc2d879581e4516deb5ae89bcd",
+    ("mdi", 6): "0cc2fe5c5f9ca9234eb3fe96dcc367d3f4288f165ebd0a61f8dd643358891480",
+    ("mdi", 7): "8ec763b0f70dce6078f1beedf8759630f0ca3525dbad2570edb9cdd5f6acb4ac",
+    ("opdi", 3): "110c37341e164c2e96e0f221fd0d248a8bf7372fb1b30c19a005bbb57ebcc489",
+    ("opdi", 4): "c78b2487f5dddcee19791eda8ae7415b5ce2316674ceff05cd270980de8244ca",
+    ("opdi", 5): "6e08114a6c65969e53d27ef1f2d91ba48790d016ed93db1c1baa3ebe6b7141fb",
+    ("opdi", 6): "1902bce882a793573247def38d3423b468cef7ae0292dca2d37676bfc72b5423",
+    ("opdi", 7): "1589a990eb2a99cbae56119dc79a1292ed203d4fcbfc82f6e053fbec93bddab7",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -213,3 +268,18 @@ def test_factorize_words_match_pin(kind, n):
         f"{p} {','.join(factorize(p, kind))}\n" for p in kind_elements(kind, n)
     ).encode()
     assert _sha(listing) == WORD_PINS[kind, n]
+
+
+@pytest.mark.parametrize("kind,n", sorted(J_PARTITION_PINS), ids=lambda v: str(v))
+def test_j_partition_matches_pin(kind, n):
+    classes = j_partition(kind_monoid(kind, n), kind)
+    listing = "".join(" ".join(map(str, c)) + "\n" for c in classes).encode()
+    assert _sha(listing) == J_PARTITION_PINS[kind, n]
+
+
+@pytest.mark.parametrize("kind,n", sorted(J_RELATED_PINS), ids=lambda v: str(v))
+def test_j_related_matches_pin(kind, n):
+    points = range(1, n + 1)
+    ids = [identity_on(n, s) for k in range(n + 1) for s in combinations(points, k)]
+    table = "".join("1" if j_related(a, b, kind) else "0" for a in ids for b in ids)
+    assert _sha(table.encode()) == J_RELATED_PINS[kind, n]
