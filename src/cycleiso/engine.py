@@ -180,6 +180,18 @@ def _rotated(n, points, s):
     return [(b - 1 - s) % n + 1 for b in points]
 
 
+def _j_key(p: PartialPerm, kind: str):
+    # the domain's distance sequence, least over the symmetries the kind allows
+    if p.rank <= 1:
+        return p.rank
+    n, dom = p.n, p.domain
+    if kind == "odi":
+        return distance_sequence(n, dom)
+    if kind == "mdi":
+        return min(distance_sequence(n, dom), distance_sequence(n, _reflected(n, dom)))
+    return min(distance_sequence(n, _rotated(n, dom, s)) for s in range(n))
+
+
 def j_related(a: PartialPerm, b: PartialPerm, kind: str) -> bool:
     """The two-sided Green relation, decided from domains alone.
 
@@ -193,38 +205,14 @@ def j_related(a: PartialPerm, b: PartialPerm, kind: str) -> bool:
     check_kind(kind)
     if a.n != b.n:
         raise AmbientMismatchError(f"cannot compare n={a.n} with n={b.n}")
-    if a.rank != b.rank:
-        return False
-    if a.rank <= 1:
-        return True
-    n = a.n
-    da = distance_sequence(n, a.domain)
-    bdom = b.domain
-    if kind == "odi":
-        return da == distance_sequence(n, bdom)
-    if kind == "mdi":
-        return da == distance_sequence(n, bdom) or da == distance_sequence(
-            n, _reflected(n, bdom)
-        )
-    return any(
-        da == distance_sequence(n, _rotated(n, bdom, s)) for s in range(n)
-    )
+    return a.rank == b.rank and _j_key(a, kind) == _j_key(b, kind)
 
 
 def j_partition(m: EnumeratedMonoid, kind: str) -> tuple[tuple[PartialPerm, ...], ...]:
-    """Partition of the element set induced by ``j_related``, built by
-    comparing against one representative per class."""
-    reps: list[PartialPerm] = []
-    classes: list[list[PartialPerm]] = []
-    for p in m.elements:
-        for rep, cls in zip(reps, classes):
-            if j_related(p, rep, kind):
-                cls.append(p)
-                break
-        else:
-            reps.append(p)
-            classes.append([p])
-    return tuple(tuple(c) for c in classes)
+    """Partition of the element set induced by ``j_related``: the members
+    grouped by their J key, classes ordered by their least member."""
+    check_kind(kind)
+    return _grouped(m.elements, lambda p: _j_key(p, kind))
 
 
 @dataclass(frozen=True)
@@ -243,7 +231,7 @@ def cross_check_green(m: EnumeratedMonoid, kind: str) -> CrossCheckReport:
     """
     d_classes = green_structural(m).d_classes
     j_classes = j_partition(m, kind)
-    if {frozenset(c) for c in d_classes} == {frozenset(c) for c in j_classes}:
+    if d_classes == j_classes:
         return CrossCheckReport(True, len(d_classes), len(j_classes), None)
     d_of = {p: frozenset(c) for c in d_classes for p in c}
     j_of = {p: frozenset(c) for c in j_classes for p in c}

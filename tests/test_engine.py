@@ -213,6 +213,12 @@ def test_j_relation_needs_one_ambient():
         j_related(identity(4), identity(5), "odi")
 
 
+@pytest.mark.parametrize("kind", ["di", "xyz"])
+def test_j_partition_checks_the_kind_on_any_set(kind):
+    with pytest.raises(DomainError):
+        j_partition(EnumeratedMonoid(4, [identity(4)]), kind)
+
+
 @pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
 @pytest.mark.parametrize("n", [4, 5])
 def test_j_relation_is_the_partition_equivalence(kind, n):
