@@ -83,7 +83,11 @@ class DihedralElement:
         m = _DIHEDRAL_TEXT.fullmatch(text.strip())
         if m is None:
             raise ParseError(f"not a dihedral element in g^k / h*g^k form: {text!r}")
-        return cls(n, 1 if m.group(1) else 0, int(m.group(2)))
+        try:
+            k = int(m.group(2))
+        except ValueError:  # the pattern admits only digits, so too many of them
+            raise ParseError("the rotation exponent has too many digits to read") from None
+        return cls(n, 1 if m.group(1) else 0, k)
 
     def apply(self, i: int) -> int:
         """Image of a point under the right action.

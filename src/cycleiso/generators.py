@@ -47,7 +47,10 @@ def generator(n: int, name: str) -> PartialPerm:
         return to_partial_perm(DihedralElement.rotation(n, 1), range(1, n))
     if name == "y":
         return generator(n, "x").inverse()
-    index = int(name[1:])
+    try:
+        index = int(name[1:])
+    except ValueError:  # the pattern admits only digits, so too many of them
+        raise ParseError("the generator index has too many digits to read") from None
     if name[0] == "e":
         return identity_off(n, index)
     if not 1 <= index <= (n - 1) // 2:

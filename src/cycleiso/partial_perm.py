@@ -110,13 +110,16 @@ class PartialPerm:
         m = _TEXT.fullmatch(text.strip())
         if m is None:
             raise ParseError(f"not an element in n=<n>;a>b,... form: {text!r}")
-        n = int(m.group(1))
-        pairs = ()
-        if m.group(2):
-            pairs = tuple(
-                (int(a), int(b))
-                for a, b in (item.split(">") for item in m.group(2).split(","))
-            )
+        try:
+            n = int(m.group(1))
+            pairs = ()
+            if m.group(2):
+                pairs = tuple(
+                    (int(a), int(b))
+                    for a, b in (item.split(">") for item in m.group(2).split(","))
+                )
+        except ValueError:  # the pattern admits only digits, so too many of them
+            raise ParseError("a number in the element text has too many digits to read") from None
         return cls(n, pairs)
 
     def to_json(self) -> dict:

@@ -156,6 +156,24 @@ def test_classify_rejects_garbage(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "n=" + "1" * 5000 + ";"),
+        ("classify", "n=5;" + "1" * 5000 + ">1"),
+        ("extensions", "n=" + "1" * 5000 + ";"),
+        ("factorize", "odi", "n=" + "1" * 5000 + ";"),
+        ("factorize", "odi", "n=5;1>" + "1" * 5000, "--json"),
+    ],
+    ids=["classify-n", "classify-point", "extensions", "factorize", "factorize-json"],
+)
+def test_overlong_numerals_are_invalid_input(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_extensions_lists_symmetries(capsys):
     code, out, _ = run(capsys, "extensions", "n=5;2>4")
     assert code == 0

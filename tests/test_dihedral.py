@@ -45,7 +45,19 @@ def test_normal_form_strings():
     assert DihedralElement.parse(5, " g^0 ") == DihedralElement.identity(5)
 
 
-@pytest.mark.parametrize("text", ["", "g3", "h g^1", "g^-1", "hg^2"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "g3",
+        "h g^1",
+        "g^-1",
+        "hg^2",
+        # more digits than int() reads from text
+        pytest.param("g^" + "1" * 5000, id="rotation-of-5000-digits"),
+        pytest.param("h*g^" + "1" * 5000, id="reflection-of-5000-digits"),
+    ],
+)
 def test_parse_rejects_other_spellings(text):
     with pytest.raises(ParseError):
         DihedralElement.parse(5, text)

@@ -35,6 +35,9 @@ def test_generator_name_validation():
         generator(5, "e01")
     with pytest.raises(ParseError):
         generator(5, "")
+    for long_name in ("e" + "1" * 5000, "x" + "1" * 5000):
+        with pytest.raises(ParseError):
+            generator(5, long_name)
     # straddle indices stop at (n-1)//2
     with pytest.raises(DomainError):
         generator(5, "x3")

@@ -39,6 +39,9 @@ def test_parse_tolerates_surrounding_space():
         "n=5;1-2",
         "n=5;1>2 3>4",
         "garbage",
+        # more digits than int() reads from text
+        pytest.param("n=" + "1" * 5000 + ";", id="n-of-5000-digits"),
+        pytest.param("n=5;" + "1" * 5000 + ">1", id="point-of-5000-digits"),
     ],
 )
 def test_parse_rejects_malformed_text(text):
