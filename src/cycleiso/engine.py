@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import zlib
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
@@ -276,12 +277,19 @@ def export_elements(m: EnumeratedMonoid, path, fmt: str = "txt", compress: bool 
 
 def import_elements(path) -> EnumeratedMonoid:
     """Read an element dump, rejecting anything a canonical export would
-    not produce: unparsable lines, non-canonical spellings, duplicates,
-    or elements on different cycles."""
+    not produce: a broken gzip stream, text that is not UTF-8, unparsable
+    lines, non-canonical spellings, duplicates, or elements on different
+    cycles."""
     data = Path(path).read_bytes()
     if data[:2] == b"\x1f\x8b":
-        data = gzip.decompress(data)
-    lines = data.decode().splitlines()
+        try:
+            data = gzip.decompress(data)
+        except (OSError, EOFError, zlib.error) as exc:
+            raise ParseError(f"broken gzip stream: {exc}") from None
+    try:
+        lines = data.decode().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc}") from None
     fmt = "jsonl" if lines and lines[0].lstrip().startswith("{") else "txt"
     seen = set()
     elements = []
@@ -290,7 +298,7 @@ def import_elements(path) -> EnumeratedMonoid:
         if fmt == "jsonl":
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad syntax, or an int too long to read
                 raise ParseError(f"line {num}: invalid JSON: {exc}") from None
             p = PartialPerm.from_json(obj)
         else:

@@ -330,11 +330,18 @@ def test_import_accepts_any_line_order(tmp_path):
         ("n=4; 1>2\n", "form"),
         ('{"n":4,"map":[[1,2]]}\n{"n":4, "map":[[2,3]]}\n', "canonical"),
         ('{"n":4,"map":[[1,2]]\n', "JSON"),
+        pytest.param('{"n":' + "1" * 5000 + ',"map":[]}\n', "JSON", id="json-n-of-5000-digits"),
+        pytest.param(b"\xff\xfe\x00", "UTF-8", id="not-utf8"),
+        pytest.param(gzip.compress(b"\xff\xfe\x00"), "UTF-8", id="gzip-of-not-utf8"),
+        pytest.param(gzip.compress(b"n=4;1>2\n")[:-5], "gzip", id="truncated-gzip"),
+        pytest.param(gzip.compress(b"n=4;1>2\n")[:-8] + bytes(8), "gzip", id="gzip-bad-crc"),
+        pytest.param(b"\x1f\x8bxxxx", "gzip", id="gzip-magic-then-junk"),
+        pytest.param(b"\x1f\x8b\x08\x00" + bytes(6) + b"\xff" * 20, "gzip", id="gzip-bad-deflate"),
     ],
 )
 def test_import_rejects_what_export_never_writes(tmp_path, content, complaint):
     path = tmp_path / "bad.txt"
-    path.write_text(content)
+    path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(ParseError, match=complaint):
         import_elements(path)
 
