@@ -95,7 +95,7 @@ class DihedralElement:
         >>> DihedralElement.reflection(5, 1).apply(4)
         3
         """
-        if not isinstance(i, int) or not 1 <= i <= self.n:
+        if type(i) is not int or not 1 <= i <= self.n:
             raise DomainError(f"point {i!r} is outside 1..{self.n}")
         if self.j == 0:
             return i + self.k if i <= self.n - self.k else i + self.k - self.n

@@ -97,7 +97,7 @@ def proof_counts(n: int, k: int) -> ProofCounts:
     same-side pairs.
     """
     _check_n(n)
-    if not isinstance(k, int) or not 0 <= k < n:
+    if type(k) is not int or not 0 <= k < n:
         raise DomainError(f"rotation exponent {k!r} is outside 0..{n - 1}")
     same_arc = sum(math.comb(n - k, i) for i in range(2, n - k + 1))
     same_arc += sum(math.comb(k, i) for i in range(2, k + 1))

@@ -208,8 +208,8 @@ def identity_off(n: int, skip: int) -> PartialPerm:
     >>> str(identity_off(4, 2))
     'n=4;1>1,3>3,4>4'
     """
-    if not 1 <= skip <= n:
-        raise DomainError(f"point {skip} is outside 1..{n}")
+    if type(skip) is not int or not 1 <= skip <= n:
+        raise DomainError(f"point {skip!r} is outside 1..{n}")
     return PartialPerm(n, tuple((i, i) for i in range(1, n + 1) if i != skip))
 
 

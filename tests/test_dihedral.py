@@ -108,6 +108,12 @@ def test_all_elements_order_and_count():
     assert [str(s) for s in elems[:5]] == ["g^0", "g^1", "g^2", "g^3", "h*g^0"]
 
 
+@pytest.mark.parametrize("i", [True, 1.0, "1", 0, 6])
+def test_apply_requires_a_point_of_the_cycle(i):
+    with pytest.raises(DomainError):
+        DihedralElement.rotation(5, 1).apply(i)
+
+
 def test_restriction_to_points():
     assert str(to_partial_perm(DihedralElement.rotation(4, 3), [2, 4])) == "n=4;2>1,4>3"
     full = to_partial_perm(DihedralElement.reflection(5, 1), range(1, 6))

@@ -68,6 +68,12 @@ def test_input_validation():
         proof_counts(5, -1)
 
 
+@pytest.mark.parametrize("k", [True, 1.0, "1"])
+def test_proof_counts_require_an_int_exponent(k):
+    with pytest.raises(DomainError):
+        proof_counts(5, k)
+
+
 def _scan_counts(n, k):
     """Independent per-exponent counts by scanning actual restrictions."""
     from itertools import combinations

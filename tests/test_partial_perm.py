@@ -218,6 +218,12 @@ def test_identity_factories():
         identity_off(4, 5)
 
 
+@pytest.mark.parametrize("skip", ["a", True, 2.0, 0])
+def test_identity_off_requires_a_point_of_the_cycle(skip):
+    with pytest.raises(DomainError):
+        identity_off(4, skip)
+
+
 def test_order_flags_of_worked_examples():
     reversing = classify_order(PartialPerm.parse("n=5;2>5,3>3,4>2,5>1"))
     assert reversing == OrderFlags(False, True, False, True)
