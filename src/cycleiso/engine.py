@@ -202,6 +202,13 @@ def j_related(a: PartialPerm, b: PartialPerm, kind: str) -> bool:
     reflection for monotone, any rotation for orientation-preserving.
     Both maps must be members of ``kind``; the answer for other maps is
     unspecified.
+
+    {2,4,5} is the reflection of {1,2,4}, and also a rotation of it:
+
+    >>> c = PartialPerm.parse("n=5;1>1,2>2,4>4")
+    >>> d = PartialPerm.parse("n=5;2>2,4>4,5>5")
+    >>> [j_related(c, d, kind) for kind in ("odi", "mdi", "opdi")]
+    [False, True, True]
     """
     check_kind(kind)
     if a.n != b.n:
