@@ -3,6 +3,7 @@
 import gzip
 import json
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from cycleiso import (
     PartialPerm,
     close,
     cross_check_green,
+    distance_sequence,
     export_bytes,
     export_elements,
     green_structural,
@@ -27,7 +29,8 @@ from cycleiso import (
     j_related,
     standard_generators,
 )
-from cycleiso.brute_force import kind_elements, kind_monoid
+from cycleiso.brute_force import dihedral_restrictions, kind_elements, kind_monoid
+from cycleiso.engine import _j_key, _reflected, _rotated
 
 from conftest import perm_on
 
@@ -188,6 +191,40 @@ def test_green_needs_an_inverse_closed_set():
         green_structural(powers)
 
 
+def _naive_d_classes(elements):
+    """Components of the graph joining members that share a domain or an
+    image: the transitive closure of L and R, one edge at a time."""
+    keys = {p: (p.domain, p.image) for p in elements}
+    unseen = set(elements)
+    classes = []
+    while unseen:
+        start = min(unseen)
+        unseen.discard(start)
+        cls, stack = [start], [start]
+        while stack:
+            dom, img = keys[stack.pop()]
+            near = {q for q in unseen if keys[q][0] == dom or keys[q][1] == img}
+            unseen -= near
+            cls += near
+            stack += near
+        classes.append(tuple(sorted(cls)))
+    return tuple(sorted(classes))
+
+
+@st.composite
+def _inverse_submonoids(draw):
+    n = draw(st.integers(3, 5))
+    gen = st.one_of(perm_on(n), st.sampled_from(dihedral_restrictions(n)))
+    gens = draw(st.lists(gen, max_size=3))
+    return close(n, gens + [g.inverse() for g in gens])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_inverse_submonoids())
+def test_d_classes_are_the_closure_of_l_and_r(m):
+    assert green_structural(m).d_classes == _naive_d_classes(m.elements)
+
+
 def test_j_relation_examples():
     a = identity_on(5, [1, 2])
     b = identity_on(5, [1, 3])
@@ -233,6 +270,29 @@ def test_j_relation_is_the_partition_equivalence(kind, n):
     for a in m.elements:
         for b in m.elements:
             assert j_related(a, b, kind) == (label[a] == label[b])
+
+
+def _naive_j_key(p, kind):
+    """The rank up to 1, else the least distance sequence of the domain
+    moved by each symmetry the kind allows."""
+    if p.rank <= 1:
+        return p.rank
+    n, dom = p.n, p.domain
+    if kind == "odi":
+        return distance_sequence(n, dom)
+    if kind == "mdi":
+        return min(distance_sequence(n, dom), distance_sequence(n, _reflected(n, dom)))
+    return min(distance_sequence(n, _rotated(n, dom, s)) for s in range(n))
+
+
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_j_key_is_the_least_moved_distance_sequence(kind, n):
+    # the key reads only the domain, so the partial identities cover it
+    for k in range(n + 1):
+        for dom in combinations(range(1, n + 1), k):
+            p = identity_on(n, dom)
+            assert _j_key(p, kind) == _naive_j_key(p, kind)
 
 
 @pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])

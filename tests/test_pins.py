@@ -17,6 +17,11 @@ as text separated by spaces.  Each ``J_RELATED_PINS`` entry holds the
 sha256 of ``j_related``'s answers, one ``0``/``1`` character per ordered
 pair of partial identities of 1..n, both taken in order of size, then
 lexicographically.
+
+Each ``GREEN_PINS`` entry holds the sha256 of ``green_structural`` over
+the kind's members: one ``<relation> <elements>`` line per class, the L,
+R, H and D classes in that order, each in the returned order, elements
+as text separated by spaces.
 """
 
 import gzip
@@ -29,6 +34,7 @@ from cycleiso import (
     close,
     export_bytes,
     factorize,
+    green_structural,
     identity_on,
     j_partition,
     j_related,
@@ -239,6 +245,33 @@ J_RELATED_PINS = {
     ("opdi", 7): "1589a990eb2a99cbae56119dc79a1292ed203d4fcbfc82f6e053fbec93bddab7",
 }
 
+GREEN_PINS = {
+    ("odi", 3): "211a3fc321021356322e3edaf3a166263906072629f729f46b111c86b8fbd6cf",
+    ("odi", 4): "4e8a0e0224674e9a972bb163208a1726d015f80fc6d3177dc87b4f5912a72f34",
+    ("odi", 5): "a15165245a463af72904b564d584044f2ce197d6c6da0c377b103c54396d9e32",
+    ("odi", 6): "78c24ddcf794325781de8c65cb9962e5f8d4598867ff7aa55121a387ece77d7c",
+    ("odi", 7): "0afca8c0fbc2235f6315ebea0c8d395707dc8ccd0957e1de2835d9c35d20e78a",
+    ("odi", 8): "06b7501183933f8a8f6b840617007bf908d048983c91f208a73945d7aeeb54c0",
+    ("mdi", 3): "db0343f9ab0622dbf3b0fd8aea8e3476f3cfb4c29d100be0d4ff83085f8c0200",
+    ("mdi", 4): "c6ab3f7c2ad1dbbd9dc6592539ec95299c64af3f1e898be7237070f05d05d96d",
+    ("mdi", 5): "92aa18ed5ae19cc6f01aaae0488ff91f09fe95e59c620f863568484746a2520c",
+    ("mdi", 6): "f8d8994a49cbc3f65d9b9c7c1e9e11414962fa4297dada370c90741091be5591",
+    ("mdi", 7): "1107da7376ffe018b197631806fea8361d2ddb50cb638573ed724e87d774185f",
+    ("mdi", 8): "1e888b89cf7b9540bf4ea605f09e974adfd6307e437fcfca0dd732bc2766a718",
+    ("opdi", 3): "b3168505bac7ea9cd3cada8547e54a30156ead2a45bee71c9ec3994ca83b577c",
+    ("opdi", 4): "5a18daa568619e96556cc51d005c74e1dd8a91f3bf7e326b85fd3e8b8f225309",
+    ("opdi", 5): "e244ff8fdcfdb9f32fce1c08b39e26fe5e54ff0fd4f5efcc65f6fce0852984ae",
+    ("opdi", 6): "ad917651638a12d04c53a48186626825b202a519e46258c9482606ee5e6a7365",
+    ("opdi", 7): "5c09aff38f888159c17bd800ef96945f584e1e8331f5172df6608a38fac0ccc5",
+    ("opdi", 8): "a22ba37f0d7b057a6a551373baab188eb9a637f321d59b7d97e9e02b8bb8ac18",
+    ("di", 3): "75f78ea09f29738d7c3fa762fbb6bb78a9eb261af4514d22db8ea9801a9d004c",
+    ("di", 4): "91193e86ed0a5fb35a12803f8ab453a366e03725d2d6f0dc5b2c1c1007539cbe",
+    ("di", 5): "80bff58ac44b61438f9d3b19d2c6234d134f89a50565ccf86a191922e4e90e0f",
+    ("di", 6): "ff2c1fdf9da74cbffe534112ca141fb856a2bbb6ad973791239faac9e1473a70",
+    ("di", 7): "b21fba6639f2504a37ec7eaf8fd30da76bff596e76359f0428425f4ec0c41a4e",
+    ("di", 8): "782503bc7abf808c17194ef6b3abbbb53f6193a979d4fe0abcfbd481f26d1da0",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -283,3 +316,18 @@ def test_j_related_matches_pin(kind, n):
     ids = [identity_on(n, s) for k in range(n + 1) for s in combinations(points, k)]
     table = "".join("1" if j_related(a, b, kind) else "0" for a in ids for b in ids)
     assert _sha(table.encode()) == J_RELATED_PINS[kind, n]
+
+
+@pytest.mark.parametrize("kind,n", sorted(GREEN_PINS), ids=lambda v: str(v))
+def test_green_structural_matches_pin(kind, n):
+    dec = green_structural(kind_monoid(kind, n))
+    relations = (
+        ("L", dec.l_classes),
+        ("R", dec.r_classes),
+        ("H", dec.h_classes),
+        ("D", dec.d_classes),
+    )
+    listing = "".join(
+        f"{rel} {' '.join(map(str, c))}\n" for rel, classes in relations for c in classes
+    ).encode()
+    assert _sha(listing) == GREEN_PINS[kind, n]
