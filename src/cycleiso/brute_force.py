@@ -76,6 +76,15 @@ def random_oriented(n: int, rng) -> PartialPerm:
     return PartialPerm(n, tuple(zip(dom, img[r:] + img[:r])))
 
 
+def _reflected(n, points):
+    return [n - b + 1 for b in points]
+
+
+def _rotated(n, points, s):
+    # the set B g^(-s), written without wrapping into dihedral elements
+    return [(b - 1 - s) % n + 1 for b in points]
+
+
 def orientation_preserving_bijections(n: int, a_points, b_points):
     """All orientation-preserving bijections between two equal-size sets:
     exactly the rotations of the ascending image listing."""

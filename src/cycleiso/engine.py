@@ -129,23 +129,6 @@ class GreenDecomposition:
     d_classes: tuple[tuple[PartialPerm, ...], ...]
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        self.parent[self.find(a)] = self.find(b)
-
-
 def _grouped(elements, key) -> tuple[tuple[PartialPerm, ...], ...]:
     groups = defaultdict(list)
     for p in elements:
@@ -154,43 +137,38 @@ def _grouped(elements, key) -> tuple[tuple[PartialPerm, ...], ...]:
 
 
 def green_structural(m: EnumeratedMonoid) -> GreenDecomposition:
-    """L/R/H from image and domain keys, D as their transitive closure.
+    """L/R/H from image and domain keys, D as R followed by L.
 
     Requires an inversion-closed set; the keyed description of L and R is
-    only valid in an inverse submonoid of the partial permutations.
+    only valid in an inverse submonoid of the partial permutations.  There
+    q is D-related to p exactly when some member maps p's domain onto q's
+    image, so the least image reached from a domain names its D-class.
     """
+    reach = defaultdict(set)
     for p in m.elements:
         if p.inverse() not in m:
             raise NotInverseClosedError(f"inverse of {p} is missing from the set")
-    uf = _UnionFind()
-    for p in m.elements:
-        uf.union(("im", p.image), ("dom", p.domain))
+        reach[p.domain].add(p.image)
     return GreenDecomposition(
         l_classes=_grouped(m.elements, lambda p: p.image),
         r_classes=_grouped(m.elements, lambda p: p.domain),
         h_classes=_grouped(m.elements, lambda p: (p.domain, p.image)),
-        d_classes=_grouped(m.elements, lambda p: uf.find(("im", p.image))),
+        d_classes=_grouped(m.elements, lambda p: min(reach[p.domain])),
     )
 
 
-def _reflected(n, points):
-    return [n - b + 1 for b in points]
-
-def _rotated(n, points, s):
-    # the set B g^(-s), written without wrapping into dihedral elements
-    return [(b - 1 - s) % n + 1 for b in points]
-
-
 def _j_key(p: PartialPerm, kind: str):
-    # the domain's distance sequence, least over the symmetries the kind allows
+    # the domain's distance sequence, least over the symmetries the kind
+    # allows; its last entry closes the cycle, so rotating the domain
+    # shifts it cyclically and reflecting reverses the first k - 1 entries
     if p.rank <= 1:
         return p.rank
-    n, dom = p.n, p.domain
+    seq = distance_sequence(p.n, p.domain)
     if kind == "odi":
-        return distance_sequence(n, dom)
+        return seq
     if kind == "mdi":
-        return min(distance_sequence(n, dom), distance_sequence(n, _reflected(n, dom)))
-    return min(distance_sequence(n, _rotated(n, dom, s)) for s in range(n))
+        return min(seq, seq[-2::-1] + seq[-1:])
+    return min(seq[s:] + seq[:s] for s in range(len(seq)))
 
 
 def j_related(a: PartialPerm, b: PartialPerm, kind: str) -> bool:
@@ -213,7 +191,7 @@ def j_related(a: PartialPerm, b: PartialPerm, kind: str) -> bool:
     check_kind(kind)
     if a.n != b.n:
         raise AmbientMismatchError(f"cannot compare n={a.n} with n={b.n}")
-    return a.rank == b.rank and _j_key(a, kind) == _j_key(b, kind)
+    return _j_key(a, kind) == _j_key(b, kind)
 
 
 def j_partition(m: EnumeratedMonoid, kind: str) -> tuple[tuple[PartialPerm, ...], ...]:

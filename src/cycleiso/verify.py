@@ -22,12 +22,14 @@ from .geometry import (
     is_partial_isometry_fast,
 )
 from .dihedral import KINDS, b2_count, extensions, is_in_b2
-from .engine import _reflected, _rotated, close, cross_check_green, export_bytes
+from .engine import close, cross_check_green, export_bytes
 from .formulas import card, card_rank_le1, rank_formula
 from .generators import standard_generators
 from .factorize import factorize
 from .rank_cert import lower_bound_certificate
 from .brute_force import (
+    _reflected,
+    _rotated,
     all_partial_perms,
     dihedral_restrictions,
     kind_elements,

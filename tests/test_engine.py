@@ -29,8 +29,14 @@ from cycleiso import (
     j_related,
     standard_generators,
 )
-from cycleiso.brute_force import dihedral_restrictions, kind_elements, kind_monoid
-from cycleiso.engine import _j_key, _reflected, _rotated
+from cycleiso.brute_force import (
+    _reflected,
+    _rotated,
+    dihedral_restrictions,
+    kind_elements,
+    kind_monoid,
+)
+from cycleiso.engine import _j_key
 
 from conftest import perm_on
 
