@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import AmbientMismatchError, DomainError, ParseError
-from .partial_perm import PartialPerm, classify_order, sorted_points
+from .partial_perm import _SIZE_LIMIT, PartialPerm, classify_order, sorted_points
 from .geometry import distance, is_partial_isometry
 
 __all__ = [
@@ -61,6 +61,8 @@ class DihedralElement:
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 3:
             raise DomainError(f"the dihedral group needs n >= 3, got {self.n!r}")
+        if self.n >= _SIZE_LIMIT:
+            raise DomainError("ambient size has more than 4300 digits")
         if type(self.j) is not int or self.j not in (0, 1):
             raise DomainError(f"reflection flag must be 0 or 1, got {self.j!r}")
         if type(self.k) is not int or not 0 <= self.k < self.n:

@@ -43,6 +43,10 @@ __all__ = [
     "sorted_points",
 ]
 
+# int() prints and reads at most 4300 digits, so sizes from here on could
+# be neither printed nor parsed back
+_SIZE_LIMIT = 10**4300
+
 _TEXT = re.compile(
     r"n=([1-9]\d*);((?:[1-9]\d*>[1-9]\d*)(?:,[1-9]\d*>[1-9]\d*)*)?"
 )
@@ -71,6 +75,8 @@ class PartialPerm:
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 1:
             raise DomainError(f"ambient size must be a positive int, got {self.n!r}")
+        if self.n >= _SIZE_LIMIT:
+            raise DomainError("ambient size has more than 4300 digits")
         if type(self.pairs) is not tuple:
             raise DomainError(f"pairs must be a tuple of 2-tuples, got {self.pairs!r}")
         prev = 0

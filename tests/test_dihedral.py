@@ -81,6 +81,15 @@ def test_construction_requires_exact_ints(n, j, k):
         DihedralElement(n, j, k)
 
 
+def test_construction_refuses_sizes_too_long_to_print():
+    # int() prints at most 4300 digits, so 10**4300 is the first size refused
+    edge = 10**4300 - 1
+    assert str(DihedralElement(edge, 1, edge - 1)) == f"h*g^{edge - 1}"
+    for n in (10**4300, 10**5000):
+        with pytest.raises(DomainError):
+            DihedralElement(n, 0, n // 10)
+
+
 @given(dihedrals(), dihedrals(), st.integers(1, 12))
 def test_multiplication_matches_the_point_action(s, t, i):
     i = (i - 1) % s.n + 1

@@ -187,6 +187,17 @@ def test_constructor_rejects_non_int_values(n, pairs):
         PartialPerm(n, pairs)
 
 
+def test_ambient_size_must_be_printable():
+    # int() prints at most 4300 digits, so 10**4300 is the first size refused
+    edge = 10**4300 - 1
+    assert str(PartialPerm(edge, ((1, 1),))) == f"n={edge};1>1"
+    for n in (10**4300, 10**5000):
+        with pytest.raises(DomainError):
+            PartialPerm(n, ())
+        with pytest.raises(DomainError):
+            PartialPerm.from_json({"n": n, "map": []})
+
+
 @pytest.mark.parametrize("pairs", [[(1, 2)], ([1, 2],), ((1, 2, 3),), ((1,),), (1, 2)])
 def test_constructor_rejects_pairs_that_are_not_a_tuple_of_two_tuples(pairs):
     with pytest.raises(DomainError):
