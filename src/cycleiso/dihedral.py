@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatchError, DomainError, ParseError
 from .partial_perm import _SIZE_LIMIT, PartialPerm, classify_order, sorted_points
-from .geometry import distance, is_partial_isometry
+from .geometry import _check_cycle, distance, is_partial_isometry
 
 __all__ = [
     "KINDS",
@@ -59,8 +59,7 @@ class DihedralElement:
     k: int
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 3:
-            raise DomainError(f"the dihedral group needs n >= 3, got {self.n!r}")
+        _check_cycle(self.n)
         if self.n >= _SIZE_LIMIT:
             raise DomainError("ambient size has more than 4300 digits")
         if type(self.j) is not int or self.j not in (0, 1):
@@ -175,8 +174,7 @@ def is_in_b2(p: PartialPerm) -> bool:
 
 def b2_count(n: int) -> int:
     """Number of rank-2 isometries with antipodal domain endpoints: n^2/2."""
-    if not isinstance(n, int) or n < 3:
-        raise DomainError(f"need n >= 3, got {n!r}")
+    _check_cycle(n)
     return n * n // 2 if n % 2 == 0 else 0
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .dihedral import check_kind
+from .geometry import _check_cycle
 
 __all__ = [
     "card",
@@ -23,11 +24,6 @@ __all__ = [
 ]
 
 
-def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 3:
-        raise DomainError(f"need n >= 3, got {n!r}")
-
-
 def card(kind: str, n: int) -> int:
     """Exact size of the order-preserving, monotone, or orientation-
     preserving partial isometry monoid of the n-cycle.
@@ -36,7 +32,7 @@ def card(kind: str, n: int) -> int:
     (44, 71, 77)
     """
     check_kind(kind)
-    _check_n(n)
+    _check_cycle(n)
     even = n % 2 == 0
     if kind == "odi":
         return (
@@ -66,7 +62,7 @@ def card(kind: str, n: int) -> int:
 def card_rank_le1(n: int) -> int:
     """Number of partial isometries of rank at most 1: every single-point
     map plus the empty map, n^2 + 1.  Common to all the studied monoids."""
-    _check_n(n)
+    _check_cycle(n)
     return n * n + 1
 
 
@@ -96,7 +92,7 @@ def proof_counts(n: int, k: int) -> ProofCounts:
     only forbids mixing the two sides of a reflection, adding the
     same-side pairs.
     """
-    _check_n(n)
+    _check_cycle(n)
     if type(k) is not int or not 0 <= k < n:
         raise DomainError(f"rotation exponent {k!r} is outside 0..{n - 1}")
     same_arc = sum(math.comb(n - k, i) for i in range(2, n - k + 1))
@@ -123,7 +119,7 @@ def rank_formula(kind: str, n: int) -> int:
     4
     """
     check_kind(kind)
-    _check_n(n)
+    _check_cycle(n)
     if n == 3:
         return {"odi": 3, "mdi": 3, "opdi": 2}[kind]
     m = (n - 1) // 2

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .errors import DomainError, ParseError
 from .partial_perm import PartialPerm, identity, identity_off
 from .dihedral import DihedralElement, check_kind, to_partial_perm
+from .geometry import _check_cycle
 
 __all__ = [
     "GeneratorSet",
@@ -103,8 +104,7 @@ def standard_generators(kind: str, n: int) -> GeneratorSet:
     than the true rank.
     """
     check_kind(kind, allow_di=True)
-    if not isinstance(n, int) or n < 3:
-        raise DomainError(f"need n >= 3, got {n!r}")
+    _check_cycle(n)
     m = (n - 1) // 2
     if kind == "odi":
         names = ["x", "y"]

@@ -6,19 +6,45 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycleiso import (
+    DihedralElement,
     DomainError,
     PartialPerm,
     UndefinedSequenceError,
+    b2_count,
+    card,
     classify_order,
     delta,
     distance,
     distance_sequence,
     is_partial_isometry,
     is_partial_isometry_fast,
+    standard_generators,
 )
 from cycleiso.brute_force import all_partial_perms, orientation_preserving_bijections
 
 from conftest import perms
+
+
+class _Five(int):
+    """An int subclass, refused like bool."""
+
+
+_SIZE_CHECKS = {
+    "card": lambda n: card("odi", n),
+    "b2_count": b2_count,
+    "standard_generators": lambda n: standard_generators("odi", n),
+    "distance": lambda n: distance(n, 1, 2),
+    "DihedralElement": lambda n: DihedralElement(n, 0, 0),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(_SIZE_CHECKS))
+@pytest.mark.parametrize(
+    "n", [2, -1, True, 5.0, "5", _Five(5)], ids=["2", "-1", "True", "5.0", "str", "int-subclass"]
+)
+def test_every_cycle_size_check_refuses_the_same_values(caller, n):
+    with pytest.raises(DomainError, match="the cycle graph needs n >= 3"):
+        _SIZE_CHECKS[caller](n)
 
 
 def test_distance_values():
