@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from .errors import MembershipError
 from .partial_perm import PartialPerm, classify_order
-from .dihedral import DihedralElement, check_kind, classify, extensions, to_partial_perm
+from .dihedral import DihedralElement, check_kind, classify, extensions
+from .generators import generator
 
 __all__ = ["factorize"]
 
@@ -114,8 +115,7 @@ def _mdi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
         return _to_monotone_alphabet(n, _odi_word(p, sigma))
     # p is order-reversing of rank >= 2; peeling the reflection off the
     # right leaves an order-preserving member
-    h = to_partial_perm(DihedralElement.reflection(n, 0), range(1, n + 1))
-    q = p * h
+    q = p * generator(n, "h")
     return _to_monotone_alphabet(n, _odi_word(q, extensions(q)[0])) + ["h"]
 
 

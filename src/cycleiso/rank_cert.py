@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NotGeneratingError
 from .partial_perm import PartialPerm, identity
-from .dihedral import DihedralElement, check_kind, in_kind, to_partial_perm
+from .dihedral import check_kind, in_kind
 from .engine import close
 from .formulas import card, rank_formula
+from .generators import generator
 from .brute_force import kind_elements
 
 __all__ = [
@@ -103,7 +104,7 @@ def _requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
             for i in range(1, n + 1)
         ]
     elif kind == "mdi":
-        h = to_partial_perm(DihedralElement.reflection(n, 0), range(1, n + 1))
+        h = generator(n, "h")
         reqs = [_requirement("the full reflection", gens, lambda p: p == h)]
         for i in range(1, (n + 1) // 2 + 1):
             orbit = {i, n - i + 1}
