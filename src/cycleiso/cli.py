@@ -323,10 +323,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except CycleIsoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CycleIsoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,7 @@ against the library call it wraps and pin the exit code contract:
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cycleiso import card, factorize, import_elements, standard_generators
 from cycleiso.cli import main
@@ -272,3 +273,55 @@ def test_verify_rejects_tiny_cap(capsys):
     code, _, err = run(capsys, "verify", "--max-n", "2")
     assert code == 2
     assert err.startswith("error:")
+
+
+_LONG = "1" * 5000
+# each subcommand with its positionals: a kind, an n, an element
+_COMMANDS = {
+    "card": "kn", "enumerate": "kn", "greens": "kn", "classify": "e", "extensions": "e",
+    "factorize": "ke", "gens": "kn", "rank": "kn", "verify": "", "frobnicate": "kn",
+}
+_KINDS = ["odi", "mdi", "opdi", "di", "xdi"]
+_NS = ["-1", "0", "2", "3", "4", "5", "6", "x", _LONG]
+_ELEMENTS = [
+    "n=5;1>2,2>3", "n=5;2>4", "n=4;1>4,2>1", "n=6;1>6,3>4", "n=5;1>1,3>2", "n=5;",
+    "n=5;2>1,1>2", "n=5;1>1,1>2", "n=5;1>1,2>1", "n=5;6>1", "n=0;",
+    "n=5;1>" + _LONG, "n=" + _LONG + ";", "g^2", "",
+]
+_FLAGS = [
+    ["--json"], ["--enumerate"], ["--certify"], ["--gzip"], ["--help"],
+    ["--format", "txt"], ["--format", "jsonl"], ["--format", "xml"],
+    ["--workers", "0"], ["--workers", "2"], ["--workers", "x"],
+    ["--relation", "J"], ["--relation", "L"], ["--relation", "X"],
+    ["--out", "{out}/file"], ["--out", "{out}/missing/file"], ["--max-n", "2"],
+]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand, its positionals or another set of them, then flags,
+    each drawn from valid and invalid spellings."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    shape = draw(st.just(_COMMANDS[command]) | st.sampled_from(["", "k", "kn", "e", "ke", "kne"]))
+    argv = [command]
+    for slot, vocabulary in (("k", _KINDS), ("n", _NS), ("e", _ELEMENTS)):
+        if slot in shape:
+            argv.append(draw(st.sampled_from(vocabulary)))
+    for flag in draw(st.lists(st.sampled_from(_FLAGS), max_size=2)):
+        argv += flag
+    if command == "verify":
+        # the last --max-n wins, so every verify run stays small
+        argv += ["--max-n", draw(st.sampled_from(["3", "4"]))]
+    return argv
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_argvs())
+def test_any_argv_exits_0_1_or_2(tmp_path, capsysbinary, argv):
+    argv = [arg.format(out=tmp_path) for arg in argv]
+    assert main(argv) in (0, 1, 2)
+    capsysbinary.readouterr()
