@@ -9,7 +9,12 @@ header timestamp.
 
 Each ``WORD_PINS`` entry holds the sha256 of a listing with one
 ``<element> <word>`` line per member of the kind, in canonical order, where
-the word is ``factorize``'s letters joined by commas.
+the word is ``factorize``'s letters joined by commas.  Each
+``REFLECTION_WORD_PINS`` entry holds the sha256 of a listing with one
+``<kind> <element> <word>`` line per kind containing the restriction of a
+reflection to a pair of points whose first extension is that reflection,
+reflections in order of exponent, pairs lexicographically, kinds in
+``KINDS`` order.
 
 Each ``J_PARTITION_PINS`` entry holds the sha256 of ``j_partition`` over
 the kind's members, one line per class in the returned order, elements
@@ -31,6 +36,9 @@ from itertools import combinations
 import pytest
 
 from cycleiso import (
+    KINDS,
+    DihedralElement,
+    classify,
     close,
     export_bytes,
     factorize,
@@ -39,6 +47,7 @@ from cycleiso import (
     j_partition,
     j_related,
     standard_generators,
+    to_partial_perm,
 )
 from cycleiso.brute_force import kind_elements, kind_monoid
 
@@ -206,6 +215,15 @@ WORD_PINS = {
     ("opdi", 8): "8040746cea66c1fd0c5a8b8ef715fc4d0c741f0c150b9f90ba1f0911d22e29b1",
 }
 
+REFLECTION_WORD_PINS = {
+    9: "2956da6e008d784604b38e47b6b2965d470b1d4b21bd03c0705209eed195fdc1",
+    10: "eb4625bc015cc16e78b52218855972e928dab92754012d84d4a4aea18a4274f6",
+    11: "7bd1867dd29dedd998c5f921622c68a7a0702da5ff1a7a7cdfc134a4d47abfb2",
+    12: "48135df75350faac744249700a1c1380aaf6cb7f7b440f06e91710f381054df1",
+    13: "e46efd165e3be66ae61f8927f98323306a82623bb6fe1daeef0873c625915148",
+    14: "16ced30d7830869ddac09d622422bf215b2bca4a41bf59471096ff9e0e4a0f48",
+}
+
 J_PARTITION_PINS = {
     ("odi", 3): "a55baec9749f05d95b063c467ee4dd0227a7cb32618d2ec9d59a5f2299622a6a",
     ("odi", 4): "66ebf2a5997b91be12bc48c32c4fe8d969fd191fc74e161c2919d39ed6881a63",
@@ -301,6 +319,21 @@ def test_factorize_words_match_pin(kind, n):
         f"{p} {','.join(factorize(p, kind))}\n" for p in kind_elements(kind, n)
     ).encode()
     assert _sha(listing) == WORD_PINS[kind, n]
+
+
+@pytest.mark.parametrize("n", sorted(REFLECTION_WORD_PINS))
+def test_reflection_piece_words_match_pin(n):
+    lines = []
+    for k in range(n):
+        for pts in combinations(range(1, n + 1), 2):
+            p = to_partial_perm(DihedralElement.reflection(n, k), pts)
+            report = classify(p)
+            if report.extensions[0].j == 0:
+                continue
+            for kind in KINDS:
+                if getattr(report, f"in_{kind}"):
+                    lines.append(f"{kind} {p} {','.join(factorize(p, kind))}\n")
+    assert _sha("".join(lines).encode()) == REFLECTION_WORD_PINS[n]
 
 
 @pytest.mark.parametrize("kind,n", sorted(J_PARTITION_PINS), ids=lambda v: str(v))
