@@ -3,8 +3,9 @@
 Every member either extends to a rotation, in which case it is a partial
 identity followed by a power of the shift, or it is a rank-2 piece of a
 reflection, which one straddling generator plus shifts produces.  The
-monotone and orientation-preserving alphabets are reached by rewriting
-the order-preserving letters.
+monotone alphabet is reached by rewriting the order-preserving letters;
+the orientation-preserving reflection piece is spelled directly over the
+rotation alphabet.
 
 Word lengths stay linear in n: partial identities cost one or two letters
 per missing point in the order-preserving alphabet, and the rotation
@@ -53,27 +54,16 @@ def _op_identity_word(n: int, missing) -> list[str]:
 
 def _rank2_reflection_word(n: int, k: int, i: int, j: int) -> list[str]:
     """Order-preserving word for the restriction of the k-th reflection to
-    {i, j}, where i <= k < j (exactly the order-preserving case).
+    {i, j}, where i <= k < j (exactly the order-preserving case) and the
+    gap j - i is not half the circumference.
 
     Shift i to 1, jump the gap with one straddling generator, then shift
-    into place.  When the gap is half the circumference no straddling
-    generator exists and the map is a shifted partial identity instead;
-    that case also extends to a rotation, so ``factorize`` never takes it,
-    but the word is still produced for completeness.
+    into place.  A half-circumference gap has no straddling generator, but
+    such a piece also extends to a rotation, which ``factorize`` prefers.
     """
-    assert 1 <= i <= k < j <= n
+    assert 1 <= i <= k < j <= n and 2 * (j - i) != n
     gap = j - i
-    if 2 * gap == n:
-        word = _op_identity_word(n, set(range(1, n + 1)) - {i, j})
-        if 2 * i < k + 1:
-            word += ["x"] * (k - 2 * i + 1)
-        elif 2 * i > k + 1:
-            word += ["y"] * (2 * i - k - 1)
-        return word
-    if gap <= (n - 1) // 2:
-        jump = f"x{gap}"
-    else:
-        jump = f"y{n - gap}"
+    jump = f"x{gap}" if gap <= (n - 1) // 2 else f"y{n - gap}"
     return ["y"] * (i - 1) + [jump] + ["x"] * (k - i)
 
 
@@ -132,39 +122,6 @@ def _rot_identity_word(n: int, missing) -> list[str]:
     return out + ["g"] * pts[-1]
 
 
-def _to_rotation_alphabet(n: int, letters) -> list[str]:
-    """Rewrite order-preserving letters over {g, e_n, straddles}: x = e_n g,
-    runs of y become a partial identity plus a rotation, y_l = g^l x_l g^l,
-    and e_l = g^(n-l) e_n g^l."""
-    out: list[str] = []
-    run = 0
-    for w in list(letters) + [""]:
-        if w == "y":
-            run += 1
-            continue
-        if run:
-            # y^a = (identity off 1..a) g^(n-a)
-            out += _rot_identity_word(n, range(1, run + 1)) + ["g"] * (n - run)
-            run = 0
-        if not w:
-            break
-        if w == "x":
-            out += [f"e{n}", "g"]
-        elif w[0] == "y":
-            idx = int(w[1:])
-            out += ["g"] * idx + [f"x{idx}"] + ["g"] * idx
-        elif w[0] == "e":
-            idx = int(w[1:])
-            if idx == n:
-                out.append(w)
-            else:
-                out += ["g"] * (n - idx) + [f"e{n}"] + ["g"] * idx
-        else:
-            assert w[0] == "x", f"unexpected letter {w!r}"
-            out.append(w)
-    return out
-
-
 def _opdi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
     n = p.n
     if sigma.j == 0:
@@ -177,4 +134,14 @@ def _opdi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
     k = 0 if a < b else n - j + 1
     tau = DihedralElement.rotation(n, -k) * sigma
     lo, hi = (i, j) if k == 0 else (1, i + k)
-    return ["g"] * k + _to_rotation_alphabet(n, _rank2_reflection_word(n, tau.k, lo, hi))
+    # beta is _rank2_reflection_word's y^(lo-1) jump x^(tau.k-lo), spelled
+    # with y^a = (identity off 1..a) g^(n-a), y_l = g^l x_l g^l, x = e_n g
+    word = ["g"] * k
+    if lo > 1:
+        word += _rot_identity_word(n, range(1, lo)) + ["g"] * (n - lo + 1)
+    gap = hi - lo
+    if gap <= (n - 1) // 2:
+        word.append(f"x{gap}")
+    else:
+        word += ["g"] * (n - gap) + [f"x{n - gap}"] + ["g"] * (n - gap)
+    return word + [f"e{n}", "g"] * (tau.k - lo)

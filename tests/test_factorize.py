@@ -11,7 +11,7 @@ from cycleiso import (
     to_partial_perm,
 )
 from cycleiso.brute_force import kind_elements
-from cycleiso.factorize import _rank2_reflection_word, _to_rotation_alphabet
+from cycleiso.factorize import _rank2_reflection_word
 
 
 @pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
@@ -68,39 +68,18 @@ def test_non_members_are_refused():
 
 
 def test_rank2_reflection_words_against_the_reflection_itself():
-    # every i <= k < j slot, including the antipodal-gap fallbacks that
-    # factorize itself never takes
+    # every i <= k < j slot except the half-circumference gaps, which the
+    # function's precondition excludes
     for n in (4, 5, 6):
         odi = standard_generators("odi", n)
         for k in range(n):
             for i in range(1, k + 1):
                 for j in range(k + 1, n + 1):
+                    if 2 * (j - i) == n:
+                        continue
                     word = _rank2_reflection_word(n, k, i, j)
                     want = to_partial_perm(DihedralElement.reflection(n, k), [i, j])
                     assert odi.evaluate(word) == want, (n, k, i, j, word)
-
-
-def test_rotation_alphabet_rewrite_preserves_the_value():
-    # rewriting is letter-local, so checking a mixed word covers it
-    n = 5
-    odi = standard_generators("odi", n)
-    opdi = standard_generators("opdi", n)
-    for letters in (
-        ["x"],
-        ["y"],
-        ["y", "y", "x"],
-        ["e2", "e4"],
-        ["x1", "y2"],
-        ["y", "y1", "x", "e3"],
-        [],
-    ):
-        rewritten = _to_rotation_alphabet(n, letters)
-        assert set(rewritten) <= set(opdi.names), rewritten
-        assert opdi.evaluate(rewritten) == odi.evaluate(letters), (letters, rewritten)
-
-
-def test_rotation_alphabet_keeps_the_far_partial_identity():
-    assert _to_rotation_alphabet(5, ["e5"]) == ["e5"]
 
 
 def test_factorize_checks_the_kind_token():
