@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import AmbientMismatchError, DomainError, ParseError
-from .partial_perm import _SIZE_LIMIT, PartialPerm, classify_order, sorted_points
+from .errors import _SIZE_LIMIT, AmbientMismatchError, DomainError, ParseError, _shown
+from .partial_perm import PartialPerm, classify_order, sorted_points
 from .geometry import _check_cycle, distance, is_partial_isometry
 
 __all__ = [
@@ -47,7 +47,7 @@ _DIHEDRAL_TEXT = re.compile(r"(h\*)?g\^(\d+)")
 def check_kind(kind: str, allow_di: bool = False) -> None:
     allowed = KINDS + ("di",) if allow_di else KINDS
     if kind not in allowed:
-        raise DomainError(f"unknown kind {kind!r}; expected one of {', '.join(allowed)}")
+        raise DomainError(f"unknown kind {_shown(kind)}; expected one of {', '.join(allowed)}")
 
 
 @dataclass(frozen=True, order=True)
@@ -63,9 +63,9 @@ class DihedralElement:
         if self.n >= _SIZE_LIMIT:
             raise DomainError("ambient size has more than 4300 digits")
         if type(self.j) is not int or self.j not in (0, 1):
-            raise DomainError(f"reflection flag must be 0 or 1, got {self.j!r}")
+            raise DomainError(f"reflection flag must be 0 or 1, got {_shown(self.j)}")
         if type(self.k) is not int or not 0 <= self.k < self.n:
-            raise DomainError(f"rotation exponent {self.k!r} is outside 0..{self.n - 1}")
+            raise DomainError(f"rotation exponent {_shown(self.k)} is outside 0..{self.n - 1}")
 
     @classmethod
     def rotation(cls, n: int, k: int) -> "DihedralElement":
@@ -97,7 +97,7 @@ class DihedralElement:
         3
         """
         if type(i) is not int or not 1 <= i <= self.n:
-            raise DomainError(f"point {i!r} is outside 1..{self.n}")
+            raise DomainError(f"point {_shown(i)} is outside 1..{self.n}")
         if self.j == 0:
             return i + self.k if i <= self.n - self.k else i + self.k - self.n
         return self.k - i + 1 if i <= self.k else self.n + self.k - i + 1

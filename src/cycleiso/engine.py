@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     NotInverseClosedError,
     ParseError,
+    _shown,
 )
 from .partial_perm import PartialPerm, identity
 from .geometry import distance_sequence
@@ -93,7 +94,7 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
         if g.n != n:
             raise AmbientMismatchError(f"generator {g} does not live on n={n}")
     if type(workers) is not int or workers < 1:
-        raise DomainError(f"workers must be a positive int, got {workers!r}")
+        raise DomainError(f"workers must be a positive int, got {_shown(workers)}")
     gen_images = [tuple(dict(g.pairs).get(x, 0) for x in range(n + 1)) for g in gens]
     start = tuple(range(n + 1))
     words = {start: ()}
@@ -238,7 +239,7 @@ def _render_line(p: PartialPerm, fmt: str) -> str:
         return str(p)
     if fmt == "jsonl":
         return json.dumps(p.to_json(), separators=(",", ":"))
-    raise ParseError(f"unknown format {fmt!r}; expected txt or jsonl")
+    raise ParseError(f"unknown format {_shown(fmt)}; expected txt or jsonl")
 
 
 def export_bytes(m: EnumeratedMonoid, fmt: str = "txt", compress: bool = False) -> bytes:

@@ -1,4 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the rendering of
+offending values in their messages."""
+
+# int() prints and reads at most 4300 digits, so sizes from here on could
+# be neither printed nor parsed back
+_SIZE_LIMIT = 10**4300
+
+
+def _shown(value: object) -> str:
+    """``repr(value)`` for an error message, which must not fail itself.
+
+    An int int() cannot print is named by its bit length without being
+    converted to text; any other value whose repr int() refuses, such as a
+    list holding such an int, is named by its type.
+    """
+    if isinstance(value, int) and not -_SIZE_LIMIT < value < _SIZE_LIMIT:
+        sign = "negative " if value < 0 else ""
+        return f"<{sign}int of {value.bit_length()} bits>"
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} holding an int too long to print>"
 
 
 class CycleIsoError(Exception):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .dihedral import check_kind
 from .geometry import _check_cycle
 
@@ -94,7 +94,7 @@ def proof_counts(n: int, k: int) -> ProofCounts:
     """
     _check_cycle(n)
     if type(k) is not int or not 0 <= k < n:
-        raise DomainError(f"rotation exponent {k!r} is outside 0..{n - 1}")
+        raise DomainError(f"rotation exponent {_shown(k)} is outside 0..{_shown(n - 1)}")
     same_arc = sum(math.comb(n - k, i) for i in range(2, n - k + 1))
     same_arc += sum(math.comb(k, i) for i in range(2, k + 1))
     return ProofCounts(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, _shown
 from .partial_perm import PartialPerm, identity, identity_off
 from .dihedral import DihedralElement, check_kind, to_partial_perm
 from .geometry import _check_cycle
@@ -82,7 +82,7 @@ class GeneratorSet:
             return self.elements[self.names.index(name)]
         except ValueError:
             raise ParseError(
-                f"name {name!r} is not in the {self.kind} generating set"
+                f"name {_shown(name)} is not in the {self.kind} generating set"
             ) from None
 
     def evaluate(self, word) -> PartialPerm:

@@ -7,7 +7,7 @@ and n, so the distance is ``min(|x - y|, n - |x - y|)``, never more than
 
 from __future__ import annotations
 
-from .errors import DomainError, UndefinedSequenceError
+from .errors import DomainError, UndefinedSequenceError, _shown
 from .partial_perm import PartialPerm, sorted_points
 
 __all__ = [
@@ -21,7 +21,7 @@ __all__ = [
 
 def _check_cycle(n: int) -> None:
     if type(n) is not int or n < 3:
-        raise DomainError(f"the cycle graph needs n >= 3, got {n!r}")
+        raise DomainError(f"the cycle graph needs n >= 3, got {_shown(n)}")
 
 
 def distance(n: int, x: int, y: int) -> int:
@@ -35,7 +35,7 @@ def distance(n: int, x: int, y: int) -> int:
     _check_cycle(n)
     for v in (x, y):
         if type(v) is not int or not 1 <= v <= n:
-            raise DomainError(f"point {v!r} is outside 1..{n}")
+            raise DomainError(f"point {_shown(v)} is outside 1..{_shown(n)}")
     return min(abs(x - y), n - abs(x - y))
 
 

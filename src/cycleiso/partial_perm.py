@@ -26,10 +26,12 @@ import re
 from dataclasses import dataclass
 
 from .errors import (
+    _SIZE_LIMIT,
     AmbientMismatchError,
     DomainError,
     NotInjectiveError,
     ParseError,
+    _shown,
 )
 
 __all__ = [
@@ -43,9 +45,6 @@ __all__ = [
     "sorted_points",
 ]
 
-# int() prints and reads at most 4300 digits, so sizes from here on could
-# be neither printed nor parsed back
-_SIZE_LIMIT = 10**4300
 
 _TEXT = re.compile(
     r"n=([1-9]\d*);((?:[1-9]\d*>[1-9]\d*)(?:,[1-9]\d*>[1-9]\d*)*)?"
@@ -57,7 +56,7 @@ def sorted_points(n: int, points) -> tuple[int, ...]:
     pts = tuple(points)
     for p in pts:
         if type(p) is not int or not 1 <= p <= n:
-            raise DomainError(f"point {p!r} is outside 1..{n}")
+            raise DomainError(f"point {_shown(p)} is outside 1..{_shown(n)}")
     pts = sorted(pts)
     for a, b in zip(pts, pts[1:]):
         if a == b:
@@ -74,19 +73,19 @@ class PartialPerm:
 
     def __post_init__(self) -> None:
         if type(self.n) is not int or self.n < 1:
-            raise DomainError(f"ambient size must be a positive int, got {self.n!r}")
+            raise DomainError(f"ambient size must be a positive int, got {_shown(self.n)}")
         if self.n >= _SIZE_LIMIT:
             raise DomainError("ambient size has more than 4300 digits")
         if type(self.pairs) is not tuple:
-            raise DomainError(f"pairs must be a tuple of 2-tuples, got {self.pairs!r}")
+            raise DomainError(f"pairs must be a tuple of 2-tuples, got {_shown(self.pairs)}")
         prev = 0
         seen = set()
         for pair in self.pairs:
             if type(pair) is not tuple or len(pair) != 2:
-                raise DomainError(f"pair {pair!r} is not a 2-tuple")
+                raise DomainError(f"pair {_shown(pair)} is not a 2-tuple")
             a, b = pair
             if not (type(a) is type(b) is int and 1 <= a <= self.n and 1 <= b <= self.n):
-                raise DomainError(f"pair {a!r}>{b!r} is not a pair of ints in 1..{self.n}")
+                raise DomainError(f"pair {_shown(a)}>{_shown(b)} is not a pair of ints in 1..{self.n}")
             if a <= prev:
                 raise DomainError("pairs must be strictly ascending in the point")
             if b in seen:
@@ -138,7 +137,7 @@ class PartialPerm:
             or type(obj.get("n")) is not int
             or not isinstance(obj.get("map"), list)
         ):
-            raise ParseError(f"expected {{'n': int, 'map': [[a, b], ...]}}, got {obj!r}")
+            raise ParseError(f"expected {{'n': int, 'map': [[a, b], ...]}}, got {_shown(obj)}")
         pairs = []
         for item in obj["map"]:
             if (
@@ -146,7 +145,7 @@ class PartialPerm:
                 or len(item) != 2
                 or not all(type(v) is int for v in item)
             ):
-                raise ParseError(f"bad map entry {item!r}")
+                raise ParseError(f"bad map entry {_shown(item)}")
             pairs.append((item[0], item[1]))
         return cls(obj["n"], tuple(pairs))
 
@@ -215,7 +214,7 @@ def identity_off(n: int, skip: int) -> PartialPerm:
     'n=4;1>1,3>3,4>4'
     """
     if type(skip) is not int or not 1 <= skip <= n:
-        raise DomainError(f"point {skip!r} is outside 1..{n}")
+        raise DomainError(f"point {_shown(skip)} is outside 1..{_shown(n)}")
     return PartialPerm(n, tuple((i, i) for i in range(1, n + 1) if i != skip))
 
 
