@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 
-from .errors import CycleIsoError, DomainError
+from .errors import _SIZE_LIMIT, CycleIsoError, DomainError
 from .partial_perm import PartialPerm, classify_order
 from .dihedral import KINDS, classify, extensions
 from .engine import close, cross_check_green, export_bytes, green_structural
@@ -36,11 +36,12 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_card(args) -> int:
-    formula = card(args.kind, args.n)
-    try:
-        str(formula)
-    except ValueError:  # more digits than the interpreter will print
-        raise DomainError(f"card {args.kind} n={args.n} is too long to print") from None
+    # every formula exceeds 2^n, so from this n on it is too long to print
+    # and is refused before it is computed
+    too_long = args.n >= _SIZE_LIMIT.bit_length()
+    formula = None if too_long else card(args.kind, args.n)
+    if too_long or formula >= _SIZE_LIMIT:
+        raise DomainError(f"card {args.kind} n={args.n} is too long to print")
     if not args.enumerate:
         if args.json:
             _emit_json({"kind": args.kind, "n": args.n, "formula": formula})

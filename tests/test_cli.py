@@ -58,6 +58,20 @@ def test_card_too_long_to_print_is_refused(capsys, extra):
     assert err.startswith("error:") and "n=20000" in err
 
 
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_card_too_long_to_print_is_refused_before_it_is_computed(
+    capsys, monkeypatch, extra
+):
+    def fail(kind, n):
+        raise AssertionError(f"card({kind!r}, {n}) was computed")
+
+    monkeypatch.setattr("cycleiso.cli.card", fail)
+    code, out, err = run(capsys, "card", "odi", "10000000000", *extra)
+    assert code == 2
+    assert out == ""
+    assert err == "error: card odi n=10000000000 is too long to print\n"
+
+
 def test_unknown_kind_is_a_usage_error(capsys):
     code, _, err = run(capsys, "card", "xyz", "4")
     assert code == 2
