@@ -195,6 +195,19 @@ def test_extensions_lists_symmetries(capsys):
     assert out.splitlines() == ["g^2", "h*g^0"]
 
 
+def test_extensions_json_matches_the_library(capsys):
+    from cycleiso import DihedralElement, PartialPerm, extensions
+
+    p = PartialPerm.parse("n=6;1>2,4>5")
+    code, out, _ = run(capsys, "extensions", "n=6;1>2,4>5", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["schema_version"] == 1
+    assert PartialPerm.parse(payload["element"]) == p
+    back = tuple(DihedralElement.parse(6, text) for text in payload["extensions"])
+    assert back == extensions(p) and len(back) == 2
+
+
 def test_extensions_of_a_non_isometry_is_empty(capsys):
     code, out, _ = run(capsys, "extensions", "n=5;1>1,2>2,3>5")
     assert code == 0
@@ -233,6 +246,19 @@ def test_gens_csv(capsys):
     assert lines[0] == "name,element"
     gens = standard_generators("opdi", 5)
     assert lines[1:] == [f"{name},{p}" for name, p in gens]
+
+
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
+def test_gens_json_matches_the_library(capsys, kind):
+    from cycleiso import PartialPerm
+
+    code, out, _ = run(capsys, "gens", kind, "6", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["schema_version"] == 1
+    assert (payload["kind"], payload["n"]) == (kind, 6)
+    back = [(g["name"], PartialPerm.parse(g["element"])) for g in payload["generators"]]
+    assert back == list(standard_generators(kind, 6))
 
 
 def test_rank_plain(capsys):

@@ -6,7 +6,7 @@ import re
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cycleiso import (
     AmbientMismatchError,
@@ -376,6 +376,26 @@ def test_file_round_trip(tmp_path, fmt, compress):
     back = import_elements(path)
     assert back.elements == m.elements
     assert back.n == m.n
+
+
+@st.composite
+def _closures(draw):
+    n = draw(st.integers(3, 6))
+    return close(n, draw(st.lists(perm_on(n), max_size=3)))
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(m=_closures(), fmt=st.sampled_from(["txt", "jsonl"]), compress=st.booleans())
+def test_export_import_round_trip(tmp_path, m, fmt, compress):
+    path = tmp_path / "dump"
+    export_elements(m, path, fmt=fmt, compress=compress)
+    back = import_elements(path)
+    assert back.n == m.n
+    assert back.elements == m.elements
 
 
 def test_import_accepts_any_line_order(tmp_path):
