@@ -9,8 +9,8 @@ _SIZE_LIMIT = 10**4300
 def _shown(value: object) -> str:
     """``repr(value)`` for an error message, which must not fail itself.
 
-    An int int() cannot print is named by its bit length without being
-    converted to text; any other value whose repr int() refuses, such as a
+    An int too long for int() to print is named by its bit length and never
+    converted to text; any other value whose repr fails that way, such as a
     list holding such an int, is named by its type.
     """
     if isinstance(value, int) and not -_SIZE_LIMIT < value < _SIZE_LIMIT:

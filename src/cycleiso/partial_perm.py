@@ -85,7 +85,9 @@ class PartialPerm:
                 raise DomainError(f"pair {_shown(pair)} is not a 2-tuple")
             a, b = pair
             if not (type(a) is type(b) is int and 1 <= a <= self.n and 1 <= b <= self.n):
-                raise DomainError(f"pair {_shown(a)}>{_shown(b)} is not a pair of ints in 1..{self.n}")
+                raise DomainError(
+                    f"pair {_shown(a)}>{_shown(b)} is not a pair of ints in 1..{self.n}"
+                )
             if a <= prev:
                 raise DomainError("pairs must be strictly ascending in the point")
             if b in seen:

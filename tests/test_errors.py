@@ -23,21 +23,56 @@ HUGE = 10**5000  # past int()'s 4300-digit printing limit
     "call,error,shown",
     [
         pytest.param(lambda: PartialPerm(5, ((HUGE, 1),)), DomainError, "<int of", id="pair"),
-        pytest.param(lambda: PartialPerm(-HUGE, ()), DomainError, "<negative int of", id="ambient-size"),
-        pytest.param(lambda: DihedralElement(5, 0, HUGE), DomainError, "<int of", id="rotation-exponent"),
+        pytest.param(
+            lambda: PartialPerm(-HUGE, ()),
+            DomainError,
+            "<negative int of",
+            id="ambient-size",
+        ),
+        pytest.param(
+            lambda: DihedralElement(5, 0, HUGE),
+            DomainError,
+            "<int of",
+            id="rotation-exponent",
+        ),
         pytest.param(lambda: sorted_points(5, [HUGE]), DomainError, "<int of", id="sorted-points"),
         pytest.param(lambda: identity_off(5, HUGE), DomainError, "<int of", id="identity-off"),
         pytest.param(lambda: distance(5, 1, HUGE), DomainError, "<int of", id="distance"),
         pytest.param(lambda: card("odi", -HUGE), DomainError, "<negative int of", id="card"),
-        pytest.param(lambda: close(5, [], workers=-HUGE), DomainError, "<negative int of", id="workers"),
+        pytest.param(
+            lambda: close(5, [], workers=-HUGE),
+            DomainError,
+            "<negative int of",
+            id="workers",
+        ),
         pytest.param(lambda: proof_counts(5, HUGE), DomainError, "<int of", id="proof-counts"),
-        pytest.param(lambda: sorted_points(HUGE, [0]), DomainError, "<int of", id="sorted-points-size"),
+        pytest.param(
+            lambda: sorted_points(HUGE, [0]),
+            DomainError,
+            "<int of",
+            id="sorted-points-size",
+        ),
         pytest.param(lambda: distance(HUGE, 1, 0), DomainError, "<int of", id="distance-size"),
-        pytest.param(lambda: identity_off(HUGE, 0), DomainError, "<int of", id="identity-off-size"),
-        pytest.param(lambda: proof_counts(HUGE, -1), DomainError, "<int of", id="proof-counts-size"),
+        pytest.param(
+            lambda: identity_off(HUGE, 0),
+            DomainError,
+            "<int of",
+            id="identity-off-size",
+        ),
+        pytest.param(
+            lambda: proof_counts(HUGE, -1),
+            DomainError,
+            "<int of",
+            id="proof-counts-size",
+        ),
         pytest.param(lambda: card(HUGE, 5), DomainError, "<int of", id="kind"),
         pytest.param(lambda: export_bytes(close(3, []), HUGE), ParseError, "<int of", id="format"),
-        pytest.param(lambda: PartialPerm(5, [(HUGE, 1)]), DomainError, "<list holding", id="pairs-list"),
+        pytest.param(
+            lambda: PartialPerm(5, [(HUGE, 1)]),
+            DomainError,
+            "<list holding",
+            id="pairs-list",
+        ),
         pytest.param(
             lambda: PartialPerm.from_json({"n": 5, "map": [[HUGE, 1.0]]}),
             ParseError,
