@@ -27,6 +27,14 @@ Each ``GREEN_PINS`` entry holds the sha256 of ``green_structural`` over
 the kind's members: one ``<relation> <elements>`` line per class, the L,
 R, H and D classes in that order, each in the returned order, elements
 as text separated by spaces.
+
+Each ``EXTENSION_PINS`` entry holds the sha256 of a listing with one
+``<element> <extensions> <in_di> <in_odi> <in_mdi> <in_opdi>`` line per
+element, taken from ``classify``: the extensions as text joined by commas
+(``-`` when there are none) and each flag as ``0``/``1``.  For n <= 6 the
+elements are every partial permutation, so maps that are not isometries
+are covered; above that they are the partial isometries.  Elements are in
+the order their generator yields them.
 """
 
 import gzip
@@ -49,7 +57,12 @@ from cycleiso import (
     standard_generators,
     to_partial_perm,
 )
-from cycleiso.brute_force import kind_elements, kind_monoid
+from cycleiso.brute_force import (
+    all_partial_perms,
+    dihedral_restrictions,
+    kind_elements,
+    kind_monoid,
+)
 
 PINS = {
     ("odi", 3): (
@@ -290,6 +303,17 @@ GREEN_PINS = {
     ("di", 8): "782503bc7abf808c17194ef6b3abbbb53f6193a979d4fe0abcfbd481f26d1da0",
 }
 
+EXTENSION_PINS = {
+    3: "36a0243a9320b24ae553fd6e95afbfefe21fd57e342f5962ecdcc6c8bb42a334",
+    4: "d30676e683200d71f002b39230f4d0533f62da85bab4434666e4bf6cca063d08",
+    5: "0164d3966960aa3996591fa930d7508d6ea603cf35065de953e15fcf21091fc5",
+    6: "f4b345a0042f5dfd2a0fcb947a1413f07d9f5f756120d0c390d0346080fbe3de",
+    7: "5c6b81d40cd63f73c19029593b96c6bb24b7d0b4fc7e194007211c2c36a83923",
+    8: "4dfbe2c392b2267ca215bfdfa621fa9207fcb2a1de08195de22509db2977a672",
+    9: "17d7794ff1d4ba20e27fa0208f66da9442d413c8fa0087e11f7878bfcfc72334",
+    10: "0519b19c41d33e8b3e84875564a6bcf87d7932b87ec25b2d632757884be84cfd",
+}
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -364,3 +388,14 @@ def test_green_structural_matches_pin(kind, n):
         f"{rel} {' '.join(map(str, c))}\n" for rel, classes in relations for c in classes
     ).encode()
     assert _sha(listing) == GREEN_PINS[kind, n]
+
+
+@pytest.mark.parametrize("n", sorted(EXTENSION_PINS))
+def test_classify_extensions_match_pin(n):
+    lines = []
+    for p in all_partial_perms(n) if n <= 6 else dihedral_restrictions(n):
+        r = classify(p)
+        exts = ",".join(map(str, r.extensions)) or "-"
+        flags = " ".join(str(int(f)) for f in (r.in_di, r.in_odi, r.in_mdi, r.in_opdi))
+        lines.append(f"{p} {exts} {flags}\n")
+    assert _sha("".join(lines).encode()) == EXTENSION_PINS[n]
