@@ -12,12 +12,13 @@ from functools import lru_cache
 from itertools import combinations, permutations
 
 from .partial_perm import PartialPerm, classify_order
-from .dihedral import all_elements, check_kind, to_partial_perm
+from .dihedral import DihedralElement, all_elements, check_kind, to_partial_perm
 from .engine import EnumeratedMonoid
 
 __all__ = [
     "all_partial_perms",
     "dihedral_restrictions",
+    "scan_extensions",
     "kind_elements",
     "kind_monoid",
     "random_oriented",
@@ -44,6 +45,12 @@ def dihedral_restrictions(n: int) -> tuple[PartialPerm, ...]:
             points = [i + 1 for i in range(n) if mask >> i & 1]
             seen.add(to_partial_perm(sigma, points))
     return tuple(sorted(seen))
+
+
+def scan_extensions(p: PartialPerm) -> tuple[DihedralElement, ...]:
+    """The symmetries extending the map: all 2n restricted and compared."""
+    dom = p.domain
+    return tuple(sigma for sigma in all_elements(p.n) if to_partial_perm(sigma, dom) == p)
 
 
 _PREDICATES = {

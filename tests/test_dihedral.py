@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cycleiso import (
     AmbientMismatchError,
@@ -17,6 +17,9 @@ from cycleiso import (
     is_in_b2,
     to_partial_perm,
 )
+from cycleiso.brute_force import scan_extensions
+
+from conftest import perm_on
 
 
 def dihedrals(min_n=3, max_n=12):
@@ -152,6 +155,54 @@ def test_every_symmetry_extends_its_own_restrictions(n):
     for sigma in all_elements(n):
         p = to_partial_perm(sigma, range(1, n + 1))
         assert extensions(p) == (sigma,)
+
+
+@st.composite
+def near_isometries(draw, min_n=3, max_n=16):
+    """A random symmetry cut to a random domain, the same with one image
+    moved (swapped with the pair already holding the new image), or an
+    arbitrary injective map."""
+    n = draw(st.integers(min_n, max_n))
+    how = draw(st.sampled_from(["cut", "moved", "arbitrary"]))
+    if how == "arbitrary":
+        return draw(perm_on(n))
+    sigma = DihedralElement(n, draw(st.integers(0, 1)), draw(st.integers(0, n - 1)))
+    p = to_partial_perm(sigma, draw(st.sets(st.integers(1, n))))
+    if how == "cut" or not p.pairs:
+        return p
+    images = dict(p.pairs)
+    a = draw(st.sampled_from(p.domain))
+    b = draw(st.integers(1, n))
+    for x, y in p.pairs:
+        if y == b:
+            images[x] = images[a]
+    images[a] = b
+    return PartialPerm.from_map(n, images)
+
+
+@given(near_isometries())
+@example(PartialPerm.parse("n=3;"))
+@example(PartialPerm.parse("n=16;"))
+@example(PartialPerm.parse("n=7;4>1"))
+@example(PartialPerm.parse("n=16;16>16"))
+@example(PartialPerm.parse("n=8;1>3,5>7"))
+@example(PartialPerm.parse("n=8;2>8,6>4"))
+@example(PartialPerm.parse("n=16;3>14,11>6"))
+@example(PartialPerm.parse("n=8;1>3,5>6"))
+def test_extensions_match_the_scan(p):
+    assert extensions(p) == scan_extensions(p)
+
+
+@pytest.mark.parametrize(
+    "n,pairs", [(1, ()), (1, ((1, 1),)), (2, ()), (2, ((1, 2),)), (2, ((1, 1), (2, 2)))]
+)
+def test_extensions_refuse_short_cycles_like_the_scan(n, pairs):
+    p = PartialPerm(n, pairs)
+    with pytest.raises(DomainError) as fast:
+        extensions(p)
+    with pytest.raises(DomainError) as scan:
+        scan_extensions(p)
+    assert str(fast.value) == str(scan.value) == f"the cycle graph needs n >= 3, got {n}"
 
 
 def test_antipodal_rank2_detection():
