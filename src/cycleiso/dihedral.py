@@ -19,8 +19,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import _SIZE_LIMIT, AmbientMismatchError, DomainError, ParseError, _shown
-from .partial_perm import PartialPerm, classify_order, sorted_points
+from .errors import AmbientMismatchError, DomainError, ParseError, _shown
+from .partial_perm import PartialPerm, _check_size, classify_order, sorted_points
 from .geometry import _check_cycle, distance, is_partial_isometry
 
 __all__ = [
@@ -60,8 +60,7 @@ class DihedralElement:
 
     def __post_init__(self) -> None:
         _check_cycle(self.n)
-        if self.n >= _SIZE_LIMIT:
-            raise DomainError("ambient size has more than 4300 digits")
+        _check_size(self.n)
         if type(self.j) is not int or self.j not in (0, 1):
             raise DomainError(f"reflection flag must be 0 or 1, got {_shown(self.j)}")
         if type(self.k) is not int or not 0 <= self.k < self.n:
@@ -81,9 +80,9 @@ class DihedralElement:
 
     @classmethod
     def parse(cls, n: int, text: str) -> "DihedralElement":
-        m = _DIHEDRAL_TEXT.fullmatch(text.strip())
+        m = _DIHEDRAL_TEXT.fullmatch(text.strip()) if isinstance(text, str) else None
         if m is None:
-            raise ParseError(f"not a dihedral element in g^k / h*g^k form: {text!r}")
+            raise ParseError(f"not a dihedral element in g^k / h*g^k form: {_shown(text)}")
         try:
             k = int(m.group(2))
         except ValueError:  # the pattern admits only digits, so too many of them

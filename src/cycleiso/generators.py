@@ -38,8 +38,8 @@ _NAME = re.compile(r"[ghxy]|[exy][1-9]\d*")
 
 def generator(n: int, name: str) -> PartialPerm:
     """The element a generator name denotes on the n-cycle."""
-    if not _NAME.fullmatch(name):
-        raise ParseError(f"bad generator name {name!r}")
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        raise ParseError(f"bad generator name {_shown(name)}")
     if name == "g":
         return to_partial_perm(DihedralElement.rotation(n, 1), range(1, n + 1))
     if name == "h":
@@ -134,6 +134,8 @@ def parse_word(text: str) -> tuple[str, ...]:
     >>> parse_word("ε")
     ()
     """
+    if not isinstance(text, str):
+        raise ParseError(f"a word is text, got {_shown(text)}")
     stripped = text.strip()
     if stripped in ("", EMPTY_WORD_TEXT):
         return ()

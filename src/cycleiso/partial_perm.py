@@ -64,6 +64,14 @@ def sorted_points(n: int, points) -> tuple[int, ...]:
     return tuple(pts)
 
 
+def _check_size(n: int) -> None:
+    """Refuse an ambient size that is not an int in 1..10**4300 - 1."""
+    if type(n) is not int or n < 1:
+        raise DomainError(f"ambient size must be a positive int, got {_shown(n)}")
+    if n >= _SIZE_LIMIT:
+        raise DomainError(f"ambient size {_shown(n)} has more than 4300 digits")
+
+
 @dataclass(frozen=True, order=True)
 class PartialPerm:
     """An injective partial self-map of {1, ..., n} in canonical form."""
@@ -72,10 +80,7 @@ class PartialPerm:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or self.n < 1:
-            raise DomainError(f"ambient size must be a positive int, got {_shown(self.n)}")
-        if self.n >= _SIZE_LIMIT:
-            raise DomainError("ambient size has more than 4300 digits")
+        _check_size(self.n)
         if type(self.pairs) is not tuple:
             raise DomainError(f"pairs must be a tuple of 2-tuples, got {_shown(self.pairs)}")
         prev = 0
@@ -114,9 +119,9 @@ class PartialPerm:
         >>> PartialPerm.parse("n=3;").rank
         0
         """
-        m = _TEXT.fullmatch(text.strip())
+        m = _TEXT.fullmatch(text.strip()) if isinstance(text, str) else None
         if m is None:
-            raise ParseError(f"not an element in n=<n>;a>b,... form: {text!r}")
+            raise ParseError(f"not an element in n=<n>;a>b,... form: {_shown(text)}")
         try:
             n = int(m.group(1))
             pairs = ()
@@ -201,6 +206,7 @@ class PartialPerm:
 
 def identity(n: int) -> PartialPerm:
     """The identity on all of 1..n."""
+    _check_size(n)
     return PartialPerm(n, tuple((i, i) for i in range(1, n + 1)))
 
 
@@ -215,6 +221,7 @@ def identity_off(n: int, skip: int) -> PartialPerm:
     >>> str(identity_off(4, 2))
     'n=4;1>1,3>3,4>4'
     """
+    _check_size(n)
     if type(skip) is not int or not 1 <= skip <= n:
         raise DomainError(f"point {_shown(skip)} is outside 1..{_shown(n)}")
     return PartialPerm(n, tuple((i, i) for i in range(1, n + 1) if i != skip))

@@ -11,10 +11,13 @@ from cycleiso import (
     close,
     distance,
     export_bytes,
+    generator,
     identity_off,
+    parse_word,
     proof_counts,
     sorted_points,
 )
+from cycleiso.errors import _shown
 
 HUGE = 10**5000  # past int()'s 4300-digit printing limit
 
@@ -84,3 +87,21 @@ HUGE = 10**5000  # past int()'s 4300-digit printing limit
 def test_ints_too_long_to_print_are_named_in_the_message(call, error, shown):
     with pytest.raises(error, match=shown):
         call()
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        pytest.param(lambda v: generator(5, v), id="generator"),
+        pytest.param(PartialPerm.parse, id="element"),
+        pytest.param(lambda v: DihedralElement.parse(5, v), id="dihedral"),
+        pytest.param(parse_word, id="word"),
+    ],
+)
+@pytest.mark.parametrize(
+    "value", [7, None, b"g", 2.5, HUGE, [HUGE]], ids=["int", "none", "bytes", "float", "huge", "list"]
+)
+def test_parsers_refuse_values_that_are_not_text(parse, value):
+    with pytest.raises(ParseError) as err:
+        parse(value)
+    assert _shown(value) in str(err.value)

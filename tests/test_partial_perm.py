@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
+
+import cycleiso
 
 from cycleiso import (
     AmbientMismatchError,
@@ -227,6 +233,41 @@ def test_identity_factories():
     assert empty_map(4).rank == 0
     with pytest.raises(DomainError):
         identity_off(4, 5)
+
+
+_BAD_SIZES = "(10**4300, 10**5000, 0, -1, '5', 4.0, None)"
+
+_IDENTITIES_IN_A_CAPPED_CHILD = f"""
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+from cycleiso import DomainError, identity, identity_off
+for n in {_BAD_SIZES}:
+    for call in (lambda: identity(n), lambda: identity_off(n, 1)):
+        try:
+            call()
+        except DomainError as err:
+            print(err)
+"""
+
+
+def test_identity_factories_check_the_size_before_building():
+    # a factory that built its pairs first would try to materialise
+    # 10**4300 of them, so the calls run in a child process with its
+    # address space capped and a timeout, never in this one
+    expected = []
+    for n in eval(_BAD_SIZES):
+        with pytest.raises(DomainError) as err:
+            PartialPerm(n, ())
+        expected += [str(err.value)] * 2
+    src = os.path.dirname(os.path.dirname(cycleiso.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", _IDENTITIES_IN_A_CAPPED_CHILD],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.stdout.splitlines() == expected, child.stderr
 
 
 @pytest.mark.parametrize("skip", ["a", True, 2.0, 0])
