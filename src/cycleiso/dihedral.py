@@ -160,15 +160,9 @@ def extensions(p: PartialPerm) -> tuple[DihedralElement, ...]:
     """
     if not p.pairs:
         return tuple(all_elements(p.n))
-    n = p.n
-    a, b = p.pairs[0]
-    candidates = (
-        DihedralElement(n, 0, (b - a) % n),
-        DihedralElement(n, 1, (a + b - 1) % n),
-    )
-    return tuple(
-        sigma for sigma in candidates if all(sigma.apply(x) == y for x, y in p.pairs)
-    )
+    (a, b), n = p.pairs[0], p.n
+    candidates = DihedralElement.rotation(n, b - a), DihedralElement.reflection(n, a + b - 1)
+    return tuple(s for s in candidates if all(s.apply(x) == y for x, y in p.pairs))
 
 
 def is_in_b2(p: PartialPerm) -> bool:
