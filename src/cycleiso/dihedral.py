@@ -19,9 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import AmbientMismatchError, DomainError, ParseError, _shown
-from .partial_perm import PartialPerm, _check_size, classify_order, sorted_points
-from .geometry import _check_cycle, distance, is_partial_isometry
+from .errors import AmbientMismatchError, DomainError, ParseError, _check_cycle, _shown
+from .partial_perm import PartialPerm, classify_order, sorted_points
+from .geometry import distance, is_partial_isometry
 
 __all__ = [
     "KINDS",
@@ -60,7 +60,6 @@ class DihedralElement:
 
     def __post_init__(self) -> None:
         _check_cycle(self.n)
-        _check_size(self.n)
         if type(self.j) is not int or self.j not in (0, 1):
             raise DomainError(f"reflection flag must be 0 or 1, got {_shown(self.j)}")
         if type(self.k) is not int or not 0 <= self.k < self.n:
@@ -138,7 +137,7 @@ def to_partial_perm(sigma: DihedralElement, points) -> PartialPerm:
     >>> str(to_partial_perm(DihedralElement.rotation(4, 3), [2, 4]))
     'n=4;2>1,4>3'
     """
-    return PartialPerm(
+    return PartialPerm._trusted(
         sigma.n, tuple((a, sigma.apply(a)) for a in sorted_points(sigma.n, points))
     )
 

@@ -21,6 +21,7 @@ from .errors import (
     DomainError,
     NotInverseClosedError,
     ParseError,
+    _check_size,
     _shown,
 )
 from .partial_perm import PartialPerm, identity
@@ -83,12 +84,13 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     generators, via right-multiplication breadth-first search.
 
     The search runs on image arrays: tuples whose entry x is the image of
-    x, 0 where undefined, so ``p * g`` is ``itemgetter(*p)(g)``.  Each
-    layer is visited in canonical order, each element against the
-    generators in index order, and the first word found (shortest layer,
-    then generator index) is kept, so generator duplication changes
-    nothing.  ``workers`` must be a positive int; the search is serial.
+    x, 0 where undefined, so ``p * g`` is ``itemgetter(*p)(g)``.  Each layer
+    is visited in canonical order, each element against the generators in
+    index order, and the first word found (shortest layer, then generator
+    index) is kept, so generator duplication changes nothing.  ``n`` must be
+    an int in 1..10**4300 - 1, ``workers`` a positive int; the search is serial.
     """
+    _check_size(n)
     gens = tuple(generators)
     for g in gens:
         if g.n != n:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the rendering of
-offending values in their messages."""
+"""Exception types shared across the package, the size checks every public
+entry makes first, and the rendering of offending values in their messages."""
 
 # int() prints and reads at most 4300 digits, so sizes from here on could
 # be neither printed nor parsed back
@@ -20,6 +20,22 @@ def _shown(value: object) -> str:
         return repr(value)
     except ValueError:
         return f"<{type(value).__name__} holding an int too long to print>"
+
+
+def _check_size(n: int) -> None:
+    """Refuse an ambient size that is not an int in 1..10**4300 - 1."""
+    if type(n) is not int or n < 1:
+        raise DomainError(f"ambient size must be a positive int, got {_shown(n)}")
+    if n >= _SIZE_LIMIT:
+        raise DomainError(f"ambient size {_shown(n)} has more than 4300 digits")
+
+
+def _check_cycle(n: int) -> None:
+    """Refuse a cycle size that is not an int in 3..10**4300 - 1."""
+    if type(n) is not int or n < 3:
+        raise DomainError(f"the cycle graph needs n >= 3, got {_shown(n)}")
+    if n >= _SIZE_LIMIT:
+        raise DomainError(f"ambient size {_shown(n)} has more than 4300 digits")
 
 
 class CycleIsoError(Exception):

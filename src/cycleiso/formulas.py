@@ -11,9 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _shown
+from .errors import DomainError, _check_cycle, _shown
 from .dihedral import check_kind
-from .geometry import _check_cycle
 
 __all__ = [
     "card",

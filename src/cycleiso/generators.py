@@ -18,10 +18,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError, _shown
+from .errors import DomainError, ParseError, _check_cycle, _shown
 from .partial_perm import PartialPerm, identity, identity_off
 from .dihedral import DihedralElement, check_kind, to_partial_perm
-from .geometry import _check_cycle
 
 __all__ = [
     "GeneratorSet",
@@ -37,9 +36,10 @@ _NAME = re.compile(r"[ghxy]|[exy][1-9]\d*")
 
 
 def generator(n: int, name: str) -> PartialPerm:
-    """The element a generator name denotes on the n-cycle."""
+    """The element a generator name denotes on the n-cycle, n an int in 3..10**4300 - 1."""
     if not isinstance(name, str) or not _NAME.fullmatch(name):
         raise ParseError(f"bad generator name {_shown(name)}")
+    _check_cycle(n)
     if name == "g":
         return to_partial_perm(DihedralElement.rotation(n, 1), range(1, n + 1))
     if name == "h":
@@ -58,7 +58,7 @@ def generator(n: int, name: str) -> PartialPerm:
         raise DomainError(
             f"straddle index {index} is outside 1..{(n - 1) // 2} for n={n}"
         )
-    straddle = PartialPerm(n, ((1, 1), (1 + index, n - index + 1)))
+    straddle = PartialPerm._trusted(n, ((1, 1), (1 + index, n - index + 1)))
     return straddle if name[0] == "x" else straddle.inverse()
 
 

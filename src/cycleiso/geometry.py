@@ -7,7 +7,7 @@ and n, so the distance is ``min(|x - y|, n - |x - y|)``, never more than
 
 from __future__ import annotations
 
-from .errors import DomainError, UndefinedSequenceError, _shown
+from .errors import DomainError, UndefinedSequenceError, _check_cycle, _shown
 from .partial_perm import PartialPerm, sorted_points
 
 __all__ = [
@@ -17,11 +17,6 @@ __all__ = [
     "is_partial_isometry",
     "is_partial_isometry_fast",
 ]
-
-
-def _check_cycle(n: int) -> None:
-    if type(n) is not int or n < 3:
-        raise DomainError(f"the cycle graph needs n >= 3, got {_shown(n)}")
 
 
 def distance(n: int, x: int, y: int) -> int:
@@ -72,7 +67,7 @@ def delta(n: int, a_points, b_points) -> PartialPerm:
     b = sorted_points(n, b_points)
     if len(a) != len(b):
         raise DomainError(f"size mismatch: {len(a)} points versus {len(b)}")
-    return PartialPerm(n, tuple(zip(a, b)))
+    return PartialPerm._trusted(n, tuple(zip(a, b)))
 
 
 def is_partial_isometry(p: PartialPerm) -> bool:

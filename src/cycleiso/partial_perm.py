@@ -26,11 +26,11 @@ import re
 from dataclasses import dataclass
 
 from .errors import (
-    _SIZE_LIMIT,
     AmbientMismatchError,
     DomainError,
     NotInjectiveError,
     ParseError,
+    _check_size,
     _shown,
 )
 
@@ -52,7 +52,8 @@ _TEXT = re.compile(
 
 
 def sorted_points(n: int, points) -> tuple[int, ...]:
-    """Validate an iterable of distinct points of 1..n; return them sorted."""
+    """Validate distinct points of 1..n, n an int in 1..10**4300 - 1; return them sorted."""
+    _check_size(n)
     pts = tuple(points)
     for p in pts:
         if type(p) is not int or not 1 <= p <= n:
@@ -62,14 +63,6 @@ def sorted_points(n: int, points) -> tuple[int, ...]:
         if a == b:
             raise DomainError(f"point {a} repeats")
     return tuple(pts)
-
-
-def _check_size(n: int) -> None:
-    """Refuse an ambient size that is not an int in 1..10**4300 - 1."""
-    if type(n) is not int or n < 1:
-        raise DomainError(f"ambient size must be a positive int, got {_shown(n)}")
-    if n >= _SIZE_LIMIT:
-        raise DomainError(f"ambient size {_shown(n)} has more than 4300 digits")
 
 
 @dataclass(frozen=True, order=True)
@@ -207,12 +200,12 @@ class PartialPerm:
 def identity(n: int) -> PartialPerm:
     """The identity on all of 1..n."""
     _check_size(n)
-    return PartialPerm(n, tuple((i, i) for i in range(1, n + 1)))
+    return PartialPerm._trusted(n, tuple((i, i) for i in range(1, n + 1)))
 
 
 def identity_on(n: int, points) -> PartialPerm:
     """The partial identity defined exactly on the given points."""
-    return PartialPerm(n, tuple((p, p) for p in sorted_points(n, points)))
+    return PartialPerm._trusted(n, tuple((p, p) for p in sorted_points(n, points)))
 
 
 def identity_off(n: int, skip: int) -> PartialPerm:
@@ -224,7 +217,7 @@ def identity_off(n: int, skip: int) -> PartialPerm:
     _check_size(n)
     if type(skip) is not int or not 1 <= skip <= n:
         raise DomainError(f"point {_shown(skip)} is outside 1..{_shown(n)}")
-    return PartialPerm(n, tuple((i, i) for i in range(1, n + 1) if i != skip))
+    return PartialPerm._trusted(n, tuple((i, i) for i in range(1, n + 1) if i != skip))
 
 
 def empty_map(n: int) -> PartialPerm:

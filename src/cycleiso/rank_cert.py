@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import DomainError, NotGeneratingError
+from .errors import DomainError, NotGeneratingError, _check_cycle
 from .partial_perm import PartialPerm, identity
 from .dihedral import check_kind, in_kind
 from .engine import close
@@ -67,8 +67,9 @@ def gap_requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
     """Rank-2 coverage every generating set needs: for each gap size i up
     to (n - 1) // 2, some rank-2 generator with domain gap exactly i and
     one with gap exactly n - i; orientation-preserving sets may cover the
-    pair {i, n - i} with a single generator."""
+    pair {i, n - i} with a single generator.  n is an int in 3..10**4300 - 1."""
     check_kind(kind)
+    _check_cycle(n)
     m = (n - 1) // 2
     rank2 = [p for p in elements if p.rank == 2]
     if kind == "opdi":

@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .partial_perm import classify_order
 from .geometry import (
     delta,
@@ -295,6 +295,6 @@ def run_criterion(number: int, top: int | None = None) -> CriterionResult:
 
 def run_acceptance(top: int | None = None) -> list[CriterionResult]:
     """Run every criterion, optionally capping the n-ranges at ``top``."""
-    if top is not None and top < 3:
-        raise DomainError(f"the acceptance suite needs max-n >= 3, got {top}")
+    if top is not None and (type(top) is not int or top < 3):
+        raise DomainError(f"the acceptance suite needs max-n >= 3, got {_shown(top)}")
     return [run_criterion(num, top) for num, _, _ in CRITERIA]

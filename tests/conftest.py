@@ -1,8 +1,38 @@
-"""Shared strategies: random partial permutations on small cycles."""
+"""Shared strategies: random partial permutations on small cycles; and a
+capped child process for calls that must not run in the test process."""
+
+import os
+import subprocess
+import sys
 
 from hypothesis import strategies as st
 
+import cycleiso
 from cycleiso import PartialPerm
+
+_CAP = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+"""
+
+
+def capped_child_lines(code: str) -> list[str]:
+    """Run ``code`` in a child with its address space capped at 400 MB and
+    a 60 s timeout; return its stdout lines.  The package and the tests
+    directory are importable there.  A call that tries to build something
+    enormous fails in the child, which prints a traceback instead of the
+    lines a test expects, and never exhausts this process's memory."""
+    src = os.path.dirname(os.path.dirname(cycleiso.__file__))
+    path = os.pathsep.join([src, os.path.dirname(__file__)])
+    child = subprocess.run(
+        [sys.executable, "-c", _CAP + code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.splitlines()
 
 
 def perm_on(n: int):

@@ -5,7 +5,8 @@ Run with -s to see the one-line PASS/FAIL report per criterion.
 
 import pytest
 
-from cycleiso.verify import CRITERIA, run_criterion
+from cycleiso import DomainError
+from cycleiso.verify import CRITERIA, run_acceptance, run_criterion
 
 
 @pytest.mark.parametrize(
@@ -17,3 +18,9 @@ def test_acceptance_criterion(number, name):
     status = "PASS" if result.passed else "FAIL"
     print(f"criterion {number:>2} {status} {name} ({result.seconds:.2f}s): {result.detail}")
     assert result.passed, f"criterion {number} ({name}): {result.detail}"
+
+
+@pytest.mark.parametrize("top", [2, "3", 3.0, True], ids=["2", "str", "float", "bool"])
+def test_run_acceptance_refuses_a_cap_that_is_not_an_int_of_at_least_3(top):
+    with pytest.raises(DomainError, match="the acceptance suite needs max-n >= 3"):
+        run_acceptance(top)

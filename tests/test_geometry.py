@@ -16,13 +16,16 @@ from cycleiso import (
     delta,
     distance,
     distance_sequence,
+    gap_requirements,
+    generator,
     is_partial_isometry,
     is_partial_isometry_fast,
+    rank_formula,
     standard_generators,
 )
 from cycleiso.brute_force import all_partial_perms, orientation_preserving_bijections
 
-from conftest import perms
+from conftest import capped_child_lines, perms
 
 
 class _Five(int):
@@ -35,6 +38,9 @@ _SIZE_CHECKS = {
     "standard_generators": lambda n: standard_generators("odi", n),
     "distance": lambda n: distance(n, 1, 2),
     "DihedralElement": lambda n: DihedralElement(n, 0, 0),
+    "rank_formula": lambda n: rank_formula("odi", n),
+    "generator": lambda n: generator(n, "e1"),
+    "gap_requirements": lambda n: gap_requirements("odi", n, ()),
 }
 
 
@@ -45,6 +51,26 @@ _SIZE_CHECKS = {
 def test_every_cycle_size_check_refuses_the_same_values(caller, n):
     with pytest.raises(DomainError, match="the cycle graph needs n >= 3"):
         _SIZE_CHECKS[caller](n)
+
+
+_TOO_LONG_IN_A_CAPPED_CHILD = """
+from cycleiso import DomainError
+from test_geometry import _SIZE_CHECKS
+for name, call in sorted(_SIZE_CHECKS.items()):
+    try:
+        call(10**4300)
+    except DomainError as err:
+        print(name, err)
+"""
+
+
+def test_every_cycle_size_check_refuses_sizes_too_long_to_print():
+    # card and standard_generators would build values of 10**4300 bits or
+    # entries if the check let the size through, so the calls run in a
+    # capped child, never in this process
+    lines = capped_child_lines(_TOO_LONG_IN_A_CAPPED_CHILD)
+    message = "ambient size <int of 14285 bits> has more than 4300 digits"
+    assert lines == [f"{name} {message}" for name in sorted(_SIZE_CHECKS)]
 
 
 def test_distance_values():

@@ -1,28 +1,27 @@
-import os
-import subprocess
-import sys
-
 import pytest
-from hypothesis import given
-
-import cycleiso
+from hypothesis import given, strategies as st
 
 from cycleiso import (
+    KINDS,
     AmbientMismatchError,
+    DihedralElement,
     DomainError,
     NotInjectiveError,
     OrderFlags,
     ParseError,
     PartialPerm,
     classify_order,
+    delta,
     empty_map,
     identity,
     identity_off,
     identity_on,
     sorted_points,
+    standard_generators,
+    to_partial_perm,
 )
 
-from conftest import perm_pairs, perm_triples, perms
+from conftest import capped_child_lines, perm_pairs, perm_triples, perms
 
 
 def test_parse_str_round_trip():
@@ -157,10 +156,25 @@ def test_inverse_reverses_products(ab):
     assert (a * b).inverse() == b.inverse() * a.inverse()
 
 
-@given(perm_pairs())
-def test_unvalidated_results_pass_validation(ab):
+@given(perm_pairs(), st.data())
+def test_unvalidated_results_pass_validation(ab, data):
     a, b = ab
-    for p in (a * b, a.inverse(), a.restrict(b.domain)):
+    n = a.n
+    sigma = DihedralElement(n, data.draw(st.integers(0, 1)), data.draw(st.integers(0, n - 1)))
+    built = [a * b, a.inverse(), a.restrict(b.domain)]
+    built += [identity(n), identity_on(n, a.domain), delta(n, a.domain, a.image)]
+    built += [identity_off(n, x) for x in range(1, n + 1)]
+    built.append(to_partial_perm(sigma, a.domain))
+    built += [p for kind in KINDS + ("di",) for p in standard_generators(kind, n).elements]
+    # points in any order and with repeats: the factories must sort them,
+    # and refuse the repeats
+    points = data.draw(st.lists(st.integers(1, n), max_size=n))
+    for build in (lambda: identity_on(n, points), lambda: to_partial_perm(sigma, points)):
+        try:
+            built.append(build())
+        except DomainError:
+            assert len(set(points)) < len(points)
+    for p in built:
         assert PartialPerm(p.n, p.pairs) == p
 
 
@@ -235,12 +249,17 @@ def test_identity_factories():
         identity_off(4, 5)
 
 
-_IDENTITIES_IN_A_CAPPED_CHILD = """
-import resource
-resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
-from cycleiso import DomainError, PartialPerm, identity, identity_off
+_SIZE_CHECKS_IN_A_CAPPED_CHILD = """
+from cycleiso import DomainError, PartialPerm, close, identity, identity_off, identity_on, sorted_points
 for n in (10**4300, 10**5000, 0, -1, "5", 4.0, None):
-    for call in (lambda: PartialPerm(n, ()), lambda: identity(n), lambda: identity_off(n, 1)):
+    for call in (
+        lambda: PartialPerm(n, ()),
+        lambda: identity(n),
+        lambda: identity_off(n, 1),
+        lambda: identity_on(n, [1]),
+        lambda: sorted_points(n, [1]),
+        lambda: close(n, []),
+    ):
         try:
             call()
         except DomainError as err:
@@ -249,21 +268,14 @@ for n in (10**4300, 10**5000, 0, -1, "5", 4.0, None):
 
 
 def test_identity_factories_check_the_size_before_building():
-    # a factory that built its pairs first would try to materialise
-    # 10**4300 of them, so the calls run in a child process with its
-    # address space capped and a timeout, never in this one
-    src = os.path.dirname(os.path.dirname(cycleiso.__file__))
-    child = subprocess.run(
-        [sys.executable, "-c", _IDENTITIES_IN_A_CAPPED_CHILD],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    lines = child.stdout.splitlines()
-    assert len(lines) == 21, child.stderr
-    # each size: PartialPerm's refusal, then identity's and identity_off's
-    assert lines[1::3] == lines[0::3] and lines[2::3] == lines[0::3]
+    # a call that built from its size first would try to materialise
+    # 10**4300 points, so the calls run in a capped child, never in this
+    # process
+    lines = capped_child_lines(_SIZE_CHECKS_IN_A_CAPPED_CHILD)
+    assert len(lines) == 42
+    # each size: PartialPerm's refusal, then the same from the five others
+    for k in range(1, 6):
+        assert lines[k::6] == lines[0::6]
 
 
 @pytest.mark.parametrize("skip", ["a", True, 2.0, 0])
