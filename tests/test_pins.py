@@ -35,6 +35,11 @@ element, taken from ``classify``: the extensions as text joined by commas
 elements are every partial permutation, so maps that are not isometries
 are covered; above that they are the partial isometries.  Elements are in
 the order their generator yields them.
+
+``SURFACE_PIN`` is the sha256 of the package's public surface: one
+``<name> <module> <qualname>`` line per entry of ``cycleiso.__all__``,
+sorted, with ``repr(value)`` in place of module and qualname for the
+constants, which have no qualname.
 """
 
 import gzip
@@ -43,6 +48,7 @@ from itertools import combinations
 
 import pytest
 
+import cycleiso
 from cycleiso import (
     KINDS,
     DihedralElement,
@@ -314,6 +320,8 @@ EXTENSION_PINS = {
     10: "0519b19c41d33e8b3e84875564a6bcf87d7932b87ec25b2d632757884be84cfd",
 }
 
+SURFACE_PIN = "33dfb4403ec8f6ebe236b59d4b79856ff5671dd45f32634e76a62bb7f3fe3982"
+
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -399,3 +407,25 @@ def test_classify_extensions_match_pin(n):
         flags = " ".join(str(int(f)) for f in (r.in_di, r.in_odi, r.in_mdi, r.in_opdi))
         lines.append(f"{p} {exts} {flags}\n")
     assert _sha("".join(lines).encode()) == EXTENSION_PINS[n]
+
+
+def _surface_line(name: str) -> str:
+    value = getattr(cycleiso, name)
+    qualname = getattr(value, "__qualname__", None)
+    if qualname is None:
+        return f"{name} {value!r}"
+    return f"{name} {value.__module__} {qualname}"
+
+
+def test_package_surface_matches_pin():
+    assert len(cycleiso.__all__) == len(set(cycleiso.__all__)) == 65
+    listing = "".join(line + "\n" for line in sorted(map(_surface_line, cycleiso.__all__)))
+    assert _sha(listing.encode()) == SURFACE_PIN
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from cycleiso import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == set(cycleiso.__all__)
+    assert all(namespace[name] is getattr(cycleiso, name) for name in namespace)
