@@ -1,6 +1,18 @@
 """Exception types shared across the package, the size checks every public
 entry makes first, and the rendering of offending values in their messages."""
 
+__all__ = [
+    "CycleIsoError",
+    "AmbientMismatchError",
+    "DomainError",
+    "NotInjectiveError",
+    "ParseError",
+    "UndefinedSequenceError",
+    "MembershipError",
+    "NotInverseClosedError",
+    "NotGeneratingError",
+]
+
 # int() prints and reads at most 4300 digits, so sizes from here on could
 # be neither printed nor parsed back
 _SIZE_LIMIT = 10**4300

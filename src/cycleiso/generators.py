@@ -23,6 +23,7 @@ from .partial_perm import PartialPerm, identity, identity_off
 from .dihedral import DihedralElement, check_kind, to_partial_perm
 
 __all__ = [
+    "EMPTY_WORD_TEXT",
     "GeneratorSet",
     "generator",
     "standard_generators",

@@ -39,7 +39,7 @@ from .brute_force import (
     random_oriented,
 )
 
-__all__ = ["CriterionResult", "CRITERIA", "run_acceptance", "WORD_LENGTH_FACTOR"]
+__all__ = ["CriterionResult", "run_acceptance"]
 
 # regression guard for criterion 10: factorization words stay below this
 # many letters per cycle vertex
