@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 
+from .errors import _check_size
 from .partial_perm import PartialPerm, classify_order
 from .dihedral import DihedralElement, all_elements, check_kind, to_partial_perm
 from .engine import EnumeratedMonoid
@@ -29,6 +30,7 @@ __all__ = [
 
 def all_partial_perms(n: int):
     """Every injective partial self-map of 1..n, one at a time."""
+    _check_size(n)
     points = range(1, n + 1)
     for k in range(n + 1):
         for dom in combinations(points, k):
@@ -36,7 +38,7 @@ def all_partial_perms(n: int):
                 yield PartialPerm(n, tuple(zip(dom, img)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def dihedral_restrictions(n: int) -> tuple[PartialPerm, ...]:
     """All partial isometries: every symmetry cut to every subset, deduped."""
     seen = set()
@@ -61,7 +63,7 @@ _PREDICATES = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def kind_elements(kind: str, n: int) -> tuple[PartialPerm, ...]:
     """The element set of one of the four monoids, from the definition."""
     check_kind(kind, allow_di=True)

@@ -126,6 +126,7 @@ class DihedralElement:
 
 def all_elements(n: int):
     """All 2n symmetries, rotations first, in canonical (j, k) order."""
+    _check_cycle(n)
     for j in (0, 1):
         for k in range(n):
             yield DihedralElement(n, j, k)

@@ -151,6 +151,14 @@ def test_greens_json(capsys):
     assert sum(s * c for s, c in payload["histogram"]) == 77
 
 
+@pytest.mark.parametrize("argv", [("greens", "odi", "0"), ("greens", "di", "-1", "--json")])
+def test_greens_rejects_sizes_below_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the cycle graph needs n >= 3, got {argv[2]}\n"
+
+
 def test_classify_key_value_lines(capsys):
     code, out, _ = run(capsys, "classify", "n=5;2>1,4>3,5>4")
     assert code == 0

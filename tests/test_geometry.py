@@ -10,6 +10,7 @@ from cycleiso import (
     DomainError,
     PartialPerm,
     UndefinedSequenceError,
+    all_elements,
     b2_count,
     card,
     classify_order,
@@ -23,7 +24,11 @@ from cycleiso import (
     rank_formula,
     standard_generators,
 )
-from cycleiso.brute_force import all_partial_perms, orientation_preserving_bijections
+from cycleiso.brute_force import (
+    all_partial_perms,
+    kind_elements,
+    orientation_preserving_bijections,
+)
 
 from conftest import capped_child_lines, perms
 
@@ -41,6 +46,8 @@ _SIZE_CHECKS = {
     "rank_formula": lambda n: rank_formula("odi", n),
     "generator": lambda n: generator(n, "e1"),
     "gap_requirements": lambda n: gap_requirements("odi", n, ()),
+    "all_elements": lambda n: list(all_elements(n)),
+    "kind_elements": lambda n: kind_elements("odi", n),
 }
 
 

@@ -251,6 +251,7 @@ def test_identity_factories():
 
 _SIZE_CHECKS_IN_A_CAPPED_CHILD = """
 from cycleiso import DomainError, PartialPerm, close, identity, identity_off, identity_on, sorted_points
+from cycleiso.brute_force import all_partial_perms
 for n in (10**4300, 10**5000, 0, -1, "5", 4.0, None):
     for call in (
         lambda: PartialPerm(n, ()),
@@ -259,6 +260,7 @@ for n in (10**4300, 10**5000, 0, -1, "5", 4.0, None):
         lambda: identity_on(n, [1]),
         lambda: sorted_points(n, [1]),
         lambda: close(n, []),
+        lambda: next(all_partial_perms(n)),
     ):
         try:
             call()
@@ -272,10 +274,10 @@ def test_identity_factories_check_the_size_before_building():
     # 10**4300 points, so the calls run in a capped child, never in this
     # process
     lines = capped_child_lines(_SIZE_CHECKS_IN_A_CAPPED_CHILD)
-    assert len(lines) == 42
-    # each size: PartialPerm's refusal, then the same from the five others
-    for k in range(1, 6):
-        assert lines[k::6] == lines[0::6]
+    assert len(lines) == 49
+    # each size: PartialPerm's refusal, then the same from the six others
+    for k in range(1, 7):
+        assert lines[k::7] == lines[0::7]
 
 
 @pytest.mark.parametrize("skip", ["a", True, 2.0, 0])

@@ -113,6 +113,11 @@ def test_exhaustive_rank_refuses_larger_cycles():
         brute_force_rank("odi", 4)
 
 
+def test_exhaustive_rank_refuses_a_size_that_is_not_an_int():
+    with pytest.raises(DomainError, match="the cycle graph needs n >= 3, got 3.0"):
+        brute_force_rank("odi", 3.0)
+
+
 def test_gap_requirement_descriptions_and_witnesses():
     gens = standard_generators("odi", 7)
     reqs = gap_requirements("odi", 7, gens.elements)
