@@ -239,9 +239,7 @@ def idempotents(m: EnumeratedMonoid) -> tuple[PartialPerm, ...]:
 def _render_line(p: PartialPerm, fmt: str) -> str:
     if fmt == "txt":
         return str(p)
-    if fmt == "jsonl":
-        return json.dumps(p.to_json(), separators=(",", ":"))
-    raise ParseError(f"unknown format {_shown(fmt)}; expected txt or jsonl")
+    return json.dumps(p.to_json(), separators=(",", ":"))
 
 
 def export_bytes(m: EnumeratedMonoid, fmt: str = "txt", compress: bool = False) -> bytes:
@@ -250,6 +248,8 @@ def export_bytes(m: EnumeratedMonoid, fmt: str = "txt", compress: bool = False) 
     Deterministic: fixed input gives byte-identical output, gzip included
     (no timestamps in the header).
     """
+    if fmt not in ("txt", "jsonl"):
+        raise ParseError(f"unknown format {_shown(fmt)}; expected txt or jsonl")
     raw = "".join(_render_line(p, fmt) + "\n" for p in m.elements).encode()
     if not compress:
         return raw

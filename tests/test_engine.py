@@ -355,8 +355,13 @@ def test_export_formats(tmp_path):
     parsed = [json.loads(line) for line in jsonl.decode().splitlines()]
     assert parsed[0] == {"n": 3, "map": []}
     assert len(parsed) == 20
-    with pytest.raises(ParseError):
-        export_bytes(m, "xml")
+    unknown = "unknown format 'xml'; expected txt or jsonl"
+    for elements in (m, EnumeratedMonoid(5, [])):
+        with pytest.raises(ParseError, match=unknown):
+            export_bytes(elements, "xml")
+        with pytest.raises(ParseError, match=unknown):
+            export_elements(elements, tmp_path / "dump.xml", "xml")
+        assert not (tmp_path / "dump.xml").exists()
 
 
 def test_export_gzip_is_deterministic():
