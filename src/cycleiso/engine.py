@@ -133,10 +133,12 @@ class GreenDecomposition:
 
 
 def _grouped(elements, key) -> tuple[tuple[PartialPerm, ...], ...]:
+    # elements come in canonical order, so each group is built sorted and
+    # the groups arrive ordered by their least member
     groups = defaultdict(list)
     for p in elements:
         groups[key(p)].append(p)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    return tuple(map(tuple, groups.values()))
 
 
 def green_structural(m: EnumeratedMonoid) -> GreenDecomposition:
