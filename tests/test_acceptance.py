@@ -5,7 +5,7 @@ Run with -s to see the one-line PASS/FAIL report per criterion.
 
 import pytest
 
-from cycleiso import DomainError
+from cycleiso import DomainError, verify
 from cycleiso.verify import CRITERIA, run_acceptance, run_criterion
 
 
@@ -24,3 +24,13 @@ def test_acceptance_criterion(number, name):
 def test_run_acceptance_refuses_a_cap_that_is_not_an_int_of_at_least_3(top):
     with pytest.raises(DomainError, match="the acceptance suite needs max-n >= 3"):
         run_acceptance(top)
+
+
+def test_a_criterion_that_raises_fails_with_the_exception_as_detail(monkeypatch):
+    def crash(top):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(verify, "CRITERIA", ((1, "crash", crash),) + CRITERIA[1:])
+    result = run_criterion(1)
+    assert not result.passed
+    assert result.detail == "raised ZeroDivisionError('division by zero')"

@@ -310,6 +310,18 @@ def test_structural_and_metric_green_agree(kind, n):
     assert report.counterexample is None
 
 
+def test_cross_check_names_a_witness_when_the_partitions_differ():
+    # odi's J key describes D only inside ODI_5, not on all of DI_5
+    m = kind_monoid("di", 5)
+    report = cross_check_green(m, "odi")
+    assert not report.passed
+    assert (report.d_class_count, report.j_class_count) == (8, 15)
+    p, q = report.counterexample
+    (d_class,) = [c for c in green_structural(m).d_classes if p in c]
+    (j_class,) = [c for c in j_partition(m, "odi") if p in c]
+    assert (q in d_class) != (q in j_class)
+
+
 def test_j_class_counts_per_rank_at_n4():
     from collections import Counter
 
