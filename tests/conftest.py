@@ -35,6 +35,10 @@ def capped_child_lines(code: str) -> list[str]:
     return child.stdout.splitlines()
 
 
+class Five(int):
+    """An int subclass, equal to 5 and hashed like it, but refused like bool."""
+
+
 def perm_on(n: int):
     """Strategy for one partial permutation of 1..n."""
 

@@ -15,6 +15,8 @@ from cycleiso.brute_force import (
     random_oriented,
 )
 
+from conftest import Five
+
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_kind_element_counts_match_the_formulas(n):
@@ -22,13 +24,9 @@ def test_kind_element_counts_match_the_formulas(n):
         assert len(kind_elements(kind, n)) == card(kind, n)
 
 
-class _Five(int):
-    """An int subclass, equal to 5 and hashed like it."""
-
-
-@pytest.mark.parametrize("n", [5.0, True, _Five(5)], ids=["5.0", "True", "int-subclass"])
+@pytest.mark.parametrize("n", [5.0, True, Five(5)], ids=["5.0", "True", "int-subclass"])
 def test_kind_elements_refuses_a_size_that_equals_a_cached_one(n):
-    # an untyped cache would answer 5.0 or _Five(5) with the entry for 5
+    # an untyped cache would answer 5.0 or Five(5) with the entry for 5
     assert len(kind_elements("odi", 5)) == 104
     with pytest.raises(DomainError, match="the cycle graph needs n >= 3"):
         kind_elements("odi", n)

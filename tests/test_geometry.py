@@ -30,11 +30,7 @@ from cycleiso.brute_force import (
     orientation_preserving_bijections,
 )
 
-from conftest import capped_child_lines, perms
-
-
-class _Five(int):
-    """An int subclass, refused like bool."""
+from conftest import Five, capped_child_lines, perms
 
 
 _SIZE_CHECKS = {
@@ -53,7 +49,7 @@ _SIZE_CHECKS = {
 
 @pytest.mark.parametrize("caller", sorted(_SIZE_CHECKS))
 @pytest.mark.parametrize(
-    "n", [2, -1, True, 5.0, "5", _Five(5)], ids=["2", "-1", "True", "5.0", "str", "int-subclass"]
+    "n", [2, -1, True, 5.0, "5", Five(5)], ids=["2", "-1", "True", "5.0", "str", "int-subclass"]
 )
 def test_every_cycle_size_check_refuses_the_same_values(caller, n):
     with pytest.raises(DomainError, match="the cycle graph needs n >= 3"):
