@@ -40,10 +40,20 @@ the order their generator yields them.
 ``<name> <module> <qualname>`` line per entry of ``cycleiso.__all__``,
 sorted, with ``repr(value)`` in place of module and qualname for the
 constants, which have no qualname.
+
+``CLI_PIN`` is the sha256 of one ``<argv> <exit code> <stdout> <stderr>
+<file>`` line per row of ``_CLI_ARGVS``, each field as ``repr``, where
+``<file>`` is what ``--out`` wrote (decompressed when gzipped), or
+``None``.  Timings (``(0.00s)``, ``"seconds": 0.0``) and the temporary
+directory are masked, and a usage error that argparse reports keeps only
+its exit code and the word ``usage``, since its text wraps with the
+terminal and varies across Python versions.  ``verify`` runs at
+``--max-n 7``, the smallest cap at which every criterion runs.
 """
 
 import gzip
 import hashlib
+import re
 from itertools import combinations
 
 import pytest
@@ -69,6 +79,7 @@ from cycleiso.brute_force import (
     kind_elements,
     kind_monoid,
 )
+from cycleiso.cli import main
 
 PINS = {
     ("odi", 3): (
@@ -429,3 +440,81 @@ def test_star_import_binds_exactly_the_public_names():
     del namespace["__builtins__"]
     assert set(namespace) == set(cycleiso.__all__)
     assert all(namespace[name] is getattr(cycleiso, name) for name in namespace)
+
+
+_SIZES = range(3, 7)
+_ELEMENTS = [
+    "n=3;2>3",
+    "n=4;1>2,3>4",
+    "n=4;1>2,2>1",
+    "n=5;",
+    "n=5;2>4",
+    "n=5;1>2,2>3",
+    "n=5;2>1,4>3,5>4",
+    "n=5;1>5,2>4,3>3,4>2,5>1",
+    "n=5;1>1,2>2,3>5",
+    "n=6;1>4,4>1",
+    "n=6;1>6,3>4",
+    "n=6;1>2,4>5",
+]
+_CLI_ARGVS = (
+    [["card", k, str(n), *e, *j] for k in KINDS for n in _SIZES
+     for e in ([], ["--enumerate"]) for j in ([], ["--json"])]
+    + [["rank", k, str(n), *c, *j] for k in KINDS for n in _SIZES
+       for c in ([], ["--certify"]) for j in ([], ["--json"])]
+    + [["gens", k, str(n), *j] for k in KINDS + ("di",) for n in _SIZES
+       for j in ([], ["--json"])]
+    + [["greens", k, str(n), "--relation", r, *j] for k in KINDS + ("di",)
+       for n in _SIZES for r in "JLRH" for j in ([], ["--json"])]
+    + [["enumerate", k, str(n), *f] for k in KINDS + ("di",) for n in _SIZES
+       for f in ([], ["--format", "jsonl"], ["--out", "{out}/file"],
+                 ["--out", "{out}/file", "--format", "jsonl", "--gzip", "--workers", "2"])]
+    + [[c, e, *j] for c in ("classify", "extensions") for e in _ELEMENTS
+       for j in ([], ["--json"])]
+    + [["factorize", k, e, *j] for k in KINDS for e in _ELEMENTS
+       for j in ([], ["--json"])]
+    + [["verify", "--max-n", "7", *j] for j in ([], ["--json"])]
+    # refusals: sizes below 3, a size too long to print, bad element text,
+    # an unknown format, no workers, an unwritable path, argparse's own
+    + [[c, "odi", "2", *j] for c in ("card", "rank", "gens", "greens", "enumerate")
+       for j in ([], ["--json"]) if not (c == "enumerate" and j)]
+    + [["card", "odi", "20000", *j] for j in ([], ["--json"])]
+    + [[*c, e, *j] for c in (["classify"], ["extensions"], ["factorize", "odi"])
+       for e in ("garbage", "n=5;1>2,1>3", "n=2;", "n=5;6>1") for j in ([], ["--json"])]
+    + [
+        ["enumerate", "odi", "4", "--format", "xml"],
+        ["enumerate", "odi", "4", "--workers", "0"],
+        ["enumerate", "odi", "4", "--out", "{out}/missing/file"],
+        ["enumerate", "odi", "4", "--json"],
+        ["verify", "--max-n", "2"],
+        ["verify", "--max-n", "2", "--json"],
+        ["card", "di", "4"],
+        ["greens", "odi", "4", "--relation", "D"],
+        [],
+    ]
+)
+
+CLI_PIN = "785bc58e7a139a7318a63d19cd65043c6c96e2ac3a16b19ae9c01be96ef0e1f0"
+
+
+def _cli_record(argv, out_dir, capsysbinary) -> str:
+    argv = [arg.format(out=out_dir) for arg in argv]
+    code = main(argv)
+    stdout, stderr = capsysbinary.readouterr()
+    stdout = re.sub(rb"\(\d+\.\d\ds\)", b"(T)", stdout)
+    stdout = re.sub(rb'"seconds": [^,}]+', b'"seconds": T', stdout)
+    if code == 2 and stderr.startswith(b"usage:"):
+        stderr = b"usage"
+    written = out_dir / "file"
+    data = None
+    if written.exists():
+        data = written.read_bytes()
+        if data[:2] == b"\x1f\x8b":
+            data = gzip.decompress(data)
+        written.unlink()
+    return f"{argv!r} {code} {stdout!r} {stderr!r} {data!r}\n".replace(str(out_dir), "{out}")
+
+
+def test_cli_outputs_match_pin(tmp_path, capsysbinary):
+    listing = "".join(_cli_record(argv, tmp_path, capsysbinary) for argv in _CLI_ARGVS)
+    assert _sha(listing.encode()) == CLI_PIN
