@@ -34,3 +34,16 @@ def test_a_criterion_that_raises_fails_with_the_exception_as_detail(monkeypatch)
     result = run_criterion(1)
     assert not result.passed
     assert result.detail == "raised ZeroDivisionError('division by zero')"
+
+
+def test_a_capped_determinism_check_runs_at_the_cap(monkeypatch):
+    sizes, real_close = [], verify.close
+
+    def close(n, gens, **kwargs):
+        sizes.append(n)
+        return real_close(n, gens, **kwargs)
+
+    monkeypatch.setattr(verify, "close", close)
+    result = run_criterion(12, 4)
+    assert result.passed and sizes == [4, 4]
+    assert result.detail == run_criterion(12).detail

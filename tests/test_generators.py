@@ -88,6 +88,13 @@ def test_word_evaluation():
     assert odi.evaluate(["x"] * 5) == PartialPerm.parse("n=5;")
 
 
+@pytest.mark.parametrize("word", ["xy", "x", "", None, 7], ids=repr)
+def test_evaluate_refuses_text_and_non_sequences(word):
+    # text would otherwise be read letter by letter: "xy" as ("x", "y")
+    with pytest.raises(ParseError, match="parse_word"):
+        standard_generators("odi", 5).evaluate(word)
+
+
 def test_word_text_round_trip():
     assert word_text(()) == "ε"
     assert word_text(("y", "x1", "x", "x")) == "y x1 x x"
