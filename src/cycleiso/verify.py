@@ -243,10 +243,9 @@ def _check_monotone_identity(top):
 
 
 def _check_determinism(top):
-    if top is not None and top < 7:
-        return True, "skipped (needs n = 7)"
-    gens = standard_generators("odi", 7).elements
-    runs = [close(7, gens, workers=w) for w in (1, 4)]
+    n = 7 if top is None else min(7, top)
+    gens = standard_generators("odi", n).elements
+    runs = [close(n, gens, workers=w) for w in (1, 4)]
     if runs[0].elements != runs[1].elements or runs[0].words != runs[1].words:
         return False, "workers 1 and 4 disagree on elements or words"
     for fmt in ("txt", "jsonl"):
