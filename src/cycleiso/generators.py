@@ -16,6 +16,7 @@ identity; the empty word prints as "ε".
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DomainError, ParseError, _check_cycle, _shown
@@ -87,7 +88,16 @@ class GeneratorSet:
             ) from None
 
     def evaluate(self, word) -> PartialPerm:
-        """Compose the named generators left to right."""
+        """Compose the named generators left to right.
+
+        ``word`` is a sequence of names; text goes through ``parse_word``
+        first, since a string would read as one name per letter.
+        """
+        if isinstance(word, str) or not isinstance(word, Iterable):
+            raise ParseError(
+                f"a word is a sequence of generator names, got {_shown(word)}; "
+                "read text with parse_word"
+            )
         result = identity(self.n)
         for name in word:
             result = result * self.element(name)
