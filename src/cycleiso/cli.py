@@ -1,10 +1,14 @@
 """Command-line front end.
 
-Every subcommand is a thin wrapper over one library call plus
-formatting.  Exit codes: 0 success, 1 a verification ran and failed,
-2 invalid input (bad kind, n out of range, unparsable element,
-non-membership).  Structured output is available with --json and
-always carries schema_version.
+Every subcommand is a thin wrapper over one library call.  Its handler
+returns ``(exit code, payload, lines)`` and prints nothing; ``main``
+renders the result once, as the JSON object ``{"schema_version": 1,
+**payload}`` under --json and as the text lines otherwise.  The one
+exception is ``enumerate``, whose output is the export: it writes the
+bytes itself and returns its "wrote N elements" line, or no lines when
+the export goes to stdout.  Exit codes: 0 success, 1 a verification ran
+and failed, 2 invalid input (bad kind, n out of range, unparsable
+element, non-membership, an unwritable path).
 """
 
 from __future__ import annotations
@@ -30,56 +34,40 @@ SCHEMA_VERSION = 1
 
 _ALL_KINDS = KINDS + ("di",)
 
-
-def _emit_json(payload: dict) -> None:
-    print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}))
+_Output = tuple[int, dict, list[str]]
 
 
-def _cmd_card(args) -> int:
+def _cmd_card(args) -> _Output:
     # every formula exceeds 2^n, so from this n on it is too long to print
     # and is refused before it is computed
     too_long = args.n >= _SIZE_LIMIT.bit_length()
     formula = None if too_long else card(args.kind, args.n)
     if too_long or formula >= _SIZE_LIMIT:
         raise DomainError(f"card {args.kind} n={args.n} is too long to print")
+    payload = {"kind": args.kind, "n": args.n, "formula": formula}
     if not args.enumerate:
-        if args.json:
-            _emit_json({"kind": args.kind, "n": args.n, "formula": formula})
-        else:
-            print(f"formula={formula}")
-        return 0
+        return 0, payload, [f"formula={formula}"]
     enumerated = len(kind_elements(args.kind, args.n))
     match = formula == enumerated
-    if args.json:
-        _emit_json(
-            {
-                "kind": args.kind,
-                "n": args.n,
-                "formula": formula,
-                "enumerated": enumerated,
-                "match": match,
-            }
-        )
-    else:
-        print(f"formula={formula} enumerated={enumerated} {'PASS' if match else 'FAIL'}")
-    return 0 if match else 1
+    payload.update(enumerated=enumerated, match=match)
+    line = f"formula={formula} enumerated={enumerated} {'PASS' if match else 'FAIL'}"
+    return 0 if match else 1, payload, [line]
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> _Output:
     gens = standard_generators(args.kind, args.n)
     m = close(args.n, gens.elements, workers=args.workers)
     blob = export_bytes(m, fmt=args.format, compress=args.gzip)
     if args.out is None:
         sys.stdout.buffer.write(blob)
         sys.stdout.buffer.flush()
-    else:
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
-        print(f"wrote {m.size} elements to {args.out}")
-    return 0
+        return 0, {}, []
+    with open(args.out, "wb") as fh:
+        fh.write(blob)
+    return 0, {}, [f"wrote {m.size} elements to {args.out}"]
 
 
-def _cmd_greens(args) -> int:
+def _cmd_greens(args) -> _Output:
     m = kind_monoid(args.kind, args.n)
     dec = green_structural(m)
     classes = {
@@ -89,34 +77,25 @@ def _cmd_greens(args) -> int:
         "H": dec.h_classes,
     }[args.relation]
     histogram = sorted(Counter(len(c) for c in classes).items())
+    payload = {
+        "kind": args.kind,
+        "n": args.n,
+        "relation": args.relation,
+        "classes": len(classes),
+        "histogram": [[size, count] for size, count in histogram],
+    }
+    summary = f"kind={args.kind} n={args.n} relation={args.relation} classes={len(classes)}"
     # j_related is only defined inside the three classified submonoids
-    checked = args.relation == "J" and args.kind != "di"
     ok = True
-    if checked:
-        ok = cross_check_green(m, args.kind).passed
-    if args.json:
-        payload = {
-            "kind": args.kind,
-            "n": args.n,
-            "relation": args.relation,
-            "classes": len(classes),
-            "histogram": [[size, count] for size, count in histogram],
-        }
-        if checked:
-            payload["crosscheck"] = ok
-        _emit_json(payload)
-    else:
-        summary = f"kind={args.kind} n={args.n} relation={args.relation} classes={len(classes)}"
-        if checked:
-            summary += f" crosscheck={'PASS' if ok else 'FAIL'}"
-        print(summary)
-        print("class_size,num_classes")
-        for size, count in histogram:
-            print(f"{size},{count}")
-    return 0 if ok else 1
+    if args.relation == "J" and args.kind != "di":
+        ok = payload["crosscheck"] = cross_check_green(m, args.kind).passed
+        summary += f" crosscheck={'PASS' if ok else 'FAIL'}"
+    lines = [summary, "class_size,num_classes"]
+    lines += [f"{size},{count}" for size, count in histogram]
+    return 0 if ok else 1, payload, lines
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> _Output:
     p = PartialPerm.parse(args.element)
     report = classify(p)
     fields = {"element": str(p), "rank": p.rank}
@@ -124,76 +103,52 @@ def _cmd_classify(args) -> int:
         fields[name] = getattr(report, name)
     fields.update(asdict(classify_order(p)))
     fields["extensions"] = [str(s) for s in report.extensions]
-    if args.json:
-        _emit_json(fields)
-        return 0
+    lines = []
     for name, value in fields.items():
         if isinstance(value, bool):
             value = "true" if value else "false"
         elif isinstance(value, list):
             value = ",".join(value)
-        print(f"{name}={value}")
-    return 0
+        lines.append(f"{name}={value}")
+    return 0, fields, lines
 
 
-def _cmd_extensions(args) -> int:
+def _cmd_extensions(args) -> _Output:
     p = PartialPerm.parse(args.element)
     ext = [str(s) for s in extensions(p)]
-    if args.json:
-        _emit_json({"element": str(p), "extensions": ext})
-    else:
-        for text in ext:
-            print(text)
-    return 0
+    return 0, {"element": str(p), "extensions": ext}, ext
 
 
-def _cmd_factorize(args) -> int:
+def _cmd_factorize(args) -> _Output:
     p = PartialPerm.parse(args.element)
     word = factorize(p, args.kind)
     ok = standard_generators(args.kind, p.n).evaluate(word) == p
-    if args.json:
-        _emit_json(
-            {
-                "kind": args.kind,
-                "element": str(p),
-                "word": word_text(word),
-                "letters": len(word),
-                "roundtrip": ok,
-            }
-        )
-    else:
-        print(f"word={word_text(word)}")
-        print(f"roundtrip={'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
+    payload = {
+        "kind": args.kind,
+        "element": str(p),
+        "word": word_text(word),
+        "letters": len(word),
+        "roundtrip": ok,
+    }
+    lines = [f"word={word_text(word)}", f"roundtrip={'PASS' if ok else 'FAIL'}"]
+    return 0 if ok else 1, payload, lines
 
 
-def _cmd_gens(args) -> int:
+def _cmd_gens(args) -> _Output:
     gens = standard_generators(args.kind, args.n)
-    if args.json:
-        _emit_json(
-            {
-                "kind": args.kind,
-                "n": args.n,
-                "generators": [
-                    {"name": name, "element": str(p)} for name, p in gens
-                ],
-            }
-        )
-    else:
-        print("name,element")
-        for name, p in gens:
-            print(f"{name},{p}")
-    return 0
+    payload = {
+        "kind": args.kind,
+        "n": args.n,
+        "generators": [{"name": name, "element": str(p)} for name, p in gens],
+    }
+    return 0, payload, ["name,element"] + [f"{name},{p}" for name, p in gens]
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> _Output:
     value = rank_formula(args.kind, args.n)
+    payload = {"kind": args.kind, "n": args.n, "rank": value}
     if not args.certify:
-        if args.json:
-            _emit_json({"kind": args.kind, "n": args.n, "rank": value})
-        else:
-            print(f"rank={value}")
-        return 0
+        return 0, payload, [f"rank={value}"]
     if args.n == 3:
         # small enough to settle outright; the standard sets are not
         # minimal here, so the certificate route would never certify
@@ -214,50 +169,39 @@ def _cmd_rank(args) -> int:
             }
             for r in report.requirements
         ]
-    if args.json:
-        _emit_json(
-            {
-                "kind": args.kind,
-                "n": args.n,
-                "rank": value,
-                "certified": certified,
-                "requirements": requirements,
-            }
-        )
-    else:
-        print(f"rank={value} {'CERTIFIED' if certified else 'UNCERTIFIED'}")
-    return 0 if certified else 1
+    payload.update(certified=certified, requirements=requirements)
+    line = f"rank={value} {'CERTIFIED' if certified else 'UNCERTIFIED'}"
+    return 0 if certified else 1, payload, [line]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Output:
     results = run_acceptance(args.max_n)
-    if args.json:
-        _emit_json(
+    passed = all(r.passed for r in results)
+    payload = {
+        "max_n": args.max_n,
+        "passed": passed,
+        "criteria": [
             {
-                "max_n": args.max_n,
-                "passed": all(r.passed for r in results),
-                "criteria": [
-                    {
-                        "number": r.number,
-                        "name": r.name,
-                        "passed": r.passed,
-                        "seconds": round(r.seconds, 3),
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
+                "number": r.number,
+                "name": r.name,
+                "passed": r.passed,
+                "seconds": round(r.seconds, 3),
+                "detail": r.detail,
             }
-        )
+            for r in results
+        ],
+    }
+    lines = [
+        f"criterion {r.number:>2} {'PASS' if r.passed else 'FAIL'} {r.name} "
+        f"({r.seconds:.2f}s): {r.detail}"
+        for r in results
+    ]
+    failed = sum(not r.passed for r in results)
+    if failed:
+        lines.append(f"{failed} of {len(results)} criteria FAILED")
     else:
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"criterion {r.number:>2} {status} {r.name} ({r.seconds:.2f}s): {r.detail}")
-        failed = sum(1 for r in results if not r.passed)
-        if failed:
-            print(f"{failed} of {len(results)} criteria FAILED")
-        else:
-            print(f"all {len(results)} criteria passed")
-    return 0 if all(r.passed for r in results) else 1
+        lines.append(f"all {len(results)} criteria passed")
+    return 0 if passed else 1, payload, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -307,10 +251,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("rank", _cmd_rank, "minimum generating set size", kind=KINDS, n=True)
     p.add_argument("--certify", action="store_true", help="verify upper and lower bounds")
 
-    p = sub.add_parser("verify", help="run the acceptance suite")
+    p = add("verify", _cmd_verify, "run the acceptance suite")
     p.add_argument("--max-n", type=int, default=None, help="cap the n ranges (full run if omitted)")
-    p.add_argument("--json", action="store_true", help="structured output")
-    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
@@ -323,7 +265,14 @@ def main(argv=None) -> int:
         # argparse already printed usage; surface its code (2 on bad input)
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code, payload, lines = args.handler(args)
+        # enumerate has no --json: its output is the export itself
+        if getattr(args, "json", False):
+            print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (CycleIsoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
