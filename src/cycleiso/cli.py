@@ -85,8 +85,8 @@ def _cmd_greens(args) -> _Output:
         "histogram": [[size, count] for size, count in histogram],
     }
     summary = f"kind={args.kind} n={args.n} relation={args.relation} classes={len(classes)}"
-    # j_related is only defined inside the three classified submonoids
     ok = True
+    # j_related is only defined inside the three classified submonoids
     if args.relation == "J" and args.kind != "di":
         ok = payload["crosscheck"] = cross_check_green(m, args.kind).passed
         summary += f" crosscheck={'PASS' if ok else 'FAIL'}"
