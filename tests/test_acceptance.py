@@ -1,12 +1,29 @@
 """Acceptance gate: every criterion runs uncapped and must pass.
 
 Run with -s to see the one-line PASS/FAIL report per criterion.
+``UNCAPPED_DETAILS`` pins what each uncapped criterion reports it
+checked, so a change that quietly checks less shows up as a new detail.
 """
 
 import pytest
 
 from cycleiso import DomainError, verify
 from cycleiso.verify import CRITERIA, run_acceptance, run_criterion
+
+UNCAPPED_DETAILS = {
+    1: "formulas match enumeration for n in 3..10",
+    2: "set equality for n in [4, 5, 6, 7, 8]",
+    3: "2816 isometries have the predicted extension count",
+    4: "antipodal rank-2 scan matches n^2/2 on even n, 0 on odd",
+    5: "6208 exhaustive + 100002 random maps agree",
+    6: "all three laws hold on 4548 set pairs",
+    7: "D = J partitions agree; class counts [8, 7, 6, 15, 12, 8, 31, 22, 14, 62, 41, 20]",
+    8: "every single deletion strictly shrinks the closure",
+    9: "ranks certified for n in [3, 4, 5, 6, 7, 8, 9]",
+    10: "round-trip exact; longest word 27 letters at n=6 (4.50 per vertex, bound 8)",
+    11: "monotone = 2(order-preserving) - n^2 - 1, formulas and counts",
+    12: "workers 1 and 4 give byte-identical exports",
+}
 
 
 @pytest.mark.parametrize(
@@ -18,12 +35,19 @@ def test_acceptance_criterion(number, name):
     status = "PASS" if result.passed else "FAIL"
     print(f"criterion {number:>2} {status} {name} ({result.seconds:.2f}s): {result.detail}")
     assert result.passed, f"criterion {number} ({name}): {result.detail}"
+    assert result.detail == UNCAPPED_DETAILS[number]
 
 
 @pytest.mark.parametrize("top", [2, "3", 3.0, True], ids=["2", "str", "float", "bool"])
 def test_run_acceptance_refuses_a_cap_that_is_not_an_int_of_at_least_3(top):
     with pytest.raises(DomainError, match="the acceptance suite needs max-n >= 3"):
         run_acceptance(top)
+
+
+def test_run_acceptance_refuses_a_cap_of_3():
+    # eight criteria start at n = 4, so a cap of 3 would leave them empty
+    with pytest.raises(DomainError, match="the acceptance suite needs max-n >= "):
+        run_acceptance(3)
 
 
 def test_a_criterion_that_raises_fails_with_the_exception_as_detail(monkeypatch):

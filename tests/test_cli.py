@@ -318,9 +318,10 @@ def test_verify_json(capsys):
 
 
 def test_verify_rejects_tiny_cap(capsys):
-    code, _, err = run(capsys, "verify", "--max-n", "2")
-    assert code == 2
-    assert err.startswith("error:")
+    for cap in ("2", "3"):
+        code, _, err = run(capsys, "verify", "--max-n", cap)
+        assert code == 2
+        assert err.startswith("error:")
 
 
 _LONG = "1" * 5000
