@@ -252,7 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true", help="verify upper and lower bounds")
 
     p = add("verify", _cmd_verify, "run the acceptance suite")
-    p.add_argument("--max-n", type=int, default=None, help="cap the n ranges (full run if omitted)")
+    p.add_argument("--max-n", type=int, default=None,
+                   help="cap the n ranges, at least 4 (full run if omitted)")
 
     return parser
 
