@@ -22,7 +22,7 @@ UNCAPPED_DETAILS = {
     9: "ranks certified for n in [3, 4, 5, 6, 7, 8, 9]",
     10: "round-trip exact; longest word 27 letters at n=6 (4.50 per vertex, bound 8)",
     11: "monotone = 2(order-preserving) - n^2 - 1, formulas and counts",
-    12: "workers 1 and 4 give byte-identical exports",
+    12: "two runs give byte-identical exports",
 }
 
 
@@ -38,16 +38,13 @@ def test_acceptance_criterion(number, name):
     assert result.detail == UNCAPPED_DETAILS[number]
 
 
-@pytest.mark.parametrize("top", [2, "3", 3.0, True], ids=["2", "str", "float", "bool"])
-def test_run_acceptance_refuses_a_cap_that_is_not_an_int_of_at_least_3(top):
-    with pytest.raises(DomainError, match="the acceptance suite needs max-n >= 3"):
+# eight criteria start at n = 4, so a cap of 3 would leave them empty
+@pytest.mark.parametrize(
+    "top", [2, 3, "4", 4.0, True], ids=["2", "3", "str", "float", "bool"]
+)
+def test_run_acceptance_refuses_a_cap_that_is_not_an_int_of_at_least_4(top):
+    with pytest.raises(DomainError, match="the acceptance suite needs max-n >= 4"):
         run_acceptance(top)
-
-
-def test_run_acceptance_refuses_a_cap_of_3():
-    # eight criteria start at n = 4, so a cap of 3 would leave them empty
-    with pytest.raises(DomainError, match="the acceptance suite needs max-n >= "):
-        run_acceptance(3)
 
 
 def test_a_criterion_that_raises_fails_with_the_exception_as_detail(monkeypatch):

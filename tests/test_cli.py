@@ -309,7 +309,7 @@ def test_verify_quick_run(capsys):
 
 
 def test_verify_json(capsys):
-    code, out, _ = run(capsys, "verify", "--max-n", "3", "--json")
+    code, out, _ = run(capsys, "verify", "--max-n", "4", "--json")
     payload = json.loads(out)
     assert code == 0
     assert payload["passed"] is True
