@@ -10,7 +10,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cycleiso import card, factorize, import_elements, standard_generators
+from cycleiso import card, factorize, import_elements, standard_generators, verify
 from cycleiso.cli import main
 
 
@@ -315,6 +315,15 @@ def test_verify_json(capsys):
     assert payload["passed"] is True
     assert len(payload["criteria"]) == 12
     assert [c["number"] for c in payload["criteria"]] == list(range(1, 13))
+
+
+def test_verify_exits_1_when_a_criterion_fails(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "extensions", lambda p: ())
+    code, out, _ = run(capsys, "verify", "--max-n", "4")
+    lines = out.splitlines()
+    assert code == 1
+    assert [line[:17] for line in lines if " FAIL " in line] == ["criterion  3 FAIL"]
+    assert lines[-1] == "1 of 12 criteria FAILED"
 
 
 def test_verify_rejects_tiny_cap(capsys):
