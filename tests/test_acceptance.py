@@ -62,9 +62,9 @@ def test_a_criterion_that_raises_fails_with_the_exception_as_detail(monkeypatch)
 def test_a_capped_determinism_check_runs_at_the_cap(monkeypatch):
     sizes, real_close = [], verify.close
 
-    def close(n, gens, **kwargs):
+    def close(n, gens):
         sizes.append(n)
-        return real_close(n, gens, **kwargs)
+        return real_close(n, gens)
 
     monkeypatch.setattr(verify, "close", close)
     result = run_criterion(12, 4)
