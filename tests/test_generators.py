@@ -1,9 +1,12 @@
 """Named generators, standard sets, and word text."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cycleiso import (
+    AmbientMismatchError,
     DomainError,
+    GeneratorSet,
     ParseError,
     PartialPerm,
     classify,
@@ -95,6 +98,38 @@ def test_evaluate_refuses_text_and_non_sequences(word):
         standard_generators("odi", 5).evaluate(word)
 
 
+@st.composite
+def _set_and_word(draw):
+    gens = standard_generators(draw(st.sampled_from(("odi", "mdi", "opdi", "di"))),
+                               draw(st.integers(3, 12)))
+    word = draw(st.lists(st.sampled_from(gens.names), max_size=3 * gens.n))
+    return gens, word
+
+
+@given(_set_and_word())
+def test_evaluate_is_the_left_to_right_product(case):
+    gens, word = case
+    expected = identity(gens.n)
+    for name in word:
+        expected = expected * gens.element(name)
+    assert gens.evaluate(word) == expected
+
+
+@pytest.mark.parametrize("word", [[["g"]], [None], ["z"], ["x", 1]], ids=repr)
+def test_evaluate_refuses_names_outside_the_set(word):
+    with pytest.raises(ParseError, match="not in the odi generating set"):
+        standard_generators("odi", 5).evaluate(word)
+
+
+def test_evaluate_refuses_a_letter_on_another_cycle_only_when_used():
+    gens = GeneratorSet("odi", 5, ("x", "g"), (generator(5, "x"), generator(7, "g")))
+    assert gens.evaluate(["x", "x"]) == generator(5, "x") * generator(5, "x")
+    assert gens.evaluate([]) == identity(5)
+    for word in (["g"], ["x", "g"], ["g", "x"]):
+        with pytest.raises(AmbientMismatchError):
+            gens.evaluate(word)
+
+
 def test_word_text_round_trip():
     assert word_text(()) == "ε"
     assert word_text(("y", "x1", "x", "x")) == "y x1 x x"
@@ -118,3 +153,17 @@ def test_standard_generators_validation():
         standard_generators("odi", 2)
     with pytest.raises(DomainError):
         standard_generators("nope", 5)
+
+
+@pytest.mark.parametrize(
+    "kind,n", [(["odi"], 5), ("odi", [5]), ("odi", 2), ("odi", True)], ids=repr
+)
+def test_standard_generators_refuses_unhashable_and_bad_arguments(kind, n):
+    # validated before any cache lookup could hash the arguments
+    with pytest.raises(DomainError):
+        standard_generators(kind, n)
+
+
+def test_standard_generators_repeat_calls_agree():
+    for kind in ("odi", "mdi", "opdi", "di"):
+        assert standard_generators(kind, 7) == standard_generators(kind, 7)
