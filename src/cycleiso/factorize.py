@@ -18,7 +18,7 @@ from __future__ import annotations
 from .errors import MembershipError
 from .partial_perm import PartialPerm, classify_order
 from .dihedral import DihedralElement, check_kind, classify, extensions
-from .generators import generator
+from .generators import standard_generators
 
 __all__ = ["factorize"]
 
@@ -105,7 +105,7 @@ def _mdi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
         return _to_monotone_alphabet(n, _odi_word(p, sigma))
     # p is order-reversing of rank >= 2; peeling the reflection off the
     # right leaves an order-preserving member
-    q = p * generator(n, "h")
+    q = p * standard_generators("mdi", n).element("h")
     return _to_monotone_alphabet(n, _odi_word(q, extensions(q)[0])) + ["h"]
 
 

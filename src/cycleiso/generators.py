@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .errors import DomainError, ParseError, _check_cycle, _shown
 from .partial_perm import PartialPerm, identity, identity_off
@@ -87,6 +89,16 @@ class GeneratorSet:
                 f"name {_shown(name)} is not in the {self.kind} generating set"
             ) from None
 
+    @cached_property
+    def _images(self) -> dict[str, tuple[int, ...]]:
+        """Each letter on this n as an image array: entry x is the image
+        of x, or 0 where x is undefined (the encoding ``engine.close`` uses)."""
+        table: dict[str, tuple[int, ...]] = {}
+        for name, p in self:
+            if isinstance(name, str) and isinstance(p, PartialPerm) and p.n == self.n:
+                table.setdefault(name, _image_array(p))
+        return table
+
     def evaluate(self, word) -> PartialPerm:
         """Compose the named generators left to right.
 
@@ -98,10 +110,23 @@ class GeneratorSet:
                 f"a word is a sequence of generator names, got {_shown(word)}; "
                 "read text with parse_word"
             )
-        result = identity(self.n)
+        img = _image_array(identity(self.n))
+        images = self._images
         for name in word:
-            result = result * self.element(name)
-        return result
+            try:
+                step = images[name]
+            except (KeyError, TypeError):
+                # the letter-by-letter product raises what this name merits
+                step = _image_array(identity(self.n) * self.element(name))
+            img = itemgetter(*img)(step)
+        return PartialPerm._trusted(self.n, tuple((x, y) for x, y in enumerate(img) if y))
+
+
+def _image_array(p: PartialPerm) -> tuple[int, ...]:
+    img = [0] * (p.n + 1)
+    for a, b in p.pairs:
+        img[a] = b
+    return tuple(img)
 
 
 def standard_generators(kind: str, n: int) -> GeneratorSet:
@@ -116,6 +141,13 @@ def standard_generators(kind: str, n: int) -> GeneratorSet:
     """
     check_kind(kind, allow_di=True)
     _check_cycle(n)
+    return _standard_set(kind, n)
+
+
+@lru_cache(maxsize=64)
+def _standard_set(kind: str, n: int) -> GeneratorSet:
+    """``standard_generators`` once its arguments are known good; the set
+    is immutable, so each (kind, n) is built once and shared."""
     m = (n - 1) // 2
     if kind == "odi":
         names = ["x", "y"]
