@@ -41,7 +41,7 @@ __all__ = [
 # order-preserving, monotone, and orientation-preserving.
 KINDS = ("odi", "mdi", "opdi")
 
-_DIHEDRAL_TEXT = re.compile(r"(h\*)?g\^(\d+)")
+_DIHEDRAL_TEXT = re.compile(r"(h\*)?g\^(\d+)", re.ASCII)
 
 
 def check_kind(kind: str, allow_di: bool = False) -> None:

@@ -36,7 +36,7 @@ __all__ = [
 
 EMPTY_WORD_TEXT = "ε"
 
-_NAME = re.compile(r"[ghxy]|[exy][1-9]\d*")
+_NAME = re.compile(r"[ghxy]|[exy][1-9]\d*", re.ASCII)
 
 
 def generator(n: int, name: str) -> PartialPerm:

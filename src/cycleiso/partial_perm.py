@@ -47,7 +47,7 @@ __all__ = [
 
 
 _TEXT = re.compile(
-    r"n=([1-9]\d*);((?:[1-9]\d*>[1-9]\d*)(?:,[1-9]\d*>[1-9]\d*)*)?"
+    r"n=([1-9]\d*);((?:[1-9]\d*>[1-9]\d*)(?:,[1-9]\d*>[1-9]\d*)*)?", re.ASCII
 )
 
 

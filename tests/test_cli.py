@@ -197,6 +197,13 @@ def test_overlong_numerals_are_invalid_input(capsys, argv):
     assert err.startswith("error:")
 
 
+def test_non_ascii_digits_are_invalid_input(capsys):
+    code, out, err = run(capsys, "classify", "n=1\u0660;1>1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_extensions_lists_symmetries(capsys):
     code, out, _ = run(capsys, "extensions", "n=5;2>4")
     assert code == 0

@@ -59,6 +59,8 @@ def test_normal_form_strings():
         # more digits than int() reads from text
         pytest.param("g^" + "1" * 5000, id="rotation-of-5000-digits"),
         pytest.param("h*g^" + "1" * 5000, id="reflection-of-5000-digits"),
+        # int() reads any Unicode decimal digit; the text form is ASCII
+        pytest.param("g^\u0663", id="arabic-indic-three"),
     ],
 )
 def test_parse_rejects_other_spellings(text):

@@ -141,6 +141,18 @@ def test_word_text_round_trip():
         assert parse_word(word_text(word)) == word
 
 
+@pytest.mark.parametrize(
+    "name", ["e1\u0660", "x\u0661", "y1\uff10"], ids=["arabic-indic-zero", "arabic-indic-one", "fullwidth-zero"]
+)
+def test_names_take_ascii_digits_only(name):
+    # int() reads any Unicode decimal digit, so e1\u0660 would build e10
+    # under a name no generating set lists
+    with pytest.raises(ParseError):
+        generator(30, name)
+    with pytest.raises(ParseError):
+        parse_word(f"{name} g")
+
+
 def test_word_parsing_rejects_junk():
     with pytest.raises(ParseError):
         parse_word("x q")

@@ -47,6 +47,9 @@ def test_parse_tolerates_surrounding_space():
         # more digits than int() reads from text
         pytest.param("n=" + "1" * 5000 + ";", id="n-of-5000-digits"),
         pytest.param("n=5;" + "1" * 5000 + ">1", id="point-of-5000-digits"),
+        # int() reads any Unicode decimal digit; the text form is ASCII
+        pytest.param("n=1\u0660;1>1", id="arabic-indic-zero-in-n"),
+        pytest.param("n=3\uff10;2>1\uff10", id="fullwidth-zeros"),
     ],
 )
 def test_parse_rejects_malformed_text(text):
