@@ -91,8 +91,7 @@ class GeneratorSet:
 
     @cached_property
     def _images(self) -> dict[str, tuple[int, ...]]:
-        """Each letter on this n as an image array: entry x is the image
-        of x, or 0 where x is undefined (the encoding ``engine.close`` uses)."""
+        """The image array of each letter on this n, built once per set."""
         table: dict[str, tuple[int, ...]] = {}
         for name, p in self:
             if isinstance(name, str) and isinstance(p, PartialPerm) and p.n == self.n:
@@ -123,10 +122,9 @@ class GeneratorSet:
 
 
 def _image_array(p: PartialPerm) -> tuple[int, ...]:
-    img = [0] * (p.n + 1)
-    for a, b in p.pairs:
-        img[a] = b
-    return tuple(img)
+    """Entry x is the image of x, or 0 where x is undefined, as in ``engine.close``."""
+    images = dict(p.pairs)
+    return tuple(images.get(x, 0) for x in range(p.n + 1))
 
 
 def standard_generators(kind: str, n: int) -> GeneratorSet:
@@ -144,10 +142,8 @@ def standard_generators(kind: str, n: int) -> GeneratorSet:
     return _standard_set(kind, n)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # after validation, so bad arguments never get hashed
 def _standard_set(kind: str, n: int) -> GeneratorSet:
-    """``standard_generators`` once its arguments are known good; the set
-    is immutable, so each (kind, n) is built once and shared."""
     m = (n - 1) // 2
     if kind == "odi":
         names = ["x", "y"]
