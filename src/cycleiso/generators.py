@@ -123,8 +123,10 @@ class GeneratorSet:
 
 def _image_array(p: PartialPerm) -> tuple[int, ...]:
     """Entry x is the image of x, or 0 where x is undefined, as in ``engine.close``."""
-    images = dict(p.pairs)
-    return tuple(images.get(x, 0) for x in range(p.n + 1))
+    img = [0] * (p.n + 1)
+    for a, b in p.pairs:
+        img[a] = b
+    return tuple(img)
 
 
 def standard_generators(kind: str, n: int) -> GeneratorSet:
