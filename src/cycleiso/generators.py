@@ -91,7 +91,9 @@ class GeneratorSet:
 
     @cached_property
     def _images(self) -> dict[str, tuple[int, ...]]:
-        """The image array of each letter on this n, built once per set."""
+        """The image array of each letter on this n, built once per set.
+        A letter left out, such as one on another n, takes ``evaluate``'s
+        slow path, which refuses it only when a word uses it."""
         table: dict[str, tuple[int, ...]] = {}
         for name, p in self:
             if isinstance(name, str) and isinstance(p, PartialPerm) and p.n == self.n:
@@ -137,7 +139,8 @@ def standard_generators(kind: str, n: int) -> GeneratorSet:
     half the partial identities for the reflection; the orientation-
     preserving one needs only the rotation, one partial identity, and the
     straddles.  For n = 3 the same construction applies but is larger
-    than the true rank.
+    than the true rank.  Each (kind, n) set is built once and shared,
+    which is safe because sets and their elements are immutable.
     """
     check_kind(kind, allow_di=True)
     _check_cycle(n)
