@@ -204,6 +204,13 @@ def _cmd_verify(args) -> _Output:
     return 0 if passed else 1, payload, lines
 
 
+def _ascii_int(text: str) -> int:
+    """An int argument in ASCII digits; int() alone also reads "٥", "5_0", "+5" and " 6"."""
+    if not (text.removeprefix("-").isdigit() and text.isascii()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cycleiso",
@@ -216,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if kind is not None:
             p.add_argument("kind", choices=kind)
         if n:
-            p.add_argument("n", type=int)
+            p.add_argument("n", type=_ascii_int)
         if element:
             p.add_argument("element", help="element text, e.g. 'n=5;2>1,4>3,5>4'")
         p.add_argument("--json", action="store_true", help="structured output")
@@ -228,16 +235,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="write the full element list")
     p.add_argument("kind", choices=_ALL_KINDS)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_ascii_int)
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=("txt", "jsonl"), default="txt")
     p.add_argument("--gzip", action="store_true")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="positive int; the closure is serial, so neither work nor output depends on it",
-    )
+    p.add_argument("--workers", type=_ascii_int, default=1, help="positive int; the closure "
+                   "is serial, so neither work nor output depends on it")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = add("greens", _cmd_greens, "Green's relation class counts", kind=_ALL_KINDS, n=True)
@@ -252,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true", help="verify upper and lower bounds")
 
     p = add("verify", _cmd_verify, "run the acceptance suite")
-    p.add_argument("--max-n", type=int, default=None,
+    p.add_argument("--max-n", type=_ascii_int, default=None,
                    help="cap the n ranges, at least 4 (full run if omitted)")
 
     return parser

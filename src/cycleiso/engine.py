@@ -24,7 +24,7 @@ from .errors import (
     _check_size,
     _shown,
 )
-from .partial_perm import PartialPerm, identity
+from .partial_perm import PartialPerm, _image_array, _image_pairs, identity
 from .geometry import distance_sequence
 from .dihedral import check_kind
 
@@ -42,8 +42,6 @@ __all__ = [
     "export_elements",
     "import_elements",
 ]
-
-_defined = itemgetter(1)
 
 
 class EnumeratedMonoid:
@@ -83,12 +81,12 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     """Smallest composition-closed set containing the identity and the
     generators, via right-multiplication breadth-first search.
 
-    The search runs on image arrays: tuples whose entry x is the image of
-    x, 0 where undefined, so ``p * g`` is ``itemgetter(*p)(g)``.  Each layer
-    is visited in canonical order, each element against the generators in
-    index order, and the first word found (shortest layer, then generator
-    index) is kept, so generator duplication changes nothing.  ``n`` must be
-    an int in 1..10**4300 - 1, ``workers`` a positive int; the search is serial.
+    The search runs on the image arrays of ``partial_perm._image_array``,
+    so ``p * g`` is ``itemgetter(*p)(g)``.  Each layer is visited in
+    canonical order, each element against the generators in index order,
+    and the first word found (shortest layer, then generator index) is
+    kept, so generator duplication changes nothing.  ``n`` must be an int
+    in 1..10**4300 - 1, ``workers`` a positive int; the search is serial.
     """
     _check_size(n)
     gens = tuple(generators)
@@ -97,10 +95,10 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
             raise AmbientMismatchError(f"generator {g} does not live on n={n}")
     if type(workers) is not int or workers < 1:
         raise DomainError(f"workers must be a positive int, got {_shown(workers)}")
-    gen_images = [tuple(dict(g.pairs).get(x, 0) for x in range(n + 1)) for g in gens]
-    start = tuple(range(n + 1))
+    gen_images = [_image_array(g) for g in gens]
+    start = _image_array(identity(n))
     words = {start: ()}
-    frontier = [(identity(n).pairs, start)]
+    frontier = [(_image_pairs(start), start)]
     elements = {}
     while frontier:
         frontier.sort()
@@ -112,8 +110,7 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
                 prod = image_of(g)
                 if prod not in words:
                     words[prod] = word + (gi,)
-                    # the pairs are the defined (point, image) entries
-                    next_frontier.append((tuple(filter(_defined, enumerate(prod))), prod))
+                    next_frontier.append((_image_pairs(prod), prod))
         frontier = next_frontier
     return EnumeratedMonoid(n, elements, gens, elements)
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
 
-from .errors import DomainError, ParseError, _check_cycle, _shown
-from .partial_perm import PartialPerm, identity, identity_off
+from .errors import AmbientMismatchError, DomainError, ParseError, _check_cycle, _shown
+from .partial_perm import PartialPerm, _image_array, _image_pairs, identity, identity_off
 from .dihedral import DihedralElement, check_kind, to_partial_perm
 
 __all__ = [
@@ -68,12 +68,28 @@ def generator(n: int, name: str) -> PartialPerm:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """An ordered list of named generators sharing one ambient size."""
+    """An ordered list of named generators on one cycle, checked when built."""
 
     kind: str
     n: int
     names: tuple[str, ...]
     elements: tuple[PartialPerm, ...]
+
+    def __post_init__(self) -> None:
+        check_kind(self.kind, allow_di=True)
+        _check_cycle(self.n)
+        if not (type(self.names) is type(self.elements) is tuple
+                and len(self.names) == len(self.elements)):
+            raise DomainError("names and elements must be tuples of one length")
+        seen = set()
+        for name, p in self:
+            if not isinstance(name, str) or not _NAME.fullmatch(name) or name in seen:
+                raise ParseError(f"bad or repeated generator name {_shown(name)}")
+            seen.add(name)
+            if not isinstance(p, PartialPerm):
+                raise DomainError(f"generator {name} is not a PartialPerm: {_shown(p)}")
+            if p.n != self.n:
+                raise AmbientMismatchError(f"generator {name}={p} does not live on n={self.n}")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -85,20 +101,14 @@ class GeneratorSet:
         try:
             return self.elements[self.names.index(name)]
         except ValueError:
-            raise ParseError(
-                f"name {_shown(name)} is not in the {self.kind} generating set"
-            ) from None
+            raise self._not_in_set(name) from None
+
+    def _not_in_set(self, name) -> ParseError:
+        return ParseError(f"name {_shown(name)} is not in the {self.kind} generating set")
 
     @cached_property
     def _images(self) -> dict[str, tuple[int, ...]]:
-        """The image array of each letter on this n, built once per set.
-        A letter left out, such as one on another n, takes ``evaluate``'s
-        slow path, which refuses it only when a word uses it."""
-        table: dict[str, tuple[int, ...]] = {}
-        for name, p in self:
-            if isinstance(name, str) and isinstance(p, PartialPerm) and p.n == self.n:
-                table.setdefault(name, _image_array(p))
-        return table
+        return {name: _image_array(p) for name, p in self}
 
     def evaluate(self, word) -> PartialPerm:
         """Compose the named generators left to right.
@@ -116,19 +126,10 @@ class GeneratorSet:
         for name in word:
             try:
                 step = images[name]
-            except (KeyError, TypeError):
-                # the letter-by-letter product raises what this name merits
-                step = _image_array(identity(self.n) * self.element(name))
+            except (KeyError, TypeError):  # an unknown or unhashable name
+                raise self._not_in_set(name) from None
             img = itemgetter(*img)(step)
-        return PartialPerm._trusted(self.n, tuple((x, y) for x, y in enumerate(img) if y))
-
-
-def _image_array(p: PartialPerm) -> tuple[int, ...]:
-    """Entry x is the image of x, or 0 where x is undefined, as in ``engine.close``."""
-    img = [0] * (p.n + 1)
-    for a, b in p.pairs:
-        img[a] = b
-    return tuple(img)
+        return PartialPerm._trusted(self.n, _image_pairs(img))
 
 
 def standard_generators(kind: str, n: int) -> GeneratorSet:

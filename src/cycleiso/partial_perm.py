@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import (
     AmbientMismatchError,
@@ -195,6 +196,19 @@ class PartialPerm:
 
     def __str__(self) -> str:
         return f"n={self.n};" + ",".join(f"{a}>{b}" for a, b in self.pairs)
+
+
+def _image_array(p: PartialPerm) -> tuple[int, ...]:
+    """Entry x is the image of x, 0 where undefined; ``_image_pairs`` reads it back."""
+    img = [0] * (p.n + 1)
+    for a, b in p.pairs:
+        img[a] = b
+    return tuple(img)
+
+
+def _image_pairs(img) -> tuple[tuple[int, int], ...]:
+    """The pairs of the map an image array holds: its defined entries."""
+    return tuple(filter(itemgetter(1), enumerate(img)))
 
 
 def identity(n: int) -> PartialPerm:

@@ -204,6 +204,32 @@ def test_non_ascii_digits_are_invalid_input(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("card", "odi", "\u0665"),
+        ("card", "odi", "5_0"),
+        ("card", "odi", "\uff11\uff10"),
+        ("card", "odi", "+5"),
+        ("card", "odi", " 6"),
+        ("gens", "opdi", "\u0665"),
+        ("rank", "mdi", "5_0"),
+        ("greens", "odi", "+4"),
+        ("enumerate", "odi", "\u0665"),
+        ("enumerate", "odi", "5", "--workers", "\u0662"),
+        ("verify", "--max-n", "\u0664"),
+    ],
+    ids=repr,
+)
+def test_sizes_take_ascii_digits_only(capsys, argv):
+    # int() alone reads any Unicode decimal digit, underscores, a plus
+    # sign and surrounding space: card odi \u0665 used to print formula=104
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage:" in err
+
+
 def test_extensions_lists_symmetries(capsys):
     code, out, _ = run(capsys, "extensions", "n=5;2>4")
     assert code == 0

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from cycleiso import (
     AmbientMismatchError,
+    DihedralElement,
     DomainError,
     GeneratorSet,
     ParseError,
@@ -121,13 +122,32 @@ def test_evaluate_refuses_names_outside_the_set(word):
         standard_generators("odi", 5).evaluate(word)
 
 
-def test_evaluate_refuses_a_letter_on_another_cycle_only_when_used():
-    gens = GeneratorSet("odi", 5, ("x", "g"), (generator(5, "x"), generator(7, "g")))
-    assert gens.evaluate(["x", "x"]) == generator(5, "x") * generator(5, "x")
-    assert gens.evaluate([]) == identity(5)
-    for word in (["g"], ["x", "g"], ["g", "x"]):
-        with pytest.raises(AmbientMismatchError):
-            gens.evaluate(word)
+_X5 = generator(5, "x")
+
+
+@pytest.mark.parametrize(
+    "kind,n,names,elements,error",
+    [
+        ("odi", 5, ("x", "g"), (_X5, generator(7, "g")), AmbientMismatchError),
+        ("odi", 5, ("x",), (DihedralElement.rotation(5, 1),), DomainError),
+        ("odi", 5, ("x", "y"), (_X5,), DomainError),
+        ("odi", 5, ("x", "x"), (_X5, _X5), ParseError),
+        ("odi", 5, ("z",), (_X5,), ParseError),
+        ("odi", 5, (1,), (_X5,), ParseError),
+        ("xdi", 5, ("x",), (_X5,), DomainError),
+        ("odi", 2, ("x",), (_X5,), DomainError),
+        ("odi", 5, ["x"], [_X5], DomainError),
+    ],
+    ids=[
+        "element-on-another-n", "dihedral-element", "more-names-than-elements",
+        "repeated-name", "unknown-name", "non-str-name", "unknown-kind", "cycle-too-small",
+        "lists",
+    ],
+)
+def test_generator_set_refuses_malformed_contents(kind, n, names, elements, error):
+    # refused when built, so no word can reach a letter that is not in the set
+    with pytest.raises(error):
+        GeneratorSet(kind, n, names, elements)
 
 
 def test_word_text_round_trip():

@@ -1,3 +1,5 @@
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,8 @@ from cycleiso import (
     standard_generators,
     to_partial_perm,
 )
+from cycleiso.brute_force import all_partial_perms
+from cycleiso.partial_perm import _image_array, _image_pairs
 
 from conftest import capped_child_lines, perm_pairs, perm_triples, perms
 
@@ -157,6 +161,21 @@ def test_inverse_laws(p):
 def test_inverse_reverses_products(ab):
     a, b = ab
     assert (a * b).inverse() == b.inverse() * a.inverse()
+
+
+def test_image_array_codec_round_trips_every_small_map():
+    for n in range(1, 5):
+        for p in all_partial_perms(n):
+            img = _image_array(p)
+            assert len(img) == n + 1 and img[0] == 0
+            assert _image_pairs(img) == p.pairs
+
+
+@given(perm_pairs(min_n=3, max_n=12))
+def test_image_array_product_is_the_composition(ab):
+    # the fast product of engine.close and GeneratorSet.evaluate
+    a, b = ab
+    assert _image_pairs(itemgetter(*_image_array(a))(_image_array(b))) == (a * b).pairs
 
 
 @given(perm_pairs(), st.data())
