@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 
-from .errors import _SIZE_LIMIT, CycleIsoError, DomainError
+from .errors import _SIZE_LIMIT, CycleIsoError, DomainError, _shown
 from .partial_perm import PartialPerm, classify_order
 from .dihedral import KINDS, classify, extensions
 from .engine import close, cross_check_green, export_bytes, green_structural
@@ -55,6 +55,15 @@ def _cmd_card(args) -> _Output:
 
 
 def _cmd_enumerate(args) -> _Output:
+    # di has no formula, but opdi is a submonoid of it, so its count is a
+    # lower bound; every formula exceeds 2^n, so past card's print limit
+    # the count is over any --max-elements and is not computed
+    too_long = args.n >= _SIZE_LIMIT.bit_length()
+    size = None if too_long else card("opdi" if args.kind == "di" else args.kind, args.n)
+    if too_long or size > args.max_elements:
+        shown = f"more than 2^{args.n}" if too_long else _shown(size)
+        raise DomainError(f"enumerate {args.kind} {args.n} would build {shown} elements "
+                          f"(limit {args.max_elements}); pass --max-elements to raise it")
     gens = standard_generators(args.kind, args.n)
     m = close(args.n, gens.elements, workers=args.workers)
     blob = export_bytes(m, fmt=args.format, compress=args.gzip)
@@ -241,6 +250,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gzip", action="store_true")
     p.add_argument("--workers", type=_ascii_int, default=1, help="positive int; the closure "
                    "is serial, so neither work nor output depends on it")
+    p.add_argument("--max-elements", type=_ascii_int, default=10**6, help="refuse a monoid "
+                   "larger than this, counted from its formula before any work (default 10^6)")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = add("greens", _cmd_greens, "Green's relation class counts", kind=_ALL_KINDS, n=True)

@@ -7,13 +7,14 @@ deterministic element-set serialization.
 
 from __future__ import annotations
 
+import gc
 import gzip
 import io
 import json
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, methodcaller
 from pathlib import Path
 
 from .errors import (
@@ -24,7 +25,8 @@ from .errors import (
     _check_size,
     _shown,
 )
-from .partial_perm import PartialPerm, _image_array, _image_pairs, identity
+from .partial_perm import PartialPerm, identity
+from .partial_perm import _byte_pairs, _byte_table, _image_array, _image_bytes, _image_pairs
 from .geometry import distance_sequence
 from .dihedral import check_kind
 
@@ -54,13 +56,14 @@ class EnumeratedMonoid:
     """
 
     def __init__(self, n, elements, generators=(), words=None):
+        elements = tuple(elements)
+        stray = [p for p in elements if p.n != n]
+        if stray:
+            raise AmbientMismatchError(f"element {min(stray)} does not live on n={n}")
         self.n = n
-        self.elements = tuple(sorted(elements, key=attrgetter("n", "pairs")))
+        self.elements = tuple(sorted(elements, key=attrgetter("pairs")))
         self.generators = tuple(generators)
         self.words = dict(words) if words else {}
-        for p in self.elements:
-            if p.n != n:
-                raise AmbientMismatchError(f"element {p} does not live on n={n}")
         self._members = frozenset(self.elements)
 
     @property
@@ -81,12 +84,13 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     """Smallest composition-closed set containing the identity and the
     generators, via right-multiplication breadth-first search.
 
-    The search runs on the image arrays of ``partial_perm._image_array``,
-    so ``p * g`` is ``itemgetter(*p)(g)``.  Each layer is visited in
-    canonical order, each element against the generators in index order,
-    and the first word found (shortest layer, then generator index) is
-    kept, so generator duplication changes nothing.  ``n`` must be an int
-    in 1..10**4300 - 1, ``workers`` a positive int; the search is serial.
+    It runs on the byte images of ``partial_perm._image_bytes`` for n <= 254, where
+    ``p * g`` is one ``bytes.translate``, and on image arrays above.  Each layer is
+    visited in canonical order, each element against the generators in index order,
+    and the first word found (shortest layer, then generator index) is kept, so
+    generator duplication changes nothing.  The search makes no reference cycles, so
+    the cyclic collector is paused for it.  ``n`` must be an int in 1..10**4300 - 1,
+    ``workers`` a positive int; the search is serial.
     """
     _check_size(n)
     gens = tuple(generators)
@@ -95,24 +99,34 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
             raise AmbientMismatchError(f"generator {g} does not live on n={n}")
     if type(workers) is not int or workers < 1:
         raise DomainError(f"workers must be a positive int, got {_shown(workers)}")
-    gen_images = [_image_array(g) for g in gens]
-    start = _image_array(identity(n))
-    words = {start: ()}
-    frontier = [(_image_pairs(start), start)]
-    elements = {}
-    while frontier:
-        frontier.sort()
-        next_frontier = []
-        for pairs, img in frontier:
-            word = elements[PartialPerm._trusted(n, pairs)] = words[img]
-            image_of = itemgetter(*img)
-            for gi, g in enumerate(gen_images):
-                prod = image_of(g)
-                if prod not in words:
-                    words[prod] = word + (gi,)
-                    next_frontier.append((_image_pairs(prod), prod))
-        frontier = next_frontier
-    return EnumeratedMonoid(n, elements, gens, elements)
+    if n <= 254:
+        encode, table, decode = _image_bytes, _byte_table, _byte_pairs
+        mul, key = bytes.translate, methodcaller("rstrip", b"\xff")
+    else:
+        encode, table, decode = _image_array, _image_array, _image_pairs
+        mul, key = lambda img, t: itemgetter(*img)(t), _image_pairs
+    tables = [table(g) for g in gens]
+    layer = [encode(identity(n))]
+    words = {layer[0]: ()}
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        while layer:
+            layer.sort(key=key)
+            fresh = []
+            for img in layer:
+                word = words[img]
+                for gi, t in enumerate(tables):
+                    prod = mul(img, t)
+                    if prod not in words:
+                        words[prod] = word + (gi,)
+                        fresh.append(prod)
+            layer = fresh
+        elements = {PartialPerm._trusted(n, decode(x)): words[x] for x in sorted(words, key=key)}
+        return EnumeratedMonoid(n, elements, gens, elements)
+    finally:
+        if gc_was_on:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -235,10 +249,15 @@ def idempotents(m: EnumeratedMonoid) -> tuple[PartialPerm, ...]:
     return tuple(p for p in m.elements if p * p == p)
 
 
-def _render_line(p: PartialPerm, fmt: str) -> str:
+def _lines(n: int, elements, fmt: str) -> list[str]:
+    """Each element's ``str`` or compact ``to_json()``, from one text per distinct pair."""
+    present = {pair for p in elements for pair in p.pairs}
     if fmt == "txt":
-        return str(p)
-    return json.dumps(p.to_json(), separators=(",", ":"))
+        cell, head, tail = "{}>{}", f"n={n};", "\n"
+    else:
+        cell, head, tail = "[{},{}]", f'{{"n":{n},"map":[', "]}\n"
+    cells = {pair: cell.format(*pair) for pair in present}
+    return [head + ",".join(map(cells.__getitem__, p.pairs)) + tail for p in elements]
 
 
 def export_bytes(m: EnumeratedMonoid, fmt: str = "txt", compress: bool = False) -> bytes:
@@ -249,7 +268,7 @@ def export_bytes(m: EnumeratedMonoid, fmt: str = "txt", compress: bool = False) 
     """
     if fmt not in ("txt", "jsonl"):
         raise ParseError(f"unknown format {_shown(fmt)}; expected txt or jsonl")
-    raw = "".join(_render_line(p, fmt) + "\n" for p in m.elements).encode()
+    raw = "".join(_lines(m.n, m.elements, fmt)).encode()
     if not compress:
         return raw
     buf = io.BytesIO()
@@ -290,7 +309,7 @@ def import_elements(path) -> EnumeratedMonoid:
             p = PartialPerm.from_json(obj)
         else:
             p = PartialPerm.parse(line)
-        if _render_line(p, fmt) != line:
+        if _lines(p.n, (p,), fmt) != [line + "\n"]:
             raise ParseError(f"line {num}: not in canonical form")
         if p in seen:
             raise ParseError(f"line {num}: duplicate element {p}")

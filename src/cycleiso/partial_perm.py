@@ -211,6 +211,27 @@ def _image_pairs(img) -> tuple[tuple[int, int], ...]:
     return tuple(filter(itemgetter(1), enumerate(img)))
 
 
+def _image_bytes(p: PartialPerm) -> bytes:
+    """Byte i is the image of point i + 1, 0xFF where undefined (so n <= 254).
+
+    Stripped of trailing 0xFF, maps on one n sort bytewise as their pairs do.  At the
+    first point x where a and b differ, say a is defined, with the smaller image if b is
+    too.  If b has a pair from x on, a sorts first both ways: its pair at x precedes b's
+    next one and its byte is below b's.  If not, b's pairs and bytes are prefixes of a's.
+    """
+    return bytes(map(dict(p.pairs).get, range(1, p.n + 1), [0xFF] * p.n))
+
+
+def _byte_table(p: PartialPerm) -> bytes:
+    """The table that makes ``_image_bytes(a).translate`` give ``_image_bytes(a * p)``."""
+    return b"\xff" + _image_bytes(p).ljust(255, b"\xff")
+
+
+def _byte_pairs(img: bytes) -> tuple[tuple[int, int], ...]:
+    """The pairs of the map a byte image holds: its entries other than 0xFF."""
+    return tuple(filter(itemgetter(1), enumerate(img.replace(b"\xff", b"\x00"), 1)))
+
+
 def identity(n: int) -> PartialPerm:
     """The identity on all of 1..n."""
     _check_size(n)

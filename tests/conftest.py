@@ -4,6 +4,7 @@ capped child process for calls that must not run in the test process."""
 import os
 import subprocess
 import sys
+from operator import itemgetter
 
 from hypothesis import strategies as st
 
@@ -51,6 +52,16 @@ def perm_on(n: int):
         st.permutations(list(range(1, n + 1))),
         st.integers(0, n),
     ).map(build)
+
+
+def sparse_perm_on(n: int, max_pairs: int = 6):
+    """Strategy for a partial permutation of 1..n with at most ``max_pairs``
+    pairs, n itself drawn as a point as often as all the others together."""
+    point = st.integers(1, n) | st.just(n)
+    pairs = st.lists(
+        st.tuples(point, point), max_size=max_pairs, unique_by=(itemgetter(0), itemgetter(1))
+    )
+    return pairs.map(lambda pairs: PartialPerm.from_map(n, pairs))
 
 
 @st.composite

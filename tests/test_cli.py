@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from cycleiso import card, factorize, import_elements, standard_generators, verify
 from cycleiso.cli import main
 
+from conftest import capped_child_lines
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -120,6 +122,60 @@ def test_enumerate_rejects_nonpositive_workers(capsys, workers):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and workers in err
+
+
+_REFUSALS_IN_A_CAPPED_CHILD = """
+import contextlib, io
+from cycleiso.cli import main
+for argv in {argvs!r}:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    print(code, err.getvalue(), end="")
+"""
+
+
+def test_enumerate_refuses_runaway_sizes_up_front():
+    # without the guard, enumerate opdi 40 ran until memory was gone, so
+    # the refusals run in a child whose memory is capped
+    cases = [
+        (("enumerate", "opdi", "40"), "opdi", 10**6),
+        (("enumerate", "opdi", "16"), "opdi", 10**6),
+        (("enumerate", "mdi", "20", "--format", "jsonl"), "mdi", 10**6),
+        # di has no formula; opdi is a submonoid, so its count is a lower bound
+        (("enumerate", "di", "18"), "opdi", 10**6),
+        (("enumerate", "odi", "5", "--max-elements", "103"), "odi", 103),
+    ]
+    lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
+    assert lines == [
+        f"2 error: enumerate {argv[1]} {argv[2]} would build {card(kind, int(argv[2]))} "
+        f"elements (limit {limit}); pass --max-elements to raise it"
+        for argv, kind, limit in cases
+    ]
+
+
+def test_enumerate_refuses_a_huge_size_without_computing_its_count(capsys, monkeypatch):
+    def fail(kind, n):
+        raise AssertionError(f"card({kind!r}, {n}) was computed")
+
+    monkeypatch.setattr("cycleiso.cli.card", fail)
+    n = "9" * 4300  # 2^n alone would not fit in memory
+    code, out, err = run(capsys, "enumerate", "odi", n, "--max-elements", "9" * 4300)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: enumerate odi {n} would build more than 2^{n} elements "
+        f"(limit {'9' * 4300}); pass --max-elements to raise it\n"
+    )
+
+
+def test_enumerate_max_elements_admits_a_monoid_of_exactly_that_size(tmp_path, capsys):
+    path = tmp_path / "odi5.txt"
+    code, out, _ = run(
+        capsys, "enumerate", "odi", "5", "--max-elements", "104", "--out", str(path)
+    )
+    assert code == 0
+    assert out == f"wrote 104 elements to {path}\n"
 
 
 def test_greens_summary_and_histogram(capsys):

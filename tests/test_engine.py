@@ -1,5 +1,6 @@
 """Closure, Green's relations, and element-set serialization."""
 
+import gc
 import gzip
 import json
 import re
@@ -22,6 +23,7 @@ from cycleiso import (
     export_elements,
     green_structural,
     identity,
+    identity_off,
     identity_on,
     idempotents,
     import_elements,
@@ -38,7 +40,7 @@ from cycleiso.brute_force import (
 )
 from cycleiso.engine import _j_key
 
-from conftest import perm_on
+from conftest import perm_on, sparse_perm_on
 
 ODI4_JCLASS_RANKS = [1, 1, 2, 3, 1]  # classes of rank 0, 1, 2, 3, 4
 MDI4_JCLASS_RANKS = [1, 1, 2, 2, 1]
@@ -118,10 +120,7 @@ def _generator_sets(draw):
     return n, draw(st.lists(perm_on(n), max_size=4))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_generator_sets())
-def test_closure_matches_naive_fixpoint(case):
-    n, gens = case
+def _assert_closure_is_naive(n, gens):
     m = close(n, gens)
     words = _naive_closure(n, gens)
     assert m.elements == tuple(sorted(words))
@@ -131,6 +130,43 @@ def test_closure_matches_naive_fixpoint(case):
         for gi in word:
             value = _validated_product(value, gens[gi])
         assert value == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets())
+def test_closure_matches_naive_fixpoint(case):
+    _assert_closure_is_naive(*case)
+
+
+@st.composite
+def _wide_generator_sets(draw):
+    n = draw(st.integers(255, 260))
+    return n, draw(st.lists(sparse_perm_on(n), max_size=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_wide_generator_sets())
+def test_wide_closure_matches_naive_fixpoint(case):
+    # from n = 255 on an image no longer fits a byte beside the 0xFF mark,
+    # so close searches on image arrays
+    _assert_closure_is_naive(*case)
+
+
+@pytest.mark.parametrize("n", [254, 255])
+def test_closure_at_the_byte_boundary_matches_naive_fixpoint(n):
+    swap = PartialPerm.from_map(n, {1: n, n: 1, **{x: x for x in range(2, n)}})
+    _assert_closure_is_naive(n, [swap, PartialPerm(n, ((n, n),)), identity_off(n, 1)])
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_closure_leaves_the_collector_as_it_found_it(enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        close(6, standard_generators("opdi", 6).elements)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_closure_rejects_foreign_generators():
@@ -147,6 +183,10 @@ def test_enumerated_monoid_basics():
     assert PartialPerm.parse("n=4;1>1,2>3") not in m
     with pytest.raises(AmbientMismatchError):
         EnumeratedMonoid(5, elems)
+    # the least stray element, in the canonical (n, pairs) order, is named
+    mixed = [identity(5), PartialPerm(6, ((2, 2),)), PartialPerm(4, ((3, 1),)), identity(4)]
+    with pytest.raises(AmbientMismatchError, match=r"^element n=4;1>1,2>2,3>3,4>4 does not"):
+        EnumeratedMonoid(5, iter(mixed))
 
 
 def test_green_classes_partition_and_refine():
@@ -413,6 +453,21 @@ def test_export_import_round_trip(tmp_path, m, fmt, compress):
     back = import_elements(path)
     assert back.n == m.n
     assert back.elements == m.elements
+
+
+@st.composite
+def _element_sets(draw):
+    n = draw(st.integers(1, 300))
+    return EnumeratedMonoid(n, draw(st.lists(sparse_perm_on(n), unique=True)))
+
+
+@given(_element_sets())
+def test_export_lines_spell_each_element_as_str_and_to_json(m):
+    # export joins each line from a table of pair cells; these are the
+    # per-element spellings it replaced
+    assert export_bytes(m, "txt").decode() == "".join(f"{p}\n" for p in m)
+    jsonl = "".join(json.dumps(p.to_json(), separators=(",", ":")) + "\n" for p in m)
+    assert export_bytes(m, "jsonl").decode() == jsonl
 
 
 def test_import_accepts_any_line_order(tmp_path):

@@ -1,7 +1,7 @@
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cycleiso import (
     KINDS,
@@ -23,9 +23,15 @@ from cycleiso import (
     to_partial_perm,
 )
 from cycleiso.brute_force import all_partial_perms
-from cycleiso.partial_perm import _image_array, _image_pairs
+from cycleiso.partial_perm import (
+    _byte_pairs,
+    _byte_table,
+    _image_array,
+    _image_bytes,
+    _image_pairs,
+)
 
-from conftest import capped_child_lines, perm_pairs, perm_triples, perms
+from conftest import capped_child_lines, perm_pairs, perm_triples, perms, sparse_perm_on
 
 
 def test_parse_str_round_trip():
@@ -165,10 +171,14 @@ def test_inverse_reverses_products(ab):
 
 def test_image_array_codec_round_trips_every_small_map():
     for n in range(1, 5):
-        for p in all_partial_perms(n):
+        maps = list(all_partial_perms(n))
+        for p in maps:
             img = _image_array(p)
             assert len(img) == n + 1 and img[0] == 0
             assert _image_pairs(img) == p.pairs
+            assert _byte_pairs(_image_bytes(p)) == p.pairs
+        # stripped byte images sort as the maps do, ties included
+        assert sorted(maps, key=lambda p: _image_bytes(p).rstrip(b"\xff")) == sorted(maps)
 
 
 @given(perm_pairs(min_n=3, max_n=12))
@@ -176,6 +186,28 @@ def test_image_array_product_is_the_composition(ab):
     # the fast product of engine.close and GeneratorSet.evaluate
     a, b = ab
     assert _image_pairs(itemgetter(*_image_array(a))(_image_array(b))) == (a * b).pairs
+
+
+@st.composite
+def _byte_sized_pairs(draw):
+    n = draw(st.integers(1, 254))
+    return draw(sparse_perm_on(n, max_pairs=8)), draw(sparse_perm_on(n, max_pairs=8))
+
+
+def _sign(x, y) -> int:
+    return (x > y) - (x < y)
+
+
+@given(_byte_sized_pairs())
+@example((PartialPerm(254, ((1, 254), (254, 1))), PartialPerm(254, ((1, 1), (254, 254)))))
+@example((PartialPerm(254, ((253, 254),)), PartialPerm(254, ((253, 253),))))
+def test_byte_codec_round_trips_sorts_and_composes(ab):
+    # the search encoding of engine.close for n <= 254, 0xFF marking no image
+    a, b = ab
+    ea, eb = _image_bytes(a), _image_bytes(b)
+    assert len(ea) == a.n and _byte_pairs(ea) == a.pairs
+    assert _sign(ea.rstrip(b"\xff"), eb.rstrip(b"\xff")) == _sign(a, b)
+    assert ea.translate(_byte_table(b)) == _image_bytes(a * b)
 
 
 @given(perm_pairs(), st.data())
