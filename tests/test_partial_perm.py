@@ -177,7 +177,7 @@ def test_image_array_codec_round_trips_every_small_map():
             assert len(img) == n + 1 and img[0] == 0
             assert _image_pairs(img) == p.pairs
             assert _byte_pairs(_image_bytes(p)) == p.pairs
-        # stripped byte images sort as the maps do, ties included
+        # stripped byte images sort as the maps do
         assert sorted(maps, key=lambda p: _image_bytes(p).rstrip(b"\xff")) == sorted(maps)
 
 
