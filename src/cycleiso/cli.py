@@ -26,7 +26,7 @@ from .engine import close, cross_check_green, export_bytes, green_structural
 from .formulas import card, rank_formula
 from .generators import standard_generators, word_text
 from .factorize import factorize
-from .rank_cert import brute_force_rank, lower_bound_certificate
+from .rank_cert import lower_bound_certificate
 from .brute_force import kind_elements, kind_monoid
 from .verify import run_acceptance
 
@@ -37,12 +37,18 @@ _ALL_KINDS = KINDS + ("di",)
 _Output = tuple[int, dict, list[str]]
 
 
+def _count(kind: str, n: int) -> int | None:
+    # every formula exceeds 2^n, so from this n on the count is too long to print and
+    # over any ceiling, and is not computed; di has no formula, but opdi is a
+    # submonoid of it, so opdi's count is a lower bound
+    if n >= _SIZE_LIMIT.bit_length():
+        return None
+    return card("opdi" if kind == "di" else kind, n)
+
+
 def _cmd_card(args) -> _Output:
-    # every formula exceeds 2^n, so from this n on it is too long to print
-    # and is refused before it is computed
-    too_long = args.n >= _SIZE_LIMIT.bit_length()
-    formula = None if too_long else card(args.kind, args.n)
-    if too_long or formula >= _SIZE_LIMIT:
+    formula = _count(args.kind, args.n)
+    if formula is None or formula >= _SIZE_LIMIT:
         raise DomainError(f"card {args.kind} n={args.n} is too long to print")
     payload = {"kind": args.kind, "n": args.n, "formula": formula}
     if not args.enumerate:
@@ -55,13 +61,9 @@ def _cmd_card(args) -> _Output:
 
 
 def _cmd_enumerate(args) -> _Output:
-    # di has no formula, but opdi is a submonoid of it, so its count is a
-    # lower bound; every formula exceeds 2^n, so past card's print limit
-    # the count is over any --max-elements and is not computed
-    too_long = args.n >= _SIZE_LIMIT.bit_length()
-    size = None if too_long else card("opdi" if args.kind == "di" else args.kind, args.n)
-    if too_long or size > args.max_elements:
-        shown = f"more than 2^{args.n}" if too_long else _shown(size)
+    size = _count(args.kind, args.n)
+    if size is None or size > args.max_elements:
+        shown = f"more than 2^{args.n}" if size is None else _shown(size)
         raise DomainError(f"enumerate {args.kind} {args.n} would build {shown} elements "
                           f"(limit {args.max_elements}); pass --max-elements to raise it")
     gens = standard_generators(args.kind, args.n)
@@ -158,26 +160,19 @@ def _cmd_rank(args) -> _Output:
     payload = {"kind": args.kind, "n": args.n, "rank": value}
     if not args.certify:
         return 0, payload, [f"rank={value}"]
+    report = lower_bound_certificate(
+        args.kind, args.n, standard_generators(args.kind, args.n).elements
+    )
     if args.n == 3:
-        # small enough to settle outright; the standard sets are not
-        # minimal here, so the certificate route would never certify
-        certified = brute_force_rank(args.kind, 3) == value
+        # the standard sets are not minimal here, so the certificate is never
+        # certified; its lower bound is the exhaustive search's minimum
+        certified = report.lower_bound == value
         requirements = [
             {"description": "exhaustive minimal-set search", "satisfied": certified}
         ]
     else:
-        report = lower_bound_certificate(
-            args.kind, args.n, standard_generators(args.kind, args.n).elements
-        )
         certified = report.certified
-        requirements = [
-            {
-                "description": r.description,
-                "satisfied": r.satisfied,
-                "witness": None if r.witness is None else str(r.witness),
-            }
-            for r in report.requirements
-        ]
+        requirements = [asdict(r) for r in report.requirements]
     payload.update(certified=certified, requirements=requirements)
     line = f"rank={value} {'CERTIFIED' if certified else 'UNCERTIFIED'}"
     return 0 if certified else 1, payload, [line]

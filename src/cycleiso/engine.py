@@ -14,7 +14,7 @@ import json
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter, methodcaller
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import (
@@ -25,8 +25,7 @@ from .errors import (
     _check_size,
     _shown,
 )
-from .partial_perm import PartialPerm, identity
-from .partial_perm import _byte_pairs, _byte_table, _image_array, _image_bytes, _image_pairs
+from .partial_perm import PartialPerm, _kernel, identity
 from .geometry import distance_sequence
 from .dihedral import check_kind
 
@@ -84,8 +83,8 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     """Smallest composition-closed set containing the identity and the
     generators, via right-multiplication breadth-first search.
 
-    It runs on the byte images of ``partial_perm._image_bytes`` for n <= 254, where
-    ``p * g`` is one ``bytes.translate``, and on image arrays above.  Each layer is
+    It runs on the encoding ``partial_perm._kernel(n)`` picks: byte images, where
+    ``p * g`` is one ``bytes.translate``, up to n = 254, image arrays above.  Each layer is
     visited in canonical order, each element against the generators in index order,
     and the first word found (shortest layer, then generator index) is kept, so
     generator duplication changes nothing.  The search makes no reference cycles, so
@@ -99,12 +98,7 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
             raise AmbientMismatchError(f"generator {g} does not live on n={n}")
     if type(workers) is not int or workers < 1:
         raise DomainError(f"workers must be a positive int, got {_shown(workers)}")
-    if n <= 254:
-        encode, table, decode = _image_bytes, _byte_table, _byte_pairs
-        mul, key = bytes.translate, methodcaller("rstrip", b"\xff")
-    else:
-        encode, table, decode = _image_array, _image_array, _image_pairs
-        mul, key = lambda img, t: itemgetter(*img)(t), _image_pairs
+    encode, table, mul, key, decode = _kernel(n)
     tables = [table(g) for g in gens]
     layer = [encode(identity(n))]
     words = {layer[0]: ()}

@@ -46,8 +46,7 @@ def _check_cycle(n: int) -> None:
     """Refuse a cycle size that is not an int in 3..10**4300 - 1."""
     if type(n) is not int or n < 3:
         raise DomainError(f"the cycle graph needs n >= 3, got {_shown(n)}")
-    if n >= _SIZE_LIMIT:
-        raise DomainError(f"ambient size {_shown(n)} has more than 4300 digits")
+    _check_size(n)
 
 
 class CycleIsoError(Exception):

@@ -19,10 +19,9 @@ import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import itemgetter
 
 from .errors import AmbientMismatchError, DomainError, ParseError, _check_cycle, _shown
-from .partial_perm import PartialPerm, _image_array, _image_pairs, identity, identity_off
+from .partial_perm import PartialPerm, _kernel, identity, identity_off
 from .dihedral import DihedralElement, check_kind, to_partial_perm
 
 __all__ = [
@@ -107,8 +106,9 @@ class GeneratorSet:
         return ParseError(f"name {_shown(name)} is not in the {self.kind} generating set")
 
     @cached_property
-    def _images(self) -> dict[str, tuple[int, ...]]:
-        return {name: _image_array(p) for name, p in self}
+    def _images(self) -> dict[str, bytes | tuple[int, ...]]:
+        table = _kernel(self.n)[1]
+        return {name: table(p) for name, p in self}
 
     def evaluate(self, word) -> PartialPerm:
         """Compose the named generators left to right.
@@ -121,15 +121,16 @@ class GeneratorSet:
                 f"a word is a sequence of generator names, got {_shown(word)}; "
                 "read text with parse_word"
             )
-        img = _image_array(identity(self.n))
+        encode, _, mul, _, decode = _kernel(self.n)
+        img = encode(identity(self.n))
         images = self._images
         for name in word:
             try:
                 step = images[name]
             except (KeyError, TypeError):  # an unknown or unhashable name
                 raise self._not_in_set(name) from None
-            img = itemgetter(*img)(step)
-        return PartialPerm._trusted(self.n, _image_pairs(img))
+            img = mul(img, step)
+        return PartialPerm._trusted(self.n, decode(img))
 
 
 def standard_generators(kind: str, n: int) -> GeneratorSet:

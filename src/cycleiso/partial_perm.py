@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import gt, itemgetter, methodcaller
 
 from .errors import (
     AmbientMismatchError,
@@ -232,6 +232,18 @@ def _byte_pairs(img: bytes) -> tuple[tuple[int, int], ...]:
     return tuple(filter(itemgetter(1), enumerate(img.replace(b"\xff", b"\x00"), 1)))
 
 
+_BYTES = (_image_bytes, _byte_table, bytes.translate, methodcaller("rstrip", b"\xff"), _byte_pairs)
+_ARRAYS = (_image_array, _image_array, lambda img, t: itemgetter(*img)(t), _image_pairs,
+           _image_pairs)
+
+
+def _kernel(n: int):
+    """``(encode, table, mul, key, decode)`` on n points: byte images up to n = 254, image
+    arrays above.  ``decode(mul(encode(a), table(b)))`` is ``(a * b).pairs``, and ``key`` of
+    an encoding sorts as the pairs do."""
+    return _BYTES if n <= 254 else _ARRAYS
+
+
 def identity(n: int) -> PartialPerm:
     """The identity on all of 1..n."""
     _check_size(n)
@@ -299,8 +311,6 @@ def classify_order(p: PartialPerm) -> OrderFlags:
     t = len(v)
     if t <= 1:
         return OrderFlags(True, True, True, True)
-    inc = all(v[i] < v[i + 1] for i in range(t - 1))
-    dec = all(v[i] > v[i + 1] for i in range(t - 1))
-    descents = sum(v[i] > v[(i + 1) % t] for i in range(t))
-    ascents = sum(v[i] < v[(i + 1) % t] for i in range(t))
-    return OrderFlags(inc, dec, descents <= 1, ascents <= 1)
+    # the values are distinct, so the t - d steps that are not cyclic descents ascend
+    d = sum(map(gt, v, v[1:] + v[:1]))
+    return OrderFlags(d == 1 and v[-1] > v[0], d == t - 1 and v[-1] < v[0], d <= 1, d >= t - 1)
