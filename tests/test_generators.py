@@ -101,9 +101,10 @@ def test_evaluate_refuses_text_and_non_sequences(word):
 
 @st.composite
 def _set_and_word(draw):
+    # 254 and 255 are the last byte-image size and the first image-array size
     gens = standard_generators(draw(st.sampled_from(("odi", "mdi", "opdi", "di"))),
-                               draw(st.integers(3, 12)))
-    word = draw(st.lists(st.sampled_from(gens.names), max_size=3 * gens.n))
+                               draw(st.integers(3, 12) | st.sampled_from((254, 255))))
+    word = draw(st.lists(st.sampled_from(gens.names), max_size=min(3 * gens.n, 40)))
     return gens, word
 
 

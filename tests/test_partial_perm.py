@@ -1,5 +1,3 @@
-from operator import itemgetter
-
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -29,6 +27,7 @@ from cycleiso.partial_perm import (
     _image_array,
     _image_bytes,
     _image_pairs,
+    _kernel,
 )
 
 from conftest import capped_child_lines, perm_pairs, perm_triples, perms, sparse_perm_on
@@ -183,9 +182,44 @@ def test_image_array_codec_round_trips_every_small_map():
 
 @given(perm_pairs(min_n=3, max_n=12))
 def test_image_array_product_is_the_composition(ab):
-    # the fast product of engine.close and GeneratorSet.evaluate
+    # the product of engine.close and GeneratorSet.evaluate from n = 255 on; it reads no n
     a, b = ab
-    assert _image_pairs(itemgetter(*_image_array(a))(_image_array(b))) == (a * b).pairs
+    encode, table, mul, _, decode = _kernel(255)
+    assert decode(mul(encode(a), table(b))) == (a * b).pairs
+
+
+@pytest.mark.parametrize("fmt", ["bytes", "arrays"])
+def test_both_kernels_compose_and_sort_every_small_map(fmt):
+    # neither format reads n except through its maps, so both run on every small map
+    encode, table, mul, key, decode = _kernel(254 if fmt == "bytes" else 255)
+    for n in range(1, 5):
+        maps = list(all_partial_perms(n))
+        assert sorted(maps, key=lambda p: key(encode(p))) == sorted(maps)
+        for a in maps:
+            assert decode(encode(a)) == a.pairs
+            for b in maps if n <= 3 else ():
+                assert decode(mul(encode(a), table(b))) == (a * b).pairs
+
+
+@st.composite
+def _kernel_sized_pairs(draw):
+    n = draw(st.integers(1, 300) | st.sampled_from((254, 255)))
+    return draw(sparse_perm_on(n, max_pairs=8)), draw(sparse_perm_on(n, max_pairs=8))
+
+
+@given(_kernel_sized_pairs())
+@example((PartialPerm(254, ((1, 254), (254, 1))), PartialPerm(254, ((1, 1), (254, 254)))))
+@example((PartialPerm(255, ((1, 255), (255, 1))), PartialPerm(255, ((1, 1), (255, 255)))))
+@example((PartialPerm(255, ((254, 255),)), PartialPerm(255, ((255, 254),))))
+def test_kernel_round_trips_sorts_and_composes(ab):
+    # the encoding engine.close and GeneratorSet.evaluate share: bytes up to n = 254
+    a, b = ab
+    encode, table, mul, key, decode = _kernel(a.n)
+    ea, eb = encode(a), encode(b)
+    assert isinstance(ea, bytes) == (a.n <= 254)
+    assert decode(ea) == a.pairs and decode(eb) == b.pairs
+    assert _sign(key(ea), key(eb)) == _sign(a, b)
+    assert decode(mul(ea, table(b))) == (a * b).pairs
 
 
 @st.composite
@@ -364,6 +398,24 @@ def test_monotone_and_oriented_are_disjunctions():
     f = OrderFlags(False, True, False, True)
     assert f.monotone and f.oriented
     assert not OrderFlags(False, False, True, False).monotone
+
+
+def _four_scans(v) -> OrderFlags:
+    # the definition read straight off: two linear scans and two cyclic counts
+    t = len(v)
+    if t <= 1:
+        return OrderFlags(True, True, True, True)
+    inc = all(v[i] < v[i + 1] for i in range(t - 1))
+    dec = all(v[i] > v[i + 1] for i in range(t - 1))
+    descents = sum(v[i] > v[(i + 1) % t] for i in range(t))
+    ascents = sum(v[i] < v[(i + 1) % t] for i in range(t))
+    return OrderFlags(inc, dec, descents <= 1, ascents <= 1)
+
+
+@given(st.lists(st.integers(1, 60), unique=True, max_size=40))
+def test_order_flags_match_the_four_scan_definition(values):
+    p = PartialPerm(60, tuple(zip(range(1, len(values) + 1), values)))
+    assert classify_order(p) == _four_scans(values)
 
 
 @given(perms())
