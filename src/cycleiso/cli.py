@@ -36,6 +36,9 @@ _ALL_KINDS = KINDS + ("di",)
 
 _Output = tuple[int, dict, list[str]]
 
+# the most elements a command builds; only enumerate's --max-elements changes it
+_MAX_ELEMENTS = 10**6
+
 
 def _count(kind: str, n: int) -> int | None:
     # every formula exceeds 2^n, so from this n on the count is too long to print and
@@ -46,6 +49,14 @@ def _count(kind: str, n: int) -> int | None:
     return card("opdi" if kind == "di" else kind, n)
 
 
+def _check_count(what: str, kind: str, n: int, limit: int = _MAX_ELEMENTS, hint: str = "") -> None:
+    """Refuse ``what``, the command as typed, if it would build more than ``limit`` elements."""
+    count = _count(kind, n)
+    if count is None or count > limit:
+        shown = f"more than 2^{n}" if count is None else _shown(count)
+        raise DomainError(f"{what} would build {shown} elements (limit {limit}){hint}")
+
+
 def _cmd_card(args) -> _Output:
     formula = _count(args.kind, args.n)
     if formula is None or formula >= _SIZE_LIMIT:
@@ -53,6 +64,7 @@ def _cmd_card(args) -> _Output:
     payload = {"kind": args.kind, "n": args.n, "formula": formula}
     if not args.enumerate:
         return 0, payload, [f"formula={formula}"]
+    _check_count(f"card {args.kind} {args.n} --enumerate", "di", args.n)  # builds all of di
     enumerated = len(kind_elements(args.kind, args.n))
     match = formula == enumerated
     payload.update(enumerated=enumerated, match=match)
@@ -61,11 +73,8 @@ def _cmd_card(args) -> _Output:
 
 
 def _cmd_enumerate(args) -> _Output:
-    size = _count(args.kind, args.n)
-    if size is None or size > args.max_elements:
-        shown = f"more than 2^{args.n}" if size is None else _shown(size)
-        raise DomainError(f"enumerate {args.kind} {args.n} would build {shown} elements "
-                          f"(limit {args.max_elements}); pass --max-elements to raise it")
+    _check_count(f"enumerate {args.kind} {args.n}", args.kind, args.n, args.max_elements,
+                 "; pass --max-elements to raise it")
     gens = standard_generators(args.kind, args.n)
     m = close(args.n, gens.elements, workers=args.workers)
     blob = export_bytes(m, fmt=args.format, compress=args.gzip)
@@ -79,6 +88,7 @@ def _cmd_enumerate(args) -> _Output:
 
 
 def _cmd_greens(args) -> _Output:
+    _check_count(f"greens {args.kind} {args.n}", "di", args.n)  # builds all of di
     m = kind_monoid(args.kind, args.n)
     dec = green_structural(m)
     classes = {
@@ -160,6 +170,7 @@ def _cmd_rank(args) -> _Output:
     payload = {"kind": args.kind, "n": args.n, "rank": value}
     if not args.certify:
         return 0, payload, [f"rank={value}"]
+    _check_count(f"rank {args.kind} {args.n} --certify", args.kind, args.n)
     report = lower_bound_certificate(
         args.kind, args.n, standard_generators(args.kind, args.n).elements
     )
@@ -245,8 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gzip", action="store_true")
     p.add_argument("--workers", type=_ascii_int, default=1, help="positive int; the closure "
                    "is serial, so neither work nor output depends on it")
-    p.add_argument("--max-elements", type=_ascii_int, default=10**6, help="refuse a monoid "
-                   "larger than this, counted from its formula before any work (default 10^6)")
+    p.add_argument("--max-elements", type=_ascii_int, default=_MAX_ELEMENTS, help="refuse a "
+                   "monoid larger than this, counted from its formula before any work "
+                   "(default 10^6)")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = add("greens", _cmd_greens, "Green's relation class counts", kind=_ALL_KINDS, n=True)

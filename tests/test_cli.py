@@ -178,6 +178,58 @@ def test_enumerate_max_elements_admits_a_monoid_of_exactly_that_size(tmp_path, c
     assert out == f"wrote 104 elements to {path}\n"
 
 
+def test_greens_card_enumerate_and_rank_certify_refuse_runaway_sizes_up_front():
+    # without a guard, greens opdi 30 and card odi 40 --enumerate ran out of
+    # memory and rank opdi 30 --certify raised SystemError, so the refusals run
+    # in a child whose memory is capped.  greens and card --enumerate build all
+    # of di, which opdi's count bounds below; rank --certify closes the kind
+    cases = [
+        (("greens", "opdi", "30"), "greens opdi 30", card("opdi", 30)),
+        (("greens", "odi", "16", "--relation", "H"), "greens odi 16", card("opdi", 16)),
+        (("greens", "di", "16", "--json"), "greens di 16", card("opdi", 16)),
+        (("card", "odi", "40", "--enumerate"), "card odi 40 --enumerate", card("opdi", 40)),
+        (("card", "mdi", "16", "--enumerate", "--json"), "card mdi 16 --enumerate",
+         card("opdi", 16)),
+        (("rank", "opdi", "30", "--certify"), "rank opdi 30 --certify", card("opdi", 30)),
+        (("rank", "odi", "19", "--certify"), "rank odi 19 --certify", card("odi", 19)),
+        (("rank", "mdi", "18", "--certify", "--json"), "rank mdi 18 --certify",
+         card("mdi", 18)),
+        (("rank", "opdi", "16", "--certify"), "rank opdi 16 --certify", card("opdi", 16)),
+        # past card's print limit the count is not computed
+        (("greens", "odi", "20000"), "greens odi 20000", "more than 2^20000"),
+        (("rank", "mdi", "20000", "--certify"), "rank mdi 20000 --certify",
+         "more than 2^20000"),
+    ]
+    lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
+    assert lines == [
+        f"2 error: {what} would build {count} elements (limit 1000000)"
+        for _, what, count in cases
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv,builder",
+    [
+        (("greens", "opdi", "15"), "kind_monoid"),
+        (("greens", "di", "15", "--relation", "L"), "kind_monoid"),
+        (("card", "odi", "15", "--enumerate"), "kind_elements"),
+        (("rank", "odi", "18", "--certify"), "lower_bound_certificate"),
+        (("rank", "mdi", "17", "--certify"), "lower_bound_certificate"),
+        (("rank", "opdi", "15", "--certify"), "lower_bound_certificate"),
+    ],
+)
+def test_the_largest_sizes_under_the_ceiling_go_on_to_build(monkeypatch, argv, builder):
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    monkeypatch.setattr(f"cycleiso.cli.{builder}", build)
+    with pytest.raises(Built):
+        main(list(argv))
+
+
 def test_greens_summary_and_histogram(capsys):
     code, out, _ = run(capsys, "greens", "odi", "4")
     assert code == 0
