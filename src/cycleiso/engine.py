@@ -83,8 +83,8 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     """Smallest composition-closed set containing the identity and the
     generators, via right-multiplication breadth-first search.
 
-    It runs on the encoding ``partial_perm._kernel(n)`` picks: byte images, where
-    ``p * g`` is one ``bytes.translate``, up to n = 254, image arrays above.  Each layer is
+    It runs on the encoding ``partial_perm._kernel(n)`` picks: byte images up to n = 254,
+    where ``p * g`` is one ``bytes.translate``, and image arrays above.  Each layer is
     visited in canonical order, each element against the generators in index order,
     and the first word found (shortest layer, then generator index) is kept, so
     generator duplication changes nothing.  The search makes no reference cycles, so
