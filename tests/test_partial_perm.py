@@ -21,14 +21,7 @@ from cycleiso import (
     to_partial_perm,
 )
 from cycleiso.brute_force import all_partial_perms
-from cycleiso.partial_perm import (
-    _byte_pairs,
-    _byte_table,
-    _image_array,
-    _image_bytes,
-    _image_pairs,
-    _kernel,
-)
+from cycleiso.partial_perm import _image_array, _kernel
 
 from conftest import capped_child_lines, perm_pairs, perm_triples, perms, sparse_perm_on
 
@@ -169,15 +162,18 @@ def test_inverse_reverses_products(ab):
 
 
 def test_image_array_codec_round_trips_every_small_map():
+    # neither format of _kernel reads n but through its maps, so both run on every small map
     for n in range(1, 5):
         maps = list(all_partial_perms(n))
         for p in maps:
             img = _image_array(p)
             assert len(img) == n + 1 and img[0] == 0
-            assert _image_pairs(img) == p.pairs
-            assert _byte_pairs(_image_bytes(p)) == p.pairs
-        # stripped byte images sort as the maps do
-        assert sorted(maps, key=lambda p: _image_bytes(p).rstrip(b"\xff")) == sorted(maps)
+        for encode, table, mul, key, decode in (_kernel(254), _kernel(255)):
+            assert sorted(maps, key=lambda p: key(encode(p))) == sorted(maps)
+            for a in maps:
+                assert decode(encode(a)) == a.pairs
+                for b in maps if n <= 3 else ():
+                    assert decode(mul(encode(a), table(b))) == (a * b).pairs
 
 
 @given(perm_pairs(min_n=3, max_n=12))
@@ -188,19 +184,6 @@ def test_image_array_product_is_the_composition(ab):
     assert decode(mul(encode(a), table(b))) == (a * b).pairs
 
 
-@pytest.mark.parametrize("fmt", ["bytes", "arrays"])
-def test_both_kernels_compose_and_sort_every_small_map(fmt):
-    # neither format reads n except through its maps, so both run on every small map
-    encode, table, mul, key, decode = _kernel(254 if fmt == "bytes" else 255)
-    for n in range(1, 5):
-        maps = list(all_partial_perms(n))
-        assert sorted(maps, key=lambda p: key(encode(p))) == sorted(maps)
-        for a in maps:
-            assert decode(encode(a)) == a.pairs
-            for b in maps if n <= 3 else ():
-                assert decode(mul(encode(a), table(b))) == (a * b).pairs
-
-
 @st.composite
 def _kernel_sized_pairs(draw):
     n = draw(st.integers(1, 300) | st.sampled_from((254, 255)))
@@ -209,6 +192,7 @@ def _kernel_sized_pairs(draw):
 
 @given(_kernel_sized_pairs())
 @example((PartialPerm(254, ((1, 254), (254, 1))), PartialPerm(254, ((1, 1), (254, 254)))))
+@example((PartialPerm(254, ((253, 254),)), PartialPerm(254, ((253, 253),))))
 @example((PartialPerm(255, ((1, 255), (255, 1))), PartialPerm(255, ((1, 1), (255, 255)))))
 @example((PartialPerm(255, ((254, 255),)), PartialPerm(255, ((255, 254),))))
 def test_kernel_round_trips_sorts_and_composes(ab):
@@ -216,32 +200,14 @@ def test_kernel_round_trips_sorts_and_composes(ab):
     a, b = ab
     encode, table, mul, key, decode = _kernel(a.n)
     ea, eb = encode(a), encode(b)
-    assert isinstance(ea, bytes) == (a.n <= 254)
+    assert isinstance(ea, bytes) == (a.n <= 254) and len(ea) == a.n + (a.n > 254)
     assert decode(ea) == a.pairs and decode(eb) == b.pairs
     assert _sign(key(ea), key(eb)) == _sign(a, b)
     assert decode(mul(ea, table(b))) == (a * b).pairs
 
 
-@st.composite
-def _byte_sized_pairs(draw):
-    n = draw(st.integers(1, 254))
-    return draw(sparse_perm_on(n, max_pairs=8)), draw(sparse_perm_on(n, max_pairs=8))
-
-
 def _sign(x, y) -> int:
     return (x > y) - (x < y)
-
-
-@given(_byte_sized_pairs())
-@example((PartialPerm(254, ((1, 254), (254, 1))), PartialPerm(254, ((1, 1), (254, 254)))))
-@example((PartialPerm(254, ((253, 254),)), PartialPerm(254, ((253, 253),))))
-def test_byte_codec_round_trips_sorts_and_composes(ab):
-    # the search encoding of engine.close for n <= 254, 0xFF marking no image
-    a, b = ab
-    ea, eb = _image_bytes(a), _image_bytes(b)
-    assert len(ea) == a.n and _byte_pairs(ea) == a.pairs
-    assert _sign(ea.rstrip(b"\xff"), eb.rstrip(b"\xff")) == _sign(a, b)
-    assert ea.translate(_byte_table(b)) == _image_bytes(a * b)
 
 
 @given(perm_pairs(), st.data())
