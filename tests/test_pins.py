@@ -36,6 +36,13 @@ elements are every partial permutation, so maps that are not isometries
 are covered; above that they are the partial isometries.  Elements are in
 the order their generator yields them.
 
+``ELEMENT_PIN`` is the sha256 of one ``<repr> <str>`` line per element of
+``_element_samples()``: every member of the opdi closure at n = 5 in
+canonical order, then maps at n = 254 and 255, the two sides of the byte
+encoding's cut.  ``SORT_PIN`` is the sha256 of the ``repr`` lines of
+``sorted()`` over a seeded shuffle of opdi members at n = 3..6 and those
+samples, which pins the ``(n, pairs)`` order across mixed n.
+
 ``SURFACE_PIN`` is the sha256 of the package's public surface: one
 ``<name> <module> <qualname>`` line per entry of ``cycleiso.__all__``,
 sorted, with ``repr(value)`` in place of module and qualname for the
@@ -53,7 +60,9 @@ terminal and varies across Python versions.  ``verify`` runs at
 
 import gzip
 import hashlib
+import random
 import re
+from dataclasses import FrozenInstanceError
 from itertools import combinations
 
 import pytest
@@ -62,11 +71,14 @@ import cycleiso
 from cycleiso import (
     KINDS,
     DihedralElement,
+    PartialPerm,
     classify,
     close,
+    empty_map,
     export_bytes,
     factorize,
     green_structural,
+    identity,
     identity_on,
     j_partition,
     j_related,
@@ -331,6 +343,9 @@ EXTENSION_PINS = {
     10: "0519b19c41d33e8b3e84875564a6bcf87d7932b87ec25b2d632757884be84cfd",
 }
 
+ELEMENT_PIN = "d7870e3fd4b718ebe8f45fe9e96335cc6a50f514aa5df44da62d0b40edf756bb"
+SORT_PIN = "a6842c2c3ea0c5e927993f40bb1d7a980bac42c78c7630e0823ef669884e7134"
+
 SURFACE_PIN = "33dfb4403ec8f6ebe236b59d4b79856ff5671dd45f32634e76a62bb7f3fe3982"
 
 
@@ -418,6 +433,42 @@ def test_classify_extensions_match_pin(n):
         flags = " ".join(str(int(f)) for f in (r.in_di, r.in_odi, r.in_mdi, r.in_opdi))
         lines.append(f"{p} {exts} {flags}\n")
     assert _sha("".join(lines).encode()) == EXTENSION_PINS[n]
+
+
+def _element_samples() -> list:
+    samples = list(close(5, standard_generators("opdi", 5).elements))
+    for n in (254, 255):
+        g, e, x1 = standard_generators("opdi", n).elements[:3]
+        samples += [
+            empty_map(n), identity(n), g, e, x1, g * x1, x1.inverse() * g * g,
+            PartialPerm(n, ((1, n),)), PartialPerm(n, ((n, 1),)), PartialPerm(n, ((n - 1, n),)),
+            PartialPerm(n, ((1, n), (n, 1))), PartialPerm(n, ((1, 1), (n - 1, n - 1))),
+        ]
+    return samples
+
+
+def test_element_repr_and_str_match_pin():
+    listing = "".join(f"{p!r} {p}\n" for p in _element_samples())
+    assert _sha(listing.encode()) == ELEMENT_PIN
+
+
+def test_sorted_order_across_sizes_matches_pin():
+    mixed = [p for n in range(3, 7) for p in close(n, standard_generators("opdi", n).elements)]
+    mixed += _element_samples()[-24:]
+    random.Random(0).shuffle(mixed)
+    ordered = sorted(mixed)
+    assert ordered == sorted(mixed, key=lambda p: (p.n, p.pairs))
+    assert _sha("".join(f"{p!r}\n" for p in ordered).encode()) == SORT_PIN
+
+
+def test_elements_refuse_assignment_and_deletion():
+    p = PartialPerm.parse("n=5;2>1,4>3")
+    for name, value in (("n", 6), ("pairs", ((1, 1),))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(p, name)
+    assert repr(p) == "PartialPerm(n=5, pairs=((2, 1), (4, 3)))"
 
 
 def _surface_line(name: str) -> str:
