@@ -14,7 +14,6 @@ import json
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     _check_size,
     _shown,
 )
-from .partial_perm import PartialPerm, _kernel, identity
+from .partial_perm import PartialPerm, _kernel, _render, identity
 from .geometry import distance_sequence
 from .dihedral import check_kind
 
@@ -48,9 +47,9 @@ __all__ = [
 class EnumeratedMonoid:
     """A canonically sorted element set, optionally with generator words.
 
-    Elements are sorted by the canonical ``(n, pairs)`` key.  ``words``
-    maps an element to the shortest word that the image-array search of
-    ``close`` found, as a tuple of indices into ``generators``; it is
+    Elements are sorted in the canonical ``(n, pairs)`` order.  ``words``
+    maps an element to the shortest word that the search of ``close``
+    found, as a tuple of indices into ``generators``; it is
     empty for sets built directly from elements.
     """
 
@@ -60,7 +59,7 @@ class EnumeratedMonoid:
         if stray:
             raise AmbientMismatchError(f"element {min(stray)} does not live on n={n}")
         self.n = n
-        self.elements = tuple(sorted(elements, key=attrgetter("pairs")))
+        self.elements = tuple(sorted(elements))
         self.generators = tuple(generators)
         self.words = dict(words) if words else {}
         self._members = frozenset(self.elements)
@@ -83,13 +82,13 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     """Smallest composition-closed set containing the identity and the
     generators, via right-multiplication breadth-first search.
 
-    It runs on the encoding ``partial_perm._kernel(n)`` picks: byte images up to n = 254,
-    where ``p * g`` is one ``bytes.translate``, and image arrays above.  Each layer is
-    visited in canonical order, each element against the generators in index order,
-    and the first word found (shortest layer, then generator index) is kept, so
-    generator duplication changes nothing.  The search makes no reference cycles, so
-    the cyclic collector is paused for it.  ``n`` must be an int in 1..10**4300 - 1,
-    ``workers`` a positive int; the search is serial.
+    It runs on the element codes ``partial_perm._kernel(n)`` composes: up to n = 254
+    ``p * g`` is one ``bytes.translate``.  Each layer is visited in canonical order, each
+    element against the generators in index order, and the first word found (shortest
+    layer, then generator index) is kept, so generator duplication changes nothing.
+    Each element holds the code the search found.  The search makes no reference
+    cycles, so the cyclic collector is paused for it.  ``n`` must be an int in
+    1..10**4300 - 1, ``workers`` a positive int; the search is serial.
     """
     _check_size(n)
     gens = tuple(generators)
@@ -98,26 +97,26 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
             raise AmbientMismatchError(f"generator {g} does not live on n={n}")
     if type(workers) is not int or workers < 1:
         raise DomainError(f"workers must be a positive int, got {_shown(workers)}")
-    encode, table, mul, key, decode = _kernel(n)
-    tables = [table(g) for g in gens]
-    layer = [encode(identity(n))]
+    mul, strip, table, _ = _kernel(n)
+    tables = [table(g._code) for g in gens]
+    layer = [identity(n)._code]
     words = {layer[0]: ()}
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
         while layer:
-            layer.sort(key=key)
+            layer.sort(key=strip)
             fresh = []
-            for img in layer:
-                word = words[img]
+            for code in layer:
+                word = words[code]
                 for gi, t in enumerate(tables):
-                    prod = mul(img, t)
+                    prod = mul(code, t)
                     if prod not in words:
                         words[prod] = word + (gi,)
                         fresh.append(prod)
             layer = fresh
-        elements = {PartialPerm._trusted(n, decode(x)): words[x] for x in sorted(words, key=key)}
-        return EnumeratedMonoid(n, elements, gens, elements)
+        words = {PartialPerm._wrap(n, strip(c)): words[c] for c in sorted(words, key=strip)}
+        return EnumeratedMonoid(n, words, gens, words)
     finally:
         if gc_was_on:
             gc.enable()
@@ -243,17 +242,6 @@ def idempotents(m: EnumeratedMonoid) -> tuple[PartialPerm, ...]:
     return tuple(p for p in m.elements if p * p == p)
 
 
-def _lines(n: int, elements, fmt: str) -> list[str]:
-    """Each element's ``str`` or compact ``to_json()``, from one text per distinct pair."""
-    present = {pair for p in elements for pair in p.pairs}
-    if fmt == "txt":
-        cell, head, tail = "{}>{}", f"n={n};", "\n"
-    else:
-        cell, head, tail = "[{},{}]", f'{{"n":{n},"map":[', "]}\n"
-    cells = {pair: cell.format(*pair) for pair in present}
-    return [head + ",".join(map(cells.__getitem__, p.pairs)) + tail for p in elements]
-
-
 def export_bytes(m: EnumeratedMonoid, fmt: str = "txt", compress: bool = False) -> bytes:
     """Serialize the sorted element list, one canonical line per element.
 
@@ -262,7 +250,10 @@ def export_bytes(m: EnumeratedMonoid, fmt: str = "txt", compress: bool = False) 
     """
     if fmt not in ("txt", "jsonl"):
         raise ParseError(f"unknown format {_shown(fmt)}; expected txt or jsonl")
-    raw = "".join(_lines(m.n, m.elements, fmt)).encode()
+    if fmt == "txt":
+        raw = _render(m.n, m.elements, "{}>{}", f"n={m.n};", "\n")
+    else:
+        raw = _render(m.n, m.elements, "[{},{}]", f'{{"n":{m.n},"map":[', "]}\n")
     if not compress:
         return raw
     buf = io.BytesIO()
@@ -303,7 +294,7 @@ def import_elements(path) -> EnumeratedMonoid:
             p = PartialPerm.from_json(obj)
         else:
             p = PartialPerm.parse(line)
-        if _lines(p.n, (p,), fmt) != [line + "\n"]:
+        if (str(p) if fmt == "txt" else json.dumps(p.to_json(), separators=(",", ":"))) != line:
             raise ParseError(f"line {num}: not in canonical form")
         if p in seen:
             raise ParseError(f"line {num}: duplicate element {p}")

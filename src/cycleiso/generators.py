@@ -61,7 +61,7 @@ def generator(n: int, name: str) -> PartialPerm:
         raise DomainError(
             f"straddle index {index} is outside 1..{(n - 1) // 2} for n={n}"
         )
-    straddle = PartialPerm._trusted(n, ((1, 1), (1 + index, n - index + 1)))
+    straddle = PartialPerm(n, ((1, 1), (1 + index, n - index + 1)))
     return straddle if name[0] == "x" else straddle.inverse()
 
 
@@ -106,9 +106,9 @@ class GeneratorSet:
         return ParseError(f"name {_shown(name)} is not in the {self.kind} generating set")
 
     @cached_property
-    def _images(self) -> dict[str, bytes | tuple[int, ...]]:
-        table = _kernel(self.n)[1]
-        return {name: table(p) for name, p in self}
+    def _images(self) -> dict:
+        table = _kernel(self.n)[2]
+        return {name: table(p._code) for name, p in self}
 
     def evaluate(self, word) -> PartialPerm:
         """Compose the named generators left to right.
@@ -121,16 +121,16 @@ class GeneratorSet:
                 f"a word is a sequence of generator names, got {_shown(word)}; "
                 "read text with parse_word"
             )
-        encode, _, mul, _, decode = _kernel(self.n)
-        img = encode(identity(self.n))
+        mul, strip, _, _ = _kernel(self.n)
+        code = identity(self.n)._code
         images = self._images
         for name in word:
             try:
                 step = images[name]
             except (KeyError, TypeError):  # an unknown or unhashable name
                 raise self._not_in_set(name) from None
-            img = mul(img, step)
-        return PartialPerm._trusted(self.n, decode(img))
+            code = mul(code, step)
+        return PartialPerm._wrap(self.n, strip(code))
 
 
 def standard_generators(kind: str, n: int) -> GeneratorSet:

@@ -1,15 +1,23 @@
 """Partial permutations of {1, ..., n} with right-action composition.
 
 A partial permutation is an injective map from a subset of {1, ..., n}
-into {1, ..., n}.  An element is its ambient size ``n`` plus the tuple of
-(point, image) pairs sorted by point, so equal maps hash equal and the
-tuple ordering doubles as the canonical sort.
+into {1, ..., n}.  An element holds its ambient size ``n`` and a code of
+the map, which equality, hashing, order and composition read, and derives
+its (point, image) ``pairs`` from the code at most once.  Up to n = 254
+the code is bytes: byte x - 1 is the image of point x, 0xFF marks no
+image, and trailing 0xFF are stripped.  Above, it is the pairs themselves,
+so a map on any cycle costs what its pairs cost.
+
+Codes sort as their pairs do, so ``(n, code)`` is the canonical order.
+For bytes: at the first point x where maps a and b differ, say a is
+defined, with the smaller image if b is too.  If b has a pair from x on, a
+sorts first both ways: its pair at x precedes b's next one and its byte is
+below b's.  If not, b's pairs and stripped bytes are prefixes of a's.
 
 Maps act on the right and compose left to right: ``x`` under ``a * b`` is
-``(x a) b``, defined when ``x a`` lands in the domain of ``b``.
-
-Text form lists pairs in ascending point order; the empty map on five
-points is ``"n=5;"``.
+``(x a) b``, defined when ``x a`` lands in the domain of ``b``.  Text form
+lists pairs in ascending point order; the empty map on five points is
+``"n=5;"``.
 
 >>> a = PartialPerm.parse("n=5;2>1,4>3,5>4")
 >>> a.domain, a.image
@@ -22,9 +30,10 @@ points is ``"n=5;"``.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
-from operator import gt, itemgetter, methodcaller
+from operator import getitem, gt, itemgetter, methodcaller
 
 from .errors import (
     AmbientMismatchError,
@@ -50,6 +59,8 @@ __all__ = [
 _TEXT = re.compile(
     r"n=([1-9]\d*);((?:[1-9]\d*>[1-9]\d*)(?:,[1-9]\d*>[1-9]\d*)*)?", re.ASCII
 )
+_MAX_BYTE_N = 254  # images 1..n leave the byte 0xFF free to mark a point without one
+_set = object.__setattr__
 
 
 def sorted_points(n: int, points) -> tuple[int, ...]:
@@ -66,40 +77,87 @@ def sorted_points(n: int, points) -> tuple[int, ...]:
     return tuple(pts)
 
 
-@dataclass(frozen=True, order=True)
+# (mul, strip, table, decode) for byte codes and for pair codes: strip(mul(a._code,
+# table(b._code))) is the code of a * b, and decode gives the pairs.  mul keeps a byte
+# code's length, so products of full-length codes are equal exactly when the maps are.
+_KERNELS = (
+    (bytes.translate, methodcaller("rstrip", b"\xff"),
+     lambda code: b"\xff" + code.ljust(255, b"\xff"),
+     lambda code: tuple(filter(itemgetter(1), enumerate(code.replace(b"\xff", b"\0"), 1)))),
+    (lambda code, t: tuple((x, t[y]) for x, y in code if y in t), lambda code: code, dict,
+     lambda code: code),
+)
+
+
+def _kernel(n: int):
+    """``(mul, strip, table, decode)`` on n points, picked by the code n gets."""
+    return _KERNELS[n > _MAX_BYTE_N]
+
+
+@dataclass(frozen=True, init=False, repr=False, order=True)
 class PartialPerm:
-    """An injective partial self-map of {1, ..., n} in canonical form."""
+    """An injective partial self-map of {1, ..., n} in canonical form, built from ``n``
+    and the tuple of (point, image) pairs sorted by point."""
 
+    __slots__ = ("n", "_code", "_pairs")
+    __match_args__ = ("n", "pairs")
     n: int
-    pairs: tuple[tuple[int, int], ...]
+    _code: bytes | tuple
 
-    def __post_init__(self) -> None:
-        _check_size(self.n)
-        if type(self.pairs) is not tuple:
-            raise DomainError(f"pairs must be a tuple of 2-tuples, got {_shown(self.pairs)}")
+    def __new__(cls, n: int, pairs: tuple[tuple[int, int], ...]) -> "PartialPerm":
+        _check_size(n)
+        if type(pairs) is not tuple:
+            raise DomainError(f"pairs must be a tuple of 2-tuples, got {_shown(pairs)}")
         prev = 0
         seen = set()
-        for pair in self.pairs:
+        for pair in pairs:
             if type(pair) is not tuple or len(pair) != 2:
                 raise DomainError(f"pair {_shown(pair)} is not a 2-tuple")
             a, b = pair
-            if not (type(a) is type(b) is int and 1 <= a <= self.n and 1 <= b <= self.n):
-                raise DomainError(
-                    f"pair {_shown(a)}>{_shown(b)} is not a pair of ints in 1..{self.n}"
-                )
+            if not (type(a) is type(b) is int and 1 <= a <= n and 1 <= b <= n):
+                raise DomainError(f"pair {_shown(a)}>{_shown(b)} is not a pair of ints in 1..{n}")
             if a <= prev:
                 raise DomainError("pairs must be strictly ascending in the point")
             if b in seen:
                 raise NotInjectiveError(f"image point {b} repeats")
             prev = a
             seen.add(b)
+        return cls._trusted(n, pairs)
+
+    @classmethod
+    def _wrap(cls, n: int, code) -> "PartialPerm":
+        """Build from a code, for results valid by construction."""
+        p = object.__new__(cls)
+        _set(p, "n", n)
+        _set(p, "_code", code)
+        return p
 
     @classmethod
     def _trusted(cls, n: int, pairs) -> "PartialPerm":
-        """Build without validation, for results valid by construction."""
-        p = object.__new__(cls)
-        p.__dict__.update(n=n, pairs=pairs)
+        """Build from canonical pairs without validation, for results valid by construction."""
+        code = pairs
+        if n <= _MAX_BYTE_N:
+            buf = bytearray(b"\xff" * (pairs[-1][0] if pairs else 0))
+            for a, b in pairs:
+                buf[a - 1] = b
+            code = bytes(buf)
+        p = cls._wrap(n, code)
+        _set(p, "_pairs", pairs)
         return p
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        try:
+            return self._pairs
+        except AttributeError:  # a product's code, read once
+            _set(self, "_pairs", _kernel(self.n)[3](self._code))
+            return self._pairs
+
+    def __reduce__(self):
+        return PartialPerm, (self.n, self.pairs)
+
+    def __repr__(self) -> str:
+        return f"PartialPerm(n={self.n!r}, pairs={self.pairs!r})"
 
     @classmethod
     def from_map(cls, n: int, mapping) -> "PartialPerm":
@@ -176,11 +234,8 @@ class PartialPerm:
             return NotImplemented
         if other.n != self.n:
             raise AmbientMismatchError(f"cannot compose n={self.n} with n={other.n}")
-        lookup = dict(other.pairs)
-        return PartialPerm._trusted(
-            self.n,
-            tuple((a, lookup[b]) for a, b in self.pairs if b in lookup),
-        )
+        mul, strip, table, _ = _kernel(self.n)
+        return PartialPerm._wrap(self.n, strip(mul(self._code, table(other._code))))
 
     def inverse(self) -> "PartialPerm":
         return PartialPerm._trusted(self.n, tuple(sorted((b, a) for a, b in self.pairs)))
@@ -198,50 +253,18 @@ class PartialPerm:
         return f"n={self.n};" + ",".join(f"{a}>{b}" for a, b in self.pairs)
 
 
-def _image_array(p: PartialPerm) -> tuple[int, ...]:
-    """Entry x is the image of x, 0 where undefined; ``_image_pairs`` reads it back."""
-    img = [0] * (p.n + 1)
-    for a, b in p.pairs:
-        img[a] = b
-    return tuple(img)
-
-
-def _image_pairs(img) -> tuple[tuple[int, int], ...]:
-    """The pairs of the map an image array holds: its defined entries."""
-    return tuple(filter(itemgetter(1), enumerate(img)))
-
-
-def _image_bytes(p: PartialPerm) -> bytes:
-    """Byte i is the image of point i + 1, 0xFF where undefined (so n <= 254).
-
-    Stripped of trailing 0xFF, maps on one n sort bytewise as their pairs do.  At the
-    first point x where a and b differ, say a is defined, with the smaller image if b is
-    too.  If b has a pair from x on, a sorts first both ways: its pair at x precedes b's
-    next one and its byte is below b's.  If not, b's pairs and bytes are prefixes of a's.
-    """
-    return bytes(map(dict(p.pairs).get, range(1, p.n + 1), [0xFF] * p.n))
-
-
-def _byte_table(p: PartialPerm) -> bytes:
-    """The table that makes ``_image_bytes(a).translate`` give ``_image_bytes(a * p)``."""
-    return b"\xff" + _image_bytes(p).ljust(255, b"\xff")
-
-
-def _byte_pairs(img: bytes) -> tuple[tuple[int, int], ...]:
-    """The pairs of the map a byte image holds: its entries other than 0xFF."""
-    return tuple(filter(itemgetter(1), enumerate(img.replace(b"\xff", b"\x00"), 1)))
-
-
-_BYTES = (_image_bytes, _byte_table, bytes.translate, methodcaller("rstrip", b"\xff"), _byte_pairs)
-_ARRAYS = (_image_array, _image_array, lambda img, t: itemgetter(*img)(t), _image_pairs,
-           _image_pairs)
-
-
-def _kernel(n: int):
-    """``(encode, table, mul, key, decode)`` on n points: byte images up to n = 254, image
-    arrays above.  ``decode(mul(encode(a), table(b)))`` is ``(a * b).pairs``, and ``key`` of
-    an encoding sorts as the pairs do."""
-    return _BYTES if n <= 254 else _ARRAYS
+def _render(n: int, elements, cell: str, head: str, tail: str) -> bytes:
+    """One line per element: ``head``, its pairs as ``cell`` texts joined by commas, then
+    ``tail``, as ASCII.  Byte codes read through one table per point of each image's cell,
+    so no element is decoded."""
+    if n > _MAX_BYTE_N:
+        pairs = (",".join(cell.format(*pair) for pair in p._code) for p in elements)
+        return "".join(head + text + tail for text in pairs).encode()
+    cells = [[f",{cell.format(x, y)}".encode() for y in range(n + 1)] + [b""] * (255 - n)
+             for x in range(1, n + 1)]
+    head, tail, out = head.encode(), tail.encode(), io.BytesIO()
+    out.writelines(head + b"".join(map(getitem, cells, p._code))[1:] + tail for p in elements)
+    return out.getvalue()
 
 
 def identity(n: int) -> PartialPerm:

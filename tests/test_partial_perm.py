@@ -20,10 +20,8 @@ from cycleiso import (
     standard_generators,
     to_partial_perm,
 )
-from cycleiso.brute_force import all_partial_perms
-from cycleiso.partial_perm import _image_array, _kernel
 
-from conftest import capped_child_lines, perm_pairs, perm_triples, perms, sparse_perm_on
+from conftest import capped_child_lines, perm_on, perm_pairs, perm_triples, perms, sparse_perm_on
 
 
 def test_parse_str_round_trip():
@@ -161,53 +159,73 @@ def test_inverse_reverses_products(ab):
     assert (a * b).inverse() == b.inverse() * a.inverse()
 
 
-def test_image_array_codec_round_trips_every_small_map():
-    # neither format of _kernel reads n but through its maps, so both run on every small map
-    for n in range(1, 5):
-        maps = list(all_partial_perms(n))
-        for p in maps:
-            img = _image_array(p)
-            assert len(img) == n + 1 and img[0] == 0
-        for encode, table, mul, key, decode in (_kernel(254), _kernel(255)):
-            assert sorted(maps, key=lambda p: key(encode(p))) == sorted(maps)
-            for a in maps:
-                assert decode(encode(a)) == a.pairs
-                for b in maps if n <= 3 else ():
-                    assert decode(mul(encode(a), table(b))) == (a * b).pairs
-
-
-@given(perm_pairs(min_n=3, max_n=12))
-def test_image_array_product_is_the_composition(ab):
-    # the product of engine.close and GeneratorSet.evaluate from n = 255 on; it reads no n
-    a, b = ab
-    encode, table, mul, _, decode = _kernel(255)
-    assert decode(mul(encode(a), table(b))) == (a * b).pairs
+def _naive_product(a, b):
+    lookup = dict(b.pairs)
+    return tuple((x, lookup[y]) for x, y in a.pairs if y in lookup)
 
 
 @st.composite
-def _kernel_sized_pairs(draw):
-    n = draw(st.integers(1, 300) | st.sampled_from((254, 255)))
-    return draw(sparse_perm_on(n, max_pairs=8)), draw(sparse_perm_on(n, max_pairs=8))
+def _maps_across_the_byte_cut(draw):
+    # dense maps on small cycles, sparse ones up to n = 300, where n itself is drawn
+    # as a point as often as all the others together; c lives on any cycle
+    def on(n):
+        return perm_on(n) if n <= 16 else sparse_perm_on(n, max_pairs=8)
+
+    n = draw(st.integers(1, 300) | st.sampled_from((254, 255)) | st.integers(1, 5))
+    return draw(on(n)), draw(on(n)), draw(on(draw(st.sampled_from((n, 254, 255, 3)))))
 
 
-@given(_kernel_sized_pairs())
-@example((PartialPerm(254, ((1, 254), (254, 1))), PartialPerm(254, ((1, 1), (254, 254)))))
-@example((PartialPerm(254, ((253, 254),)), PartialPerm(254, ((253, 253),))))
-@example((PartialPerm(255, ((1, 255), (255, 1))), PartialPerm(255, ((1, 1), (255, 255)))))
-@example((PartialPerm(255, ((254, 255),)), PartialPerm(255, ((255, 254),))))
-def test_kernel_round_trips_sorts_and_composes(ab):
-    # the encoding engine.close and GeneratorSet.evaluate share: bytes up to n = 254
-    a, b = ab
-    encode, table, mul, key, decode = _kernel(a.n)
-    ea, eb = encode(a), encode(b)
-    assert isinstance(ea, bytes) == (a.n <= 254) and len(ea) == a.n + (a.n > 254)
-    assert decode(ea) == a.pairs and decode(eb) == b.pairs
-    assert _sign(key(ea), key(eb)) == _sign(a, b)
-    assert decode(mul(ea, table(b))) == (a * b).pairs
+@given(_maps_across_the_byte_cut())
+@example((PartialPerm(254, ((1, 254), (254, 1))), PartialPerm(254, ((1, 1), (254, 254))),
+          empty_map(255)))
+@example((PartialPerm(254, ((253, 254),)), PartialPerm(254, ((253, 253),)), identity(254)))
+@example((PartialPerm(255, ((1, 255), (255, 1))), PartialPerm(255, ((1, 1), (255, 255))),
+          empty_map(254)))
+@example((PartialPerm(255, ((254, 255),)), PartialPerm(255, ((255, 254),)), identity(255)))
+@example((empty_map(254), PartialPerm(254, ((254, 1),)), PartialPerm(254, ((1, 254),))))
+@example((PartialPerm(254, ((1, 254),)), empty_map(254), PartialPerm(254, ((254, 254),))))
+@example((empty_map(255), PartialPerm(255, ((255, 1),)), PartialPerm(255, ((1, 255),))))
+@example((PartialPerm(255, ((1, 255),)), empty_map(255), PartialPerm(255, ((255, 255),))))
+def test_every_operation_agrees_with_the_pairs(abc):
+    # a, b and c are built from pairs; a * b and the maps below it hold only the code
+    # a product left, so each operation is checked on both kinds of element
+    a, b, c = abc
+    n = a.n
+    ab = a * b
+    assert ab.pairs == _naive_product(a, b)
+    for p, q in ((a, b), (b, a), (a, c), (ab, a), (ab, b), (ab, ab * identity(n))):
+        assert (p == q) == ((p.n, p.pairs) == (q.n, q.pairs))
+        assert _sign(p, q) == _sign((p.n, p.pairs), (q.n, q.pairs))
+        if p == q:
+            assert hash(p) == hash(q)
+    assert hash(ab) == hash(PartialPerm(n, ab.pairs)) and ab == PartialPerm(n, ab.pairs)
+    for p in (a, b, ab, ab * a.inverse()):
+        pairs = p.pairs
+        assert PartialPerm(n, pairs) == p and p * identity(n) == p
+        assert p.domain == tuple(x for x, _ in pairs) and p.values == tuple(y for _, y in pairs)
+        assert p.image == tuple(sorted(p.values)) and p.rank == len(pairs)
+        assert p.inverse().pairs == tuple(sorted((y, x) for x, y in pairs))
+        assert p.restrict(b.domain).pairs == tuple(pair for pair in pairs if pair[0] in b.domain)
+        assert str(p) == f"n={n};" + ",".join(f"{x}>{y}" for x, y in pairs)
+        assert p.to_json() == {"n": n, "map": [list(pair) for pair in pairs]}
 
 
 def _sign(x, y) -> int:
     return (x > y) - (x < y)
+
+
+_HUGE_CYCLE_IN_A_CAPPED_CHILD = """
+from cycleiso import PartialPerm, classify
+n = 10**4300 - 1
+p = PartialPerm(n, ((2, n), (n, 1)))
+print(p.inverse() * p == PartialPerm(n, ((1, 1), (n, n))), p < p.inverse(), len(str(p)))
+print(classify(PartialPerm(n, ((n, 1),))).in_opdi)
+"""
+
+
+def test_a_map_on_a_huge_cycle_costs_what_its_pairs_cost():
+    # from n = 255 the code is the pairs, so a point near n stores no image per point
+    assert capped_child_lines(_HUGE_CYCLE_IN_A_CAPPED_CHILD) == ["True False 12908", "True"]
 
 
 @given(perm_pairs(), st.data())
