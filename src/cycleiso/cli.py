@@ -41,12 +41,15 @@ _MAX_ELEMENTS = 10**6
 
 
 def _count(kind: str, n: int) -> int | None:
-    # every formula exceeds 2^n, so from this n on the count is too long to print and
-    # over any ceiling, and is not computed; di has no formula, but opdi is a
-    # submonoid of it, so opdi's count is a lower bound
+    # every count exceeds 2^n, so from this n on it is too long to print and over any
+    # ceiling, and is not computed.  di is the empty map, the n^2 maps of rank 1, and the
+    # 2n symmetries cut to each set of two or more points, less the n^2/2 repeats: two
+    # symmetries agree on at most two points, and on two only when they are antipodal
     if n >= _SIZE_LIMIT.bit_length():
         return None
-    return card("opdi" if kind == "di" else kind, n)
+    if kind == "di":
+        return 1 + n * n + 2 * n * (2**n - n - 1) - (n % 2 == 0) * n * n // 2
+    return card(kind, n)
 
 
 def _check_count(what: str, kind: str, n: int, limit: int = _MAX_ELEMENTS, hint: str = "") -> None:

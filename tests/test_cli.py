@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cycleiso import card, factorize, import_elements, standard_generators, verify
-from cycleiso.cli import main
+from cycleiso.brute_force import kind_elements
+from cycleiso.cli import _count, main
 
 from conftest import capped_child_lines
 
@@ -142,16 +143,24 @@ def test_enumerate_refuses_runaway_sizes_up_front():
         (("enumerate", "opdi", "40"), "opdi", 10**6),
         (("enumerate", "opdi", "16"), "opdi", 10**6),
         (("enumerate", "mdi", "20", "--format", "jsonl"), "mdi", 10**6),
-        # di has no formula; opdi is a submonoid, so its count is a lower bound
-        (("enumerate", "di", "18"), "opdi", 10**6),
+        (("enumerate", "di", "18"), "di", 10**6),
         (("enumerate", "odi", "5", "--max-elements", "103"), "odi", 103),
+        # di 8 has 3985 elements; opdi 8's 3521 used to stand in for it
+        (("enumerate", "di", "8", "--max-elements", "3000"), "di", 3000),
     ]
     lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
     assert lines == [
-        f"2 error: enumerate {argv[1]} {argv[2]} would build {card(kind, int(argv[2]))} "
+        f"2 error: enumerate {argv[1]} {argv[2]} would build {_count(kind, int(argv[2]))} "
         f"elements (limit {limit}); pass --max-elements to raise it"
         for argv, kind, limit in cases
     ]
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_di_count_is_the_number_of_partial_isometries(n):
+    assert _count("di", n) == len(kind_elements("di", n))
+    for kind in ("odi", "mdi", "opdi"):
+        assert _count(kind, n) == card(kind, n)
 
 
 def test_enumerate_refuses_a_huge_size_without_computing_its_count(capsys, monkeypatch):
@@ -182,14 +191,14 @@ def test_greens_card_enumerate_and_rank_certify_refuse_runaway_sizes_up_front():
     # without a guard, greens opdi 30 and card odi 40 --enumerate ran out of
     # memory and rank opdi 30 --certify raised SystemError, so the refusals run
     # in a child whose memory is capped.  greens and card --enumerate build all
-    # of di, which opdi's count bounds below; rank --certify closes the kind
+    # of di; rank --certify closes the kind
     cases = [
-        (("greens", "opdi", "30"), "greens opdi 30", card("opdi", 30)),
-        (("greens", "odi", "16", "--relation", "H"), "greens odi 16", card("opdi", 16)),
-        (("greens", "di", "16", "--json"), "greens di 16", card("opdi", 16)),
-        (("card", "odi", "40", "--enumerate"), "card odi 40 --enumerate", card("opdi", 40)),
+        (("greens", "opdi", "30"), "greens opdi 30", _count("di", 30)),
+        (("greens", "odi", "16", "--relation", "H"), "greens odi 16", _count("di", 16)),
+        (("greens", "di", "16", "--json"), "greens di 16", _count("di", 16)),
+        (("card", "odi", "40", "--enumerate"), "card odi 40 --enumerate", _count("di", 40)),
         (("card", "mdi", "16", "--enumerate", "--json"), "card mdi 16 --enumerate",
-         card("opdi", 16)),
+         _count("di", 16)),
         (("rank", "opdi", "30", "--certify"), "rank opdi 30 --certify", card("opdi", 30)),
         (("rank", "odi", "19", "--certify"), "rank odi 19 --certify", card("odi", 19)),
         (("rank", "mdi", "18", "--certify", "--json"), "rank mdi 18 --certify",
