@@ -115,6 +115,7 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
                         words[prod] = word + (gi,)
                         fresh.append(prod)
             layer = fresh
+        # rebinding frees the search's dict before the monoid copies this one
         words = {PartialPerm._wrap(n, strip(c)): words[c] for c in sorted(words, key=strip)}
         return EnumeratedMonoid(n, words, gens, words)
     finally:
