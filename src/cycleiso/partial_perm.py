@@ -90,7 +90,7 @@ _KERNELS = (
 
 
 def _kernel(n: int):
-    """``(mul, strip, table, decode)`` on n points, picked by the code n gets."""
+    """The ``_KERNELS`` entry for the codes of maps on n points."""
     return _KERNELS[n > _MAX_BYTE_N]
 
 
