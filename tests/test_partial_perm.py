@@ -20,6 +20,8 @@ from cycleiso import (
     standard_generators,
     to_partial_perm,
 )
+from cycleiso.brute_force import all_partial_perms
+from cycleiso.partial_perm import _KERNELS, _kernel
 
 from conftest import capped_child_lines, perm_on, perm_pairs, perm_triples, perms, sparse_perm_on
 
@@ -157,6 +159,59 @@ def test_inverse_laws(p):
 def test_inverse_reverses_products(ab):
     a, b = ab
     assert (a * b).inverse() == b.inverse() * a.inverse()
+
+
+def test_image_array_codec_round_trips_every_small_map():
+    # both kernels run on every small map: byte codes as elements hold them, and the
+    # pairs, which the pair kernel composes without reading n
+    for n in range(1, 5):
+        maps = list(all_partial_perms(n))
+        for p in maps:
+            assert p._code == p._code.rstrip(b"\xff")
+            assert len(p._code) == (p.domain[-1] if p.rank else 0)
+        assert sorted(maps) == sorted(maps, key=lambda p: p.pairs)
+        assert sorted(maps, key=lambda p: p._code) == sorted(maps, key=lambda p: p.pairs)
+        for (mul, strip, table, decode), encode in zip(
+            _KERNELS, (lambda p: p._code, lambda p: p.pairs)
+        ):
+            for a in maps:
+                assert decode(encode(a)) == a.pairs
+                for b in maps if n <= 3 else ():
+                    assert decode(strip(mul(encode(a), table(encode(b))))) == (a * b).pairs
+
+
+@given(perm_pairs(min_n=3, max_n=12))
+def test_image_array_product_is_the_composition(ab):
+    # the product engine.close and GeneratorSet.evaluate use from n = 255 on; it reads no n
+    a, b = ab
+    mul, strip, table, decode = _kernel(255)
+    assert decode(strip(mul(a.pairs, table(b.pairs)))) == (a * b).pairs
+    assert (PartialPerm(255, a.pairs) * PartialPerm(255, b.pairs)).pairs == (a * b).pairs
+
+
+@st.composite
+def _kernel_sized_pairs(draw):
+    n = draw(st.integers(1, 300) | st.sampled_from((254, 255)))
+    return draw(sparse_perm_on(n, max_pairs=8)), draw(sparse_perm_on(n, max_pairs=8))
+
+
+@given(_kernel_sized_pairs())
+@example((PartialPerm(254, ((1, 254), (254, 1))), PartialPerm(254, ((1, 1), (254, 254)))))
+@example((PartialPerm(254, ((253, 254),)), PartialPerm(254, ((253, 253),))))
+@example((PartialPerm(255, ((1, 255), (255, 1))), PartialPerm(255, ((1, 1), (255, 255)))))
+@example((PartialPerm(255, ((254, 255),)), PartialPerm(255, ((255, 254),))))
+def test_kernel_round_trips_sorts_and_composes(ab):
+    # the codes engine.close and GeneratorSet.evaluate share: bytes up to n = 254
+    a, b = ab
+    mul, strip, table, decode = _kernel(a.n)
+    ea, eb = a._code, b._code
+    assert isinstance(ea, bytes) == (a.n <= 254)
+    assert len(ea) == ((a.domain[-1] if a.rank else 0) if a.n <= 254 else a.rank)
+    assert decode(ea) == a.pairs and decode(eb) == b.pairs
+    assert _sign(ea, eb) == _sign(a, b)
+    product = strip(mul(ea, table(eb)))
+    assert decode(product) == (a * b).pairs
+    assert product == (a * b)._code == PartialPerm(a.n, (a * b).pairs)._code
 
 
 def _naive_product(a, b):
