@@ -1,21 +1,34 @@
-"""Error messages name the offending value, whatever its size."""
+"""Error messages name the offending value, whatever its size, and each public
+entry refuses a bad value with one exception type and message."""
 
 import pytest
 
 from cycleiso import (
+    AmbientMismatchError,
     DihedralElement,
     DomainError,
+    EnumeratedMonoid,
     ParseError,
     PartialPerm,
+    UndefinedSequenceError,
     card,
     close,
+    delta,
     distance,
+    distance_sequence,
     export_bytes,
+    extensions,
     generator,
     identity_off,
+    is_in_b2,
+    is_partial_isometry,
+    is_partial_isometry_fast,
+    j_partition,
+    j_related,
     parse_word,
     proof_counts,
     sorted_points,
+    to_partial_perm,
 )
 from cycleiso.errors import _shown
 
@@ -105,3 +118,111 @@ def test_parsers_refuse_values_that_are_not_text(parse, value):
     with pytest.raises(ParseError) as err:
         parse(value)
     assert _shown(value) in str(err.value)
+
+
+# The public boundary: each entry checks its inputs once and refuses a bad
+# value with the same type and message, whatever it does inside.
+_G = DihedralElement(5, 0, 1)
+_POINT_ENTRIES = {
+    "distance": lambda v: distance(5, 1, v),
+    "distance_sequence": lambda v: distance_sequence(5, [1, v]),
+    "delta": lambda v: delta(5, [2], [v]),
+    "to_partial_perm": lambda v: to_partial_perm(_G, [1, v]),
+    "DihedralElement.apply": lambda v: _G.apply(v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_POINT_ENTRIES))
+@pytest.mark.parametrize(
+    "point,shown",
+    [(0, "0"), (6, "6"), (True, "True"), ("3", "'3'"), (1.5, "1.5")],
+    ids=["0", "n+1", "True", "str", "float"],
+)
+def test_public_entries_refuse_a_bad_point_with_one_message(entry, point, shown):
+    with pytest.raises(DomainError) as err:
+        _POINT_ENTRIES[entry](point)
+    assert type(err.value) is DomainError
+    assert str(err.value) == f"point {shown} is outside 1..5"
+
+
+def _on(n, *pairs):
+    return PartialPerm(n, pairs)
+
+
+_SWAP_2 = _on(2, (1, 2), (2, 1))  # rank 2 on the 2-point "cycle"
+_FIX_2 = _on(2, (1, 1), (2, 2))
+
+
+@pytest.mark.parametrize(
+    "call,n",
+    [
+        pytest.param(lambda n: distance(n, 1, 1), (1, 2), id="distance"),
+        pytest.param(lambda n: distance(n, 0, 7), (1, 2), id="distance-size-before-points"),
+        pytest.param(lambda n: distance_sequence(n, [1]), (1, 2), id="distance_sequence"),
+        pytest.param(lambda n: distance_sequence(n, [0]), (1, 2),
+                     id="distance_sequence-size-before-points"),
+        pytest.param(lambda n: delta(n, [1], [1]), (1, 2), id="delta"),
+        pytest.param(lambda n: is_partial_isometry(_on(n)), (1, 2), id="is_partial_isometry"),
+        pytest.param(lambda n: is_partial_isometry_fast(_on(n, (1, 1))), (1, 2),
+                     id="is_partial_isometry_fast"),
+        pytest.param(lambda n: extensions(_on(n)), (1, 2), id="extensions-rank0"),
+        pytest.param(lambda n: extensions(_on(n, (1, 1))), (1, 2), id="extensions-rank1"),
+        pytest.param(lambda n: distance_sequence(2, [1, 2]), (2,), id="distance_sequence-rank2"),
+        pytest.param(lambda n: is_partial_isometry(_SWAP_2), (2,), id="is_partial_isometry-rank2"),
+        pytest.param(lambda n: is_partial_isometry_fast(_SWAP_2), (2,),
+                     id="is_partial_isometry_fast-rank2"),
+        pytest.param(lambda n: is_in_b2(_SWAP_2), (2,), id="is_in_b2-rank2"),
+        pytest.param(lambda n: extensions(_SWAP_2), (2,), id="extensions-rank2"),
+        pytest.param(lambda n: j_related(_SWAP_2, _FIX_2, "mdi"), (2,), id="j_related-rank2"),
+        pytest.param(lambda n: j_partition(EnumeratedMonoid(2, [_SWAP_2, _FIX_2]), "opdi"), (2,),
+                     id="j_partition-rank2"),
+    ],
+)
+def test_public_entries_refuse_short_cycles_with_one_message(call, n):
+    for size in n:
+        with pytest.raises(DomainError) as err:
+            call(size)
+        assert type(err.value) is DomainError
+        assert str(err.value) == f"the cycle graph needs n >= 3, got {size}"
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        pytest.param(lambda: distance_sequence(5, [3]), UndefinedSequenceError,
+                     "distance sequence needs at least two points, got 1", id="one-point"),
+        pytest.param(lambda: distance_sequence(5, [4, 1, 4]), DomainError, "point 4 repeats",
+                     id="repeated-point"),
+        pytest.param(lambda: delta(5, [1, 2], [3]), DomainError,
+                     "size mismatch: 2 points versus 1", id="delta-sizes"),
+        pytest.param(lambda: j_related(_SWAP_2, _FIX_2, "di"), DomainError,
+                     "unknown kind 'di'; expected one of odi, mdi, opdi", id="j_related-kind"),
+        pytest.param(lambda: j_related(_on(5), _on(6), "odi"), AmbientMismatchError,
+                     "cannot compare n=5 with n=6", id="j_related-sizes"),
+        pytest.param(lambda: j_partition(EnumeratedMonoid(2, [_SWAP_2]), "h"), DomainError,
+                     "unknown kind 'h'; expected one of odi, mdi, opdi", id="j_partition-kind"),
+    ],
+)
+def test_public_entries_refuse_other_bad_input_with_one_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "call,value",
+    [
+        pytest.param(lambda: is_in_b2(_on(1, (1, 1))), False, id="is_in_b2-n1"),
+        pytest.param(lambda: is_in_b2(_on(2, (2, 1))), False, id="is_in_b2-rank1-n2"),
+        pytest.param(lambda: j_related(_on(2), _on(2), "odi"), True, id="j_related-rank0-n2"),
+        pytest.param(lambda: j_related(_on(1, (1, 1)), _on(1, (1, 1)), "opdi"), True,
+                     id="j_related-rank1-n1"),
+        pytest.param(lambda: j_related(_on(2, (1, 2)), _on(2), "mdi"), False,
+                     id="j_related-ranks-differ-n2"),
+    ],
+)
+def test_answers_that_need_no_cycle_stay_answers(call, value):
+    # below rank 2 the J key is the rank, and b2 needs rank 2 on an even cycle,
+    # so these read no distance and refuse nothing
+    assert call() is value
