@@ -86,6 +86,28 @@ def test_construction_requires_exact_ints(n, j, k):
         DihedralElement(n, j, k)
 
 
+@pytest.mark.parametrize("make", ["rotation", "reflection"])
+@pytest.mark.parametrize(
+    "n,k",
+    [(0, 1), (1, 1), (2, 5), ("5", 1), (5.0, 1), (True, 1), (3, "1"), (3, 1.0), (3, True)],
+    ids=["n0", "n1", "n2", "n-str", "n-float", "n-bool", "k-str", "k-float", "k-bool"],
+)
+def test_rotation_and_reflection_refuse_what_the_constructor_refuses(make, n, k):
+    # the reduction k % n used to run first: n = 0 divided by zero, and a str
+    # n or k raised TypeError
+    with pytest.raises(DomainError) as want:
+        DihedralElement(n, 0, k)
+    with pytest.raises(DomainError) as got:
+        getattr(DihedralElement, make)(n, k)
+    assert type(got.value) is DomainError
+    assert str(got.value) == str(want.value)
+
+
+def test_rotation_and_reflection_reduce_any_int_exponent():
+    assert DihedralElement.rotation(5, -8) == DihedralElement(5, 0, 2)
+    assert DihedralElement.reflection(5, 10**5000 + 3) == DihedralElement(5, 1, 3)
+
+
 def test_construction_refuses_sizes_too_long_to_print():
     # int() prints at most 4300 digits, so 10**4300 is the first size refused
     edge = 10**4300 - 1
