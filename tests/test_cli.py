@@ -215,6 +215,28 @@ def test_greens_card_enumerate_and_rank_certify_refuse_runaway_sizes_up_front():
 
 
 @pytest.mark.parametrize(
+    "argv,what",
+    [
+        (("greens", "opdi", "15"), "greens opdi 15"),
+        (("greens", "di", "15", "--relation", "L"), "greens di 15"),
+        (("card", "odi", "15", "--enumerate"), "card odi 15 --enumerate"),
+        (("card", "mdi", "15", "--enumerate", "--json"), "card mdi 15 --enumerate"),
+    ],
+)
+def test_greens_and_card_enumerate_refuse_di_15_before_building(capsys, monkeypatch, argv, what):
+    # di 15 has 982786 elements; greens opdi 15 built them all and died of a
+    # MemoryError after 59 s under a 1 GB cap
+    def build(*args):
+        raise AssertionError("di 15 was built")
+
+    monkeypatch.setattr("cycleiso.cli.kind_monoid", build)
+    monkeypatch.setattr("cycleiso.cli.kind_elements", build)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} would build 982786 elements (limit 500000)\n"
+
+
+@pytest.mark.parametrize(
     "argv,builder",
     [
         (("greens", "opdi", "15"), "kind_monoid"),
