@@ -38,6 +38,9 @@ _Output = tuple[int, dict, list[str]]
 
 # the most elements a command builds; only enumerate's --max-elements changes it
 _MAX_ELEMENTS = 10**6
+# greens and card --enumerate build all of di as a brute-force set, which costs more per
+# element: di 14's 458,431 elements fit, and di 15's 982,786 ran out of 1 GB
+_MAX_DI = 500_000
 
 
 def _count(kind: str, n: int) -> int | None:
@@ -67,7 +70,7 @@ def _cmd_card(args) -> _Output:
     payload = {"kind": args.kind, "n": args.n, "formula": formula}
     if not args.enumerate:
         return 0, payload, [f"formula={formula}"]
-    _check_count(f"card {args.kind} {args.n} --enumerate", "di", args.n)  # builds all of di
+    _check_count(f"card {args.kind} {args.n} --enumerate", "di", args.n, _MAX_DI)
     enumerated = len(kind_elements(args.kind, args.n))
     match = formula == enumerated
     payload.update(enumerated=enumerated, match=match)
@@ -91,7 +94,7 @@ def _cmd_enumerate(args) -> _Output:
 
 
 def _cmd_greens(args) -> _Output:
-    _check_count(f"greens {args.kind} {args.n}", "di", args.n)  # builds all of di
+    _check_count(f"greens {args.kind} {args.n}", "di", args.n, _MAX_DI)
     m = kind_monoid(args.kind, args.n)
     dec = green_structural(m)
     classes = {

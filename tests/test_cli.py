@@ -189,28 +189,31 @@ def test_greens_card_enumerate_and_rank_certify_refuse_runaway_sizes_up_front():
     # without a guard, greens opdi 30 and card odi 40 --enumerate ran out of
     # memory and rank opdi 30 --certify raised SystemError, so the refusals run
     # in a child whose memory is capped.  greens and card --enumerate build all
-    # of di; rank --certify closes the kind
+    # of di, up to 500000 elements; rank --certify closes the kind
     cases = [
-        (("greens", "opdi", "30"), "greens opdi 30", _count("di", 30)),
-        (("greens", "odi", "16", "--relation", "H"), "greens odi 16", _count("di", 16)),
-        (("greens", "di", "16", "--json"), "greens di 16", _count("di", 16)),
-        (("card", "odi", "40", "--enumerate"), "card odi 40 --enumerate", _count("di", 40)),
+        (("greens", "opdi", "30"), "greens opdi 30", _count("di", 30), 500000),
+        (("greens", "odi", "16", "--relation", "H"), "greens odi 16", _count("di", 16), 500000),
+        (("greens", "di", "16", "--json"), "greens di 16", _count("di", 16), 500000),
+        (("card", "odi", "40", "--enumerate"), "card odi 40 --enumerate", _count("di", 40),
+         500000),
         (("card", "mdi", "16", "--enumerate", "--json"), "card mdi 16 --enumerate",
-         _count("di", 16)),
-        (("rank", "opdi", "30", "--certify"), "rank opdi 30 --certify", card("opdi", 30)),
-        (("rank", "odi", "19", "--certify"), "rank odi 19 --certify", card("odi", 19)),
+         _count("di", 16), 500000),
+        (("rank", "opdi", "30", "--certify"), "rank opdi 30 --certify", card("opdi", 30),
+         1000000),
+        (("rank", "odi", "19", "--certify"), "rank odi 19 --certify", card("odi", 19), 1000000),
         (("rank", "mdi", "18", "--certify", "--json"), "rank mdi 18 --certify",
-         card("mdi", 18)),
-        (("rank", "opdi", "16", "--certify"), "rank opdi 16 --certify", card("opdi", 16)),
+         card("mdi", 18), 1000000),
+        (("rank", "opdi", "16", "--certify"), "rank opdi 16 --certify", card("opdi", 16),
+         1000000),
         # past card's print limit the count is not computed
-        (("greens", "odi", "20000"), "greens odi 20000", "more than 2^20000"),
+        (("greens", "odi", "20000"), "greens odi 20000", "more than 2^20000", 500000),
         (("rank", "mdi", "20000", "--certify"), "rank mdi 20000 --certify",
-         "more than 2^20000"),
+         "more than 2^20000", 1000000),
     ]
     lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
     assert lines == [
-        f"2 error: {what} would build {count} elements (limit 1000000)"
-        for _, what, count in cases
+        f"2 error: {what} would build {count} elements (limit {limit})"
+        for _, what, count, limit in cases
     ]
 
 
@@ -239,9 +242,9 @@ def test_greens_and_card_enumerate_refuse_di_15_before_building(capsys, monkeypa
 @pytest.mark.parametrize(
     "argv,builder",
     [
-        (("greens", "opdi", "15"), "kind_monoid"),
-        (("greens", "di", "15", "--relation", "L"), "kind_monoid"),
-        (("card", "odi", "15", "--enumerate"), "kind_elements"),
+        (("greens", "opdi", "14"), "kind_monoid"),
+        (("greens", "di", "14", "--relation", "L"), "kind_monoid"),
+        (("card", "odi", "14", "--enumerate"), "kind_elements"),
         (("rank", "odi", "18", "--certify"), "lower_bound_certificate"),
         (("rank", "mdi", "17", "--certify"), "lower_bound_certificate"),
         (("rank", "opdi", "15", "--certify"), "lower_bound_certificate"),
