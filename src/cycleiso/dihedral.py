@@ -67,11 +67,11 @@ class DihedralElement:
 
     @classmethod
     def rotation(cls, n: int, k: int) -> "DihedralElement":
-        return cls(n, 0, k % n)
+        return cls(n, 0, _reduced(n, k))
 
     @classmethod
     def reflection(cls, n: int, k: int) -> "DihedralElement":
-        return cls(n, 1, k % n)
+        return cls(n, 1, _reduced(n, k))
 
     @classmethod
     def identity(cls, n: int) -> "DihedralElement":
@@ -122,6 +122,12 @@ class DihedralElement:
 
     def __str__(self) -> str:
         return f"h*g^{self.k}" if self.j else f"g^{self.k}"
+
+
+def _reduced(n: int, k: int):
+    """k mod n once n is a cycle size; any k but an int is left for the constructor to refuse."""
+    _check_cycle(n)
+    return k % n if type(k) is int else k
 
 
 def all_elements(n: int):
