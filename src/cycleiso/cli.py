@@ -38,8 +38,7 @@ _Output = tuple[int, dict, list[str]]
 
 # the most elements a command builds; only enumerate's --max-elements changes it
 _MAX_ELEMENTS = 10**6
-# greens and card --enumerate build all of di as a brute-force set, which costs more per
-# element: di 14's 458,431 elements fit, and di 15's 982,786 ran out of 1 GB
+# greens and card --enumerate build all of di; 1 GB holds n = 14 (458,431), not n = 15 (982,786)
 _MAX_DI = 500_000
 
 

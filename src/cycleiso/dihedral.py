@@ -65,13 +65,14 @@ class DihedralElement:
         if type(self.k) is not int or not 0 <= self.k < self.n:
             raise DomainError(f"rotation exponent {_shown(self.k)} is outside 0..{self.n - 1}")
 
+    # these reduce k mod n only where % can: the constructor refuses every other n or k
     @classmethod
     def rotation(cls, n: int, k: int) -> "DihedralElement":
-        return cls(n, 0, _reduced(n, k))
+        return cls(n, 0, k % n if type(n) is type(k) is int and n > 0 else k)
 
     @classmethod
     def reflection(cls, n: int, k: int) -> "DihedralElement":
-        return cls(n, 1, _reduced(n, k))
+        return cls(n, 1, k % n if type(n) is type(k) is int and n > 0 else k)
 
     @classmethod
     def identity(cls, n: int) -> "DihedralElement":
@@ -122,12 +123,6 @@ class DihedralElement:
 
     def __str__(self) -> str:
         return f"h*g^{self.k}" if self.j else f"g^{self.k}"
-
-
-def _reduced(n: int, k: int):
-    """k mod n once n is a cycle size; any k but an int is left for the constructor to refuse."""
-    _check_cycle(n)
-    return k % n if type(k) is int else k
 
 
 def all_elements(n: int):
