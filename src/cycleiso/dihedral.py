@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import AmbientMismatchError, DomainError, ParseError, _check_cycle, _shown
 from .partial_perm import PartialPerm, classify_order, sorted_points
-from .geometry import distance, is_partial_isometry
+from .geometry import _dist, is_partial_isometry
 
 __all__ = [
     "KINDS",
@@ -97,6 +97,9 @@ class DihedralElement:
         """
         if type(i) is not int or not 1 <= i <= self.n:
             raise DomainError(f"point {_shown(i)} is outside 1..{self.n}")
+        return self._image(i)
+
+    def _image(self, i: int) -> int:  # apply on a checked point; % would be slow on huge n
         if self.j == 0:
             return i + self.k if i <= self.n - self.k else i + self.k - self.n
         return self.k - i + 1 if i <= self.k else self.n + self.k - i + 1
@@ -140,7 +143,7 @@ def to_partial_perm(sigma: DihedralElement, points) -> PartialPerm:
     'n=4;2>1,4>3'
     """
     return PartialPerm._trusted(
-        sigma.n, tuple((a, sigma.apply(a)) for a in sorted_points(sigma.n, points))
+        sigma.n, tuple((a, sigma._image(a)) for a in sorted_points(sigma.n, points))
     )
 
 
@@ -163,7 +166,7 @@ def extensions(p: PartialPerm) -> tuple[DihedralElement, ...]:
         return tuple(all_elements(p.n))
     (a, b), n = p.pairs[0], p.n
     candidates = DihedralElement.rotation(n, b - a), DihedralElement.reflection(n, a + b - 1)
-    return tuple(s for s in candidates if all(s.apply(x) == y for x, y in p.pairs))
+    return tuple(s for s in candidates if all(s._image(x) == y for x, y in p.pairs))
 
 
 def is_in_b2(p: PartialPerm) -> bool:
@@ -175,7 +178,7 @@ def is_in_b2(p: PartialPerm) -> bool:
     if p.n % 2 or p.rank != 2:
         return False
     (a, _), (b, _) = p.pairs
-    return distance(p.n, a, b) == p.n // 2 and is_partial_isometry(p)
+    return _dist(p.n, a, b) == p.n // 2 and is_partial_isometry(p)
 
 
 def b2_count(n: int) -> int:

@@ -21,11 +21,12 @@ from .errors import (
     DomainError,
     NotInverseClosedError,
     ParseError,
+    _check_cycle,
     _check_size,
     _shown,
 )
 from .partial_perm import PartialPerm, _kernel, _render, identity
-from .geometry import distance_sequence
+from .geometry import _sequence
 from .dihedral import check_kind
 
 __all__ = [
@@ -173,7 +174,8 @@ def _j_key(p: PartialPerm, kind: str):
     # shifts it cyclically and reflecting reverses the first k - 1 entries
     if p.rank <= 1:
         return p.rank
-    seq = distance_sequence(p.n, p.domain)
+    _check_cycle(p.n)
+    seq = _sequence(p.n, p.domain)
     if kind == "odi":
         return seq
     if kind == "mdi":

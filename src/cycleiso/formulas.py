@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _check_cycle, _shown
-from .dihedral import check_kind
+from .errors import _check_cycle
+from .dihedral import DihedralElement, check_kind
 
 __all__ = [
     "card",
@@ -91,9 +91,7 @@ def proof_counts(n: int, k: int) -> ProofCounts:
     only forbids mixing the two sides of a reflection, adding the
     same-side pairs.
     """
-    _check_cycle(n)
-    if type(k) is not int or not 0 <= k < n:
-        raise DomainError(f"rotation exponent {_shown(k)} is outside 0..{_shown(n - 1)}")
+    DihedralElement(n, 0, k)  # checks n and the exponent
     same_arc = sum(math.comb(n - k, i) for i in range(2, n - k + 1))
     same_arc += sum(math.comb(k, i) for i in range(2, k + 1))
     return ProofCounts(

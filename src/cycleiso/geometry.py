@@ -2,10 +2,13 @@
 
 Vertices are 1..n with edges between consecutive integers and between 1
 and n, so the distance is ``min(|x - y|, n - |x - y|)``, never more than
-``n // 2``.  The extreme value ``n / 2`` occurs only for even n.
+``n // 2``.  The extreme value ``n / 2`` occurs only for even n.  Public functions
+check their input once; the private ``_dist`` and ``_sequence`` trust theirs.
 """
 
 from __future__ import annotations
+
+from itertools import combinations, repeat
 
 from .errors import DomainError, UndefinedSequenceError, _check_cycle, _shown
 from .partial_perm import PartialPerm, sorted_points
@@ -17,6 +20,16 @@ __all__ = [
     "is_partial_isometry",
     "is_partial_isometry_fast",
 ]
+
+
+def _dist(n: int, x: int, y: int) -> int:
+    d = abs(x - y)
+    return n - d if d + d > n else d
+
+
+def _sequence(n: int, pts) -> tuple[int, ...]:
+    """(d(p1,p2), ..., d(pk,p1)): the last pair of ascending points is the extreme one."""
+    return tuple(map(_dist, repeat(n), pts, pts[1:] + pts[:1]))
 
 
 def distance(n: int, x: int, y: int) -> int:
@@ -31,7 +44,7 @@ def distance(n: int, x: int, y: int) -> int:
     for v in (x, y):
         if type(v) is not int or not 1 <= v <= n:
             raise DomainError(f"point {_shown(v)} is outside 1..{_shown(n)}")
-    return min(abs(x - y), n - abs(x - y))
+    return _dist(n, x, y)
 
 
 def distance_sequence(n: int, points) -> tuple[int, ...]:
@@ -51,9 +64,7 @@ def distance_sequence(n: int, points) -> tuple[int, ...]:
         raise UndefinedSequenceError(
             f"distance sequence needs at least two points, got {len(pts)}"
         )
-    seq = [distance(n, a, b) for a, b in zip(pts, pts[1:])]
-    seq.append(distance(n, pts[0], pts[-1]))
-    return tuple(seq)
+    return _sequence(n, pts)
 
 
 def delta(n: int, a_points, b_points) -> PartialPerm:
@@ -79,14 +90,8 @@ def is_partial_isometry(p: PartialPerm) -> bool:
     True
     """
     _check_cycle(p.n)
-    pairs = p.pairs
-    for s in range(len(pairs)):
-        a, fa = pairs[s]
-        for t in range(s + 1, len(pairs)):
-            b, fb = pairs[t]
-            if distance(p.n, a, b) != distance(p.n, fa, fb):
-                return False
-    return True
+    n = p.n
+    return all(_dist(n, a, b) == _dist(n, fa, fb) for (a, fa), (b, fb) in combinations(p.pairs, 2))
 
 
 def is_partial_isometry_fast(p: PartialPerm) -> bool:
@@ -97,13 +102,4 @@ def is_partial_isometry_fast(p: PartialPerm) -> bool:
     spuriously, so callers must check orientation first.
     """
     _check_cycle(p.n)
-    if p.rank <= 1:
-        return True
-    dom = p.domain
-    val = p.values
-    if distance(p.n, dom[0], dom[-1]) != distance(p.n, val[0], val[-1]):
-        return False
-    return all(
-        distance(p.n, dom[i], dom[i + 1]) == distance(p.n, val[i], val[i + 1])
-        for i in range(len(dom) - 1)
-    )
+    return _sequence(p.n, p.domain) == _sequence(p.n, p.values)

@@ -284,9 +284,7 @@ def identity_off(n: int, skip: int) -> PartialPerm:
     >>> str(identity_off(4, 2))
     'n=4;1>1,3>3,4>4'
     """
-    _check_size(n)
-    if type(skip) is not int or not 1 <= skip <= n:
-        raise DomainError(f"point {_shown(skip)} is outside 1..{_shown(n)}")
+    sorted_points(n, [skip])  # checks n and the point
     return PartialPerm._trusted(n, tuple((i, i) for i in range(1, n + 1) if i != skip))
 
 
