@@ -123,6 +123,21 @@ def test_multiplication_matches_the_point_action(s, t, i):
     assert (s * t).apply(i) == t.apply(s.apply(i))
 
 
+def _walked(s, i):
+    # h sends i to n - i + 1, then each of the k steps of g moves one point on
+    if s.j:
+        i = s.n - i + 1
+    for _ in range(s.k):
+        i = i % s.n + 1
+    return i
+
+
+@given(dihedrals(max_n=40), st.integers(1, 40))
+def test_private_image_is_a_reflection_then_k_unit_rotations(s, i):
+    i = (i - 1) % s.n + 1
+    assert s._image(i) == _walked(s, i)
+
+
 @given(dihedrals())
 def test_inverse_and_power(s):
     e = DihedralElement.identity(s.n)

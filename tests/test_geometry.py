@@ -24,6 +24,7 @@ from cycleiso import (
     rank_formula,
     standard_generators,
 )
+from cycleiso.geometry import _dist, _sequence
 from cycleiso.brute_force import (
     all_partial_perms,
     kind_elements,
@@ -111,6 +112,37 @@ def test_distance_rejects_bad_input():
         distance(5, 0, 3)
     with pytest.raises(DomainError):
         distance(5, 1, 6)
+
+
+def test_private_metric_is_the_shorter_way_round_on_every_pair():
+    for n in range(3, 41):
+        for x in range(1, n + 1):
+            for y in range(1, n + 1):
+                assert _dist(n, x, y) == min((x - y) % n, (y - x) % n), (n, x, y)
+
+
+def _appended_extreme_pair(n, pts):
+    # the original construction: consecutive gaps, then the first-to-last gap
+    # appended, each the shorter way round
+    def gap(a, b):
+        return min((a - b) % n, (b - a) % n)
+
+    seq = [gap(a, b) for a, b in zip(pts, pts[1:])]
+    seq.append(gap(pts[0], pts[-1]))
+    return tuple(seq)
+
+
+@st.composite
+def ascending_points(draw):
+    n = draw(st.integers(3, 40))
+    pts = draw(st.sets(st.integers(1, n), min_size=2, max_size=n))
+    return n, tuple(sorted(pts))
+
+
+@given(ascending_points())
+def test_private_sequence_reads_the_extreme_pair_as_the_wrap_pair(case):
+    n, pts = case
+    assert _sequence(n, pts) == _appended_extreme_pair(n, pts)
 
 
 def test_distance_sequence_examples():
