@@ -6,11 +6,12 @@ against the library call it wraps and pin the exit code contract:
 """
 
 import json
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cycleiso import card, factorize, import_elements, standard_generators, verify
+from cycleiso import card, factorize, generator, import_elements, standard_generators, verify
 from cycleiso.brute_force import kind_elements
 from cycleiso.cli import _count, main
 
@@ -440,6 +441,83 @@ def test_gens_json_matches_the_library(capsys, kind):
     assert (payload["kind"], payload["n"]) == (kind, 6)
     back = [(g["name"], PartialPerm.parse(g["element"])) for g in payload["generators"]]
     assert back == list(standard_generators(kind, 6))
+
+
+def _standard_names(kind, n):
+    # the layout of standard_generators written out, to count a set too large to build
+    m = (n - 1) // 2
+    straddles = [f"x{i}" for i in range(1, m + 1)] + [f"y{i}" for i in range(1, m + 1)]
+    if kind == "odi":
+        return ["x", "y", *(f"e{i}" for i in range(2, n)), *straddles]
+    if kind == "mdi":
+        return ["h", "x", *(f"e{i}" for i in range(2, (n + 1) // 2 + 1)), *straddles]
+    return ["g", f"e{n}", *straddles[:m]] if kind == "opdi" else ["g", "h", f"e{n}"]
+
+
+@lru_cache
+def _rank_sum(kind, n):
+    # one letter at a time, so no set is held
+    return sum(generator(n, name).rank for name in _standard_names(kind, n))
+
+
+_CHECKED_SIZES = [*range(3, 41), 254, 255, 300]
+
+
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi", "di"])
+def test_the_written_out_layout_is_the_standard_one(kind):
+    for n in _CHECKED_SIZES:
+        assert tuple(_standard_names(kind, n)) == standard_generators(kind, n).names
+
+
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi", "di"])
+def test_gens_counts_the_pairs_of_the_set_from_n(capsys, monkeypatch, kind):
+    # with no pairs allowed every size is refused, and the refusal shows the count
+    monkeypatch.setattr("cycleiso.cli._MAX_PAIRS", 0)
+    for n in _CHECKED_SIZES:
+        count = sum(p.rank for p in standard_generators(kind, n).elements)
+        assert run(capsys, "gens", kind, str(n)) == (
+            2, "", f"error: gens {kind} {n} would build {count} pairs (limit 0)\n"
+        )
+
+
+def test_gens_and_factorize_refuse_runaway_generating_sets_up_front():
+    # gens odi 4000 and the round trip of factorize odi 'n=4000;1>1' built
+    # every letter of the set and died of a MemoryError under a 400 MB cap
+    cases = [
+        (("gens", "odi", "4000"), "gens odi 4000", _rank_sum("odi", 4000)),
+        (("gens", "mdi", "4000", "--json"), "gens mdi 4000", _rank_sum("mdi", 4000)),
+        (("factorize", "odi", "n=4000;1>1"), "factorize odi n=4000;1>1",
+         _rank_sum("odi", 4000)),
+    ]
+    lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
+    assert lines == [
+        f"2 error: {what} would build {count} pairs (limit 4000000)" for _, what, count in cases
+    ]
+
+
+# the largest n whose standard set holds at most 4000000 pairs
+_LARGEST_SETS = [("odi", 1999), ("mdi", 2825), ("opdi", 1333334), ("di", 1333333)]
+
+
+@pytest.mark.parametrize("kind,n", _LARGEST_SETS)
+def test_the_largest_generating_sets_under_the_ceiling_go_on_to_build(capsys, monkeypatch,
+                                                                      kind, n):
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    monkeypatch.setattr("cycleiso.cli.standard_generators", build)
+    monkeypatch.setattr("cycleiso.cli.factorize", build)
+    with pytest.raises(Built):
+        main(["gens", kind, str(n)])
+    if kind != "di":
+        with pytest.raises(Built):
+            main(["factorize", kind, f"n={n};1>1"])
+    code, out, err = run(capsys, "gens", kind, str(n + 1))
+    assert (code, out) == (2, "")
+    assert err.endswith(" pairs (limit 4000000)\n")
 
 
 def test_rank_plain(capsys):

@@ -147,6 +147,24 @@ def test_inverse_and_power(s):
     assert s.power(3) == s * s * s
 
 
+@pytest.mark.parametrize("s", [DihedralElement(5, 0, 2), DihedralElement(5, 1, 2)], ids=str)
+@pytest.mark.parametrize("m", ["2", None, 1.5, True], ids=repr)
+def test_power_refuses_an_exponent_that_is_not_an_int(s, m):
+    # power("2") and power(None) raised TypeError, and power(1.5) a DomainError
+    # that named the rotation exponent 3.0 it had computed
+    with pytest.raises(DomainError) as err:
+        s.power(m)
+    assert type(err.value) is DomainError
+    assert str(err.value) == f"power exponent must be an int, got {m!r}"
+
+
+def test_power_takes_any_int_exponent():
+    g = DihedralElement.rotation(5, 1)
+    assert g.power(-1) == g.inverse()
+    assert g.power(10**5000 + 2) == DihedralElement(5, 0, 2)
+    assert DihedralElement.reflection(5, 3).power(-3) == DihedralElement.reflection(5, 3)
+
+
 def test_ambient_mismatch_is_rejected():
     with pytest.raises(AmbientMismatchError):
         DihedralElement.rotation(4, 1) * DihedralElement.rotation(5, 1)

@@ -138,11 +138,16 @@ _X5 = generator(5, "x")
         ("xdi", 5, ("x",), (_X5,), DomainError),
         ("odi", 2, ("x",), (_X5,), DomainError),
         ("odi", 5, ["x"], [_X5], DomainError),
+        ("odi", 5, ("x9",), (_X5,), DomainError),
+        ("odi", 5, ("y3",), (_X5,), DomainError),
+        ("odi", 5, ("e6",), (_X5,), DomainError),
+        ("odi", 5, ([1],), (_X5,), ParseError),
     ],
     ids=[
         "element-on-another-n", "dihedral-element", "more-names-than-elements",
         "repeated-name", "unknown-name", "non-str-name", "unknown-kind", "cycle-too-small",
-        "lists",
+        "lists", "straddle-past-the-cycle", "inverse-straddle-past-the-cycle",
+        "partial-identity-past-the-cycle", "unhashable-name",
     ],
 )
 def test_generator_set_refuses_malformed_contents(kind, n, names, elements, error):

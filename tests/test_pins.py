@@ -43,6 +43,10 @@ encoding's cut.  ``SORT_PIN`` is the sha256 of the ``repr`` lines of
 ``sorted()`` over a seeded shuffle of opdi members at n = 3..6 and those
 samples, which pins the ``(n, pairs)`` order across mixed n.
 
+``GENERATOR_SET_PIN`` is the sha256 of one ``<kind> <n> <name> <element>``
+line per letter of ``standard_generators(kind, n)``, letters in set order,
+for the four kinds at n = 3..9, 254 and 255.
+
 ``SURFACE_PIN`` is the sha256 of the package's public surface: one
 ``<name> <module> <qualname>`` line per entry of ``cycleiso.__all__``,
 sorted, with ``repr(value)`` in place of module and qualname for the
@@ -345,6 +349,7 @@ EXTENSION_PINS = {
 
 ELEMENT_PIN = "d7870e3fd4b718ebe8f45fe9e96335cc6a50f514aa5df44da62d0b40edf756bb"
 SORT_PIN = "a6842c2c3ea0c5e927993f40bb1d7a980bac42c78c7630e0823ef669884e7134"
+GENERATOR_SET_PIN = "f79e9bf8c127d675098f09f82dd4766438dddbab49741840c24eb598b847928e"
 
 SURFACE_PIN = "33dfb4403ec8f6ebe236b59d4b79856ff5671dd45f32634e76a62bb7f3fe3982"
 
@@ -459,6 +464,15 @@ def test_sorted_order_across_sizes_matches_pin():
     ordered = sorted(mixed)
     assert ordered == sorted(mixed, key=lambda p: (p.n, p.pairs))
     assert _sha("".join(f"{p!r}\n" for p in ordered).encode()) == SORT_PIN
+
+
+def test_standard_generating_sets_match_pin():
+    listing = "".join(
+        f"{kind} {n} {name} {p}\n"
+        for kind in KINDS + ("di",) for n in [*range(3, 10), 254, 255]
+        for name, p in standard_generators(kind, n)
+    )
+    assert _sha(listing.encode()) == GENERATOR_SET_PIN
 
 
 def test_elements_refuse_assignment_and_deletion():
