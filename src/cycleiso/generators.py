@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .errors import AmbientMismatchError, DomainError, ParseError, _check_cycle, _shown
+from .errors import DomainError, ParseError, _check_cycle, _shown
 from .partial_perm import PartialPerm, _kernel, identity, identity_off
 from .dihedral import DihedralElement, check_kind, to_partial_perm
 
@@ -67,28 +67,21 @@ def generator(n: int, name: str) -> PartialPerm:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """An ordered list of named generators on one cycle, checked when built."""
+    """Generator names on one cycle; letter i is ``generator(n, names[i])``, built with the set."""
 
     kind: str
     n: int
     names: tuple[str, ...]
-    elements: tuple[PartialPerm, ...]
+    elements: tuple[PartialPerm, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         check_kind(self.kind, allow_di=True)
         _check_cycle(self.n)
-        if not (type(self.names) is type(self.elements) is tuple
-                and len(self.names) == len(self.elements)):
-            raise DomainError("names and elements must be tuples of one length")
-        seen = set()
-        for name, p in self:
-            if not isinstance(name, str) or not _NAME.fullmatch(name) or name in seen:
-                raise ParseError(f"bad or repeated generator name {_shown(name)}")
-            seen.add(name)
-            if not isinstance(p, PartialPerm):
-                raise DomainError(f"generator {name} is not a PartialPerm: {_shown(p)}")
-            if p.n != self.n:
-                raise AmbientMismatchError(f"generator {name}={p} does not live on n={self.n}")
+        if type(self.names) is not tuple:
+            raise DomainError(f"names must be a tuple, got {_shown(self.names)}")
+        object.__setattr__(self, "elements", tuple(generator(self.n, a) for a in self.names))
+        if len(set(self.names)) < len(self.names):  # every name is text by now
+            raise ParseError(f"repeated generator name in {_shown(self.names)}")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -167,9 +160,7 @@ def _standard_set(kind: str, n: int) -> GeneratorSet:
         names += [f"x{i}" for i in range(1, m + 1)]
     else:
         names = ["g", "h", f"e{n}"]
-    return GeneratorSet(
-        kind, n, tuple(names), tuple(generator(n, nm) for nm in names)
-    )
+    return GeneratorSet(kind, n, tuple(names))
 
 
 def parse_word(text: str) -> tuple[str, ...]:
