@@ -19,7 +19,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 
-from .errors import _SIZE_LIMIT, CycleIsoError, DomainError, _shown
+from .errors import _SIZE_LIMIT, CycleIsoError, DomainError, _check_cycle, _shown
 from .partial_perm import PartialPerm, classify_order
 from .dihedral import KINDS, classify, extensions
 from .engine import close, cross_check_green, export_bytes, green_structural
@@ -40,6 +40,8 @@ _Output = tuple[int, dict, list[str]]
 _MAX_ELEMENTS = 10**6
 # greens and card --enumerate build all of di; 1 GB holds n = 14 (458,431), not n = 15 (982,786)
 _MAX_DI = 500_000
+# gens and the factorize round trip build the standard set; odi 1999 (3,997,998 pairs) peaks at 470 MB
+_MAX_PAIRS = 4_000_000
 
 
 def _count(kind: str, n: int) -> int | None:
@@ -60,6 +62,15 @@ def _check_count(what: str, kind: str, n: int, limit: int = _MAX_ELEMENTS, hint:
     if count is None or count > limit:
         shown = f"more than 2^{n}" if count is None else _shown(count)
         raise DomainError(f"{what} would build {shown} elements (limit {limit}){hint}")
+
+
+def _check_pairs(what: str, kind: str, n: int) -> None:
+    _check_cycle(n)
+    m = (n - 1) // 2  # x_i and y_i hold two pairs, every other letter n or n - 1
+    pairs = {"odi": n * (n - 1) + 4 * m, "mdi": n + (n - 1) * ((n + 1) // 2) + 4 * m,
+             "opdi": 2 * n - 1 + 2 * m, "di": 3 * n - 1}[kind]
+    if pairs > _MAX_PAIRS:
+        raise DomainError(f"{what} would build {_shown(pairs)} pairs (limit {_MAX_PAIRS})")
 
 
 def _cmd_card(args) -> _Output:
@@ -147,6 +158,7 @@ def _cmd_extensions(args) -> _Output:
 
 def _cmd_factorize(args) -> _Output:
     p = PartialPerm.parse(args.element)
+    _check_pairs(f"factorize {args.kind} {p}", args.kind, p.n)
     word = factorize(p, args.kind)
     ok = standard_generators(args.kind, p.n).evaluate(word) == p
     payload = {
@@ -161,13 +173,14 @@ def _cmd_factorize(args) -> _Output:
 
 
 def _cmd_gens(args) -> _Output:
-    gens = standard_generators(args.kind, args.n)
+    _check_pairs(f"gens {args.kind} {args.n}", args.kind, args.n)
+    texts = [(name, str(p)) for name, p in standard_generators(args.kind, args.n)]
     payload = {
         "kind": args.kind,
         "n": args.n,
-        "generators": [{"name": name, "element": str(p)} for name, p in gens],
+        "generators": [{"name": name, "element": text} for name, text in texts],
     }
-    return 0, payload, ["name,element"] + [f"{name},{p}" for name, p in gens]
+    return 0, payload, ["name,element"] + [f"{name},{text}" for name, text in texts]
 
 
 def _cmd_rank(args) -> _Output:

@@ -120,6 +120,8 @@ class DihedralElement:
         return DihedralElement(self.n, 0, (self.n - self.k) % self.n)
 
     def power(self, m: int) -> "DihedralElement":
+        if type(m) is not int:
+            raise DomainError(f"power exponent must be an int, got {_shown(m)}")
         if self.j == 0:
             return DihedralElement(self.n, 0, (self.k * m) % self.n)
         return self if m % 2 else DihedralElement.identity(self.n)

@@ -58,9 +58,7 @@ def generator(n: int, name: str) -> PartialPerm:
     if name[0] == "e":
         return identity_off(n, index)
     if not 1 <= index <= (n - 1) // 2:
-        raise DomainError(
-            f"straddle index {index} is outside 1..{(n - 1) // 2} for n={n}"
-        )
+        raise DomainError(f"straddle index {index} is outside 1..{(n - 1) // 2} for n={n}")
     straddle = PartialPerm(n, ((1, 1), (1 + index, n - index + 1)))
     return straddle if name[0] == "x" else straddle.inverse()
 
@@ -144,22 +142,16 @@ def standard_generators(kind: str, n: int) -> GeneratorSet:
 
 @lru_cache(maxsize=64)  # after validation, so bad arguments never get hashed
 def _standard_set(kind: str, n: int) -> GeneratorSet:
+    if kind == "di":
+        return GeneratorSet(kind, n, ("g", "h", f"e{n}"))
     m = (n - 1) // 2
+    straddles = [f"{c}{i}" for c in ("x" if kind == "opdi" else "xy") for i in range(1, m + 1)]
     if kind == "odi":
-        names = ["x", "y"]
-        names += [f"e{i}" for i in range(2, n)]
-        names += [f"x{i}" for i in range(1, m + 1)]
-        names += [f"y{i}" for i in range(1, m + 1)]
+        names = ["x", "y", *(f"e{i}" for i in range(2, n)), *straddles]
     elif kind == "mdi":
-        names = ["h", "x"]
-        names += [f"e{i}" for i in range(2, (n + 1) // 2 + 1)]
-        names += [f"x{i}" for i in range(1, m + 1)]
-        names += [f"y{i}" for i in range(1, m + 1)]
-    elif kind == "opdi":
-        names = ["g", f"e{n}"]
-        names += [f"x{i}" for i in range(1, m + 1)]
+        names = ["h", "x", *(f"e{i}" for i in range(2, (n + 1) // 2 + 1)), *straddles]
     else:
-        names = ["g", "h", f"e{n}"]
+        names = ["g", f"e{n}", *straddles]
     return GeneratorSet(kind, n, tuple(names))
 
 
