@@ -65,7 +65,7 @@ def _check_count(what: str, kind: str, n: int, limit: int = _MAX_ELEMENTS, hint:
 
 
 def _check_pairs(what: str, kind: str, n: int) -> None:
-    _check_cycle(n)
+    _check_cycle(n)  # a size below 3 is refused as standard_generators refuses it
     m = (n - 1) // 2  # x_i and y_i hold two pairs, every other letter n or n - 1
     pairs = {"odi": n * (n - 1) + 4 * m, "mdi": n + (n - 1) * ((n + 1) // 2) + 4 * m,
              "opdi": 2 * n - 1 + 2 * m, "di": 3 * n - 1}[kind]
@@ -158,7 +158,7 @@ def _cmd_extensions(args) -> _Output:
 
 def _cmd_factorize(args) -> _Output:
     p = PartialPerm.parse(args.element)
-    _check_pairs(f"factorize {args.kind} {p}", args.kind, p.n)
+    _check_pairs(f"factorize {args.kind} {args.element}", args.kind, p.n)
     word = factorize(p, args.kind)
     ok = standard_generators(args.kind, p.n).evaluate(word) == p
     payload = {

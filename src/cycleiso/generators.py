@@ -132,7 +132,8 @@ def standard_generators(kind: str, n: int) -> GeneratorSet:
     half the partial identities for the reflection; the orientation-
     preserving one needs only the rotation, one partial identity, and the
     straddles.  For n = 3 the same construction applies but is larger
-    than the true rank.  Each (kind, n) set is built once and shared,
+    than the true rank.  The set is these names; each letter is
+    ``generator(n, name)``.  Each (kind, n) set is built once and shared,
     which is safe because sets and their elements are immutable.
     """
     check_kind(kind, allow_di=True)
