@@ -189,6 +189,53 @@ def test_enumerated_monoid_basics():
         EnumeratedMonoid(5, iter(mixed))
 
 
+def _membership_reads_the_elements(m, data):
+    # every member is in, and each probe is in exactly when the element tuple holds it
+    assert all(p in m for p in m.elements)
+    n = m.n
+    probes = data.draw(st.lists(perm_on(n), max_size=12))
+    probes += data.draw(st.lists(perm_on(n - 1) | perm_on(n + 1), max_size=3))
+    for p in (*probes, "x", None):
+        assert (p in m) == (p in m.elements)
+    with pytest.raises(TypeError):
+        [] in m
+
+
+_membership = settings(
+    max_examples=5, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi", "di"])
+@pytest.mark.parametrize("n", range(3, 8))
+@_membership
+@given(data=st.data())
+def test_closure_membership_reads_its_elements(kind, n, data):
+    _membership_reads_the_elements(close(n, standard_generators(kind, n).elements), data)
+
+
+@_membership
+@given(data=st.data())
+def test_closure_of_a_generator_subset_membership_reads_its_elements(data):
+    kind = data.draw(st.sampled_from(["odi", "mdi", "opdi", "di"]))
+    n = data.draw(st.integers(3, 6))
+    gens = standard_generators(kind, n).elements
+    subset = data.draw(st.lists(st.sampled_from(gens), unique=True))
+    _membership_reads_the_elements(close(n, subset), data)
+
+
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi", "di"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@_membership
+@given(data=st.data())
+def test_element_set_membership_reads_its_elements(tmp_path, kind, n, data):
+    m = kind_monoid(kind, n)
+    _membership_reads_the_elements(m, data)
+    path = tmp_path / "dump.txt"
+    export_elements(m, path)
+    _membership_reads_the_elements(import_elements(path), data)
+
+
 def test_green_classes_partition_and_refine():
     m = kind_monoid("mdi", 4)
     dec = green_structural(m)
@@ -360,6 +407,24 @@ def test_cross_check_names_a_witness_when_the_partitions_differ():
     (d_class,) = [c for c in green_structural(m).d_classes if p in c]
     (j_class,) = [c for c in j_partition(m, "odi") if p in c]
     assert (q in d_class) != (q in j_class)
+
+
+# the J keys describe D only inside each kind's own monoid, so on all of DI_n
+# they split classes; the pair is the least element whose classes differ and
+# the least member of the symmetric difference of its two classes
+@pytest.mark.parametrize("n,kind,counts,pair", [
+    (5, "odi", (8, 15), ("n=5;1>1,2>2,3>3", "n=5;1>1,2>2,5>5")),
+    (5, "mdi", (8, 12), ("n=5;1>1,2>2,3>3", "n=5;1>1,2>2,5>5")),
+    (5, "opdi", (8, 8), None),
+    (6, "odi", (13, 31), ("n=6;1>1,2>2,3>3", "n=6;1>1,2>2,6>6")),
+    (6, "mdi", (13, 22), ("n=6;1>1,2>2,3>3", "n=6;1>1,2>2,6>6")),
+    (6, "opdi", (13, 14), ("n=6;1>1,2>2,4>4", "n=6;1>1,2>2,5>5")),
+])
+def test_cross_check_counterexamples_on_all_of_di(n, kind, counts, pair):
+    report = cross_check_green(kind_monoid("di", n), kind)
+    assert (report.d_class_count, report.j_class_count) == counts
+    assert report.passed == (pair is None)
+    assert report.counterexample == (pair and tuple(map(PartialPerm.parse, pair)))
 
 
 def test_j_class_counts_per_rank_at_n4():
