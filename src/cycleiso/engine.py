@@ -48,22 +48,23 @@ __all__ = [
 class EnumeratedMonoid:
     """A canonically sorted element set, optionally with generator words.
 
-    Elements are sorted in the canonical ``(n, pairs)`` order.  ``words``
-    maps an element to the shortest word that the search of ``close``
-    found, as a tuple of indices into ``generators``; it is
-    empty for sets built directly from elements.
+    Elements are sorted in the canonical ``(n, pairs)`` order.  ``words``,
+    when given, maps exactly the elements, each to the shortest word that
+    the search of ``close`` found, as a tuple of indices into
+    ``generators``; it is empty for sets built directly from elements.
+    Membership reads the keys of ``words``, or a frozenset of the elements
+    when there are no words, so each set keeps one hash index.
     """
 
     def __init__(self, n, elements, generators=(), words=None):
-        elements = tuple(elements)
-        stray = [p for p in elements if p.n != n]
-        if stray:
-            raise AmbientMismatchError(f"element {min(stray)} does not live on n={n}")
-        self.n = n
         self.elements = tuple(sorted(elements))
+        for p in self.elements:
+            if p.n != n:
+                raise AmbientMismatchError(f"element {p} does not live on n={n}")
+        self.n = n
         self.generators = tuple(generators)
         self.words = dict(words) if words else {}
-        self._members = frozenset(self.elements)
+        self._members = self.words.keys() or frozenset(self.elements)
 
     @property
     def size(self) -> int:
