@@ -13,6 +13,8 @@ from cycleiso import (
 from cycleiso.brute_force import kind_elements
 from cycleiso.factorize import _rank2_reflection_word
 
+from conftest import capped_child_lines
+
 
 @pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -87,3 +89,17 @@ def test_factorize_checks_the_kind_token():
 
     with pytest.raises(DomainError):
         factorize(identity(5), "di")
+
+
+def test_an_order_reversing_word_reads_no_generating_set():
+    # the reflection peeled off an order-reversing map was read out of the
+    # whole monoid set, about n^2/2 pairs: 454 MB at n = 3000, over the
+    # child's cap; n = 301 round-trips a map held as pairs through that set
+    lines = capped_child_lines("""
+from cycleiso import PartialPerm, factorize, standard_generators
+for n in (301, 3000):
+    p = PartialPerm.parse(f"n={n};1>2,2>1")
+    word = factorize(p, "mdi")
+    print(len(word), word[-1], n > 301 or standard_generators("mdi", n).evaluate(word) == p)
+""")
+    assert lines == ["900 h True", "8998 h True"]
