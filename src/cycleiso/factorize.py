@@ -18,7 +18,6 @@ from __future__ import annotations
 from .errors import MembershipError
 from .partial_perm import PartialPerm, classify_order
 from .dihedral import DihedralElement, check_kind, classify, extensions
-from .generators import standard_generators
 
 __all__ = ["factorize"]
 
@@ -103,9 +102,9 @@ def _mdi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
     n = p.n
     if classify_order(p).order_preserving:
         return _to_monotone_alphabet(n, _odi_word(p, sigma))
-    # p is order-reversing of rank >= 2; peeling the reflection off the
-    # right leaves an order-preserving member
-    q = p * standard_generators("mdi", n).element("h")
+    # p is order-reversing of rank >= 2; peeling the reflection h (i to
+    # n - i + 1) off the right leaves an order-preserving member
+    q = PartialPerm._trusted(n, tuple((a, n + 1 - b) for a, b in p.pairs))
     return _to_monotone_alphabet(n, _odi_word(q, extensions(q)[0])) + ["h"]
 
 
