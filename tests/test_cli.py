@@ -634,3 +634,77 @@ def test_any_argv_exits_0_1_or_2(tmp_path, capsysbinary, argv):
     argv = [arg.format(out=tmp_path) for arg in argv]
     assert main(argv) in (0, 1, 2)
     capsysbinary.readouterr()
+
+
+_HUGE = "1" + "0" * 4300  # 10^4300, the first size past the ceiling
+_SIZES = ["-1", "0", "2", "3", "254", "255", "4000", "20000", _HUGE, "٥", "５", "१२"]
+# the factorize round trip is quadratic in n, so element text stops at 255
+_ELEMENT_SIZES = ["-1", "0", "2", "3", "254", "255", _HUGE, "٥"]
+_SIZED_ELEMENTS = [
+    text.format(n) for n in _ELEMENT_SIZES for text in ("n={};1>1", "n={};1>2,2>1", "n={};")
+]
+# each subcommand's own flags, a size standing for N; --max-elements past
+# memory is the user's own override, so it takes no size above 20000
+_OWN_FLAGS = {
+    "card": [["--json"], ["--enumerate"]],
+    "enumerate": [["--out", "{out}/file"], ["--out", "{out}/missing/file"], ["--gzip"],
+                  ["--format", "jsonl"], ["--workers", "N"], ["--max-elements", "4000"],
+                  ["--max-elements", "20000"], ["--max-elements", "-1"]],
+    "greens": [["--json"], ["--relation", "L"], ["--relation", "H"]],
+    "classify": [["--json"]], "extensions": [["--json"]], "factorize": [["--json"]],
+    "gens": [["--json"]], "rank": [["--json"], ["--certify"]], "verify": [["--json"]],
+    "frobnicate": [],
+}
+
+
+# the argvs are drawn in the child, since 10^4300 is too long for its command line
+_ARGVS_IN_A_CAPPED_CHILD = """
+import contextlib, os, random
+from cycleiso.cli import main
+from test_cli import _grammar_argvs
+argvs = _grammar_argvs(random.Random(5), 320)
+print(len(argvs))
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \\
+        contextlib.redirect_stderr(sink):
+    codes = []
+    for argv in argvs:
+        argv = [arg.format(out={out!r}) for arg in argv]
+        try:
+            codes.append(str(main(list(argv))))
+        except BaseException as exc:  # a traceback, named with the argv that raised it
+            codes.append(f"{{argv!r}} raised {{type(exc).__name__}}")
+print("\\n".join(codes))
+"""
+
+
+def _grammar_argvs(rng, count):
+    # each subcommand with its positionals or another set of them, then up
+    # to two flags, mostly its own; every size slot is drawn from _SIZES
+    argvs = []
+    for _ in range(count):
+        command = rng.choice(sorted(_COMMANDS))
+        shape = _COMMANDS[command] if rng.random() < 0.8 else rng.choice(["", "k", "kn", "ke"])
+        argv = [command]
+        for slot, vocabulary in (("k", _KINDS), ("n", _SIZES), ("e", _ELEMENTS + _SIZED_ELEMENTS)):
+            if slot in shape:
+                argv.append(rng.choice(vocabulary))
+        for _ in range(rng.randrange(3)):
+            flags = _OWN_FLAGS[command] if rng.random() < 0.8 else _FLAGS
+            if flags:
+                argv += [rng.choice(_SIZES) if a == "N" else a for a in rng.choice(flags)]
+        if command == "verify":
+            argv += ["--max-n", rng.choice(["3", "4"])]
+        argvs.append(argv)
+    return argvs
+
+
+def test_drawn_argvs_exit_0_1_or_2_in_a_capped_child(tmp_path):
+    # sizes up to 10^4300 against every subcommand: a runaway build shows
+    # as a MemoryError under the child's cap, not as this process running out
+    import time
+
+    start = time.perf_counter()
+    count, *codes = capped_child_lines(_ARGVS_IN_A_CAPPED_CHILD.format(out=str(tmp_path)))
+    assert time.perf_counter() - start < 30
+    assert len(codes) == int(count) >= 300
+    assert [c for c in codes if c not in ("0", "1", "2")] == []
