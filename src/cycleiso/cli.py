@@ -40,8 +40,9 @@ _Output = tuple[int, dict, list[str]]
 _MAX_ELEMENTS = 10**6
 # greens and card --enumerate build all of di; 1 GB holds n = 14 (458,431), not n = 15 (982,786)
 _MAX_DI = 500_000
-# gens and the factorize round trip build the standard set; odi 1999 (3,997,998 pairs) peaks at 470 MB
-_MAX_PAIRS = 4_000_000
+# gens and the factorize round trip build the standard set; opdi 500000 (1,499,997 pairs,
+# a PartialPerm per letter) peaks at 416 MB with --json, the most of any kind
+_MAX_PAIRS = 1_500_000
 
 
 def _count(kind: str, n: int) -> int | None:

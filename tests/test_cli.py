@@ -482,21 +482,24 @@ def test_gens_counts_the_pairs_of_the_set_from_n(capsys, monkeypatch, kind):
 
 def test_gens_and_factorize_refuse_runaway_generating_sets_up_front():
     # gens odi 4000 and the round trip of factorize odi 'n=4000;1>1' built
-    # every letter of the set and died of a MemoryError under a 400 MB cap
+    # every letter of the set and died of a MemoryError under a 400 MB cap;
+    # gens opdi 1333334 was admitted and peaked near 900 MB
     cases = [
         (("gens", "odi", "4000"), "gens odi 4000", _rank_sum("odi", 4000)),
         (("gens", "mdi", "4000", "--json"), "gens mdi 4000", _rank_sum("mdi", 4000)),
         (("factorize", "odi", "n=4000;1>1"), "factorize odi n=4000;1>1",
          _rank_sum("odi", 4000)),
+        (("gens", "opdi", "500001"), "gens opdi 500001", 1500001),
+        (("gens", "di", "1333333", "--json"), "gens di 1333333", 3999998),
     ]
     lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
     assert lines == [
-        f"2 error: {what} would build {count} pairs (limit 4000000)" for _, what, count in cases
+        f"2 error: {what} would build {count} pairs (limit 1500000)" for _, what, count in cases
     ]
 
 
-# the largest n whose standard set holds at most 4000000 pairs
-_LARGEST_SETS = [("odi", 1999), ("mdi", 2825), ("opdi", 1333334), ("di", 1333333)]
+# the largest n whose standard set holds at most 1500000 pairs
+_LARGEST_SETS = [("odi", 1224), ("mdi", 1729), ("opdi", 500000), ("di", 500000)]
 
 
 @pytest.mark.parametrize("kind,n", _LARGEST_SETS)
@@ -517,7 +520,7 @@ def test_the_largest_generating_sets_under_the_ceiling_go_on_to_build(capsys, mo
             main(["factorize", kind, f"n={n};1>1"])
     code, out, err = run(capsys, "gens", kind, str(n + 1))
     assert (code, out) == (2, "")
-    assert err.endswith(" pairs (limit 4000000)\n")
+    assert err.endswith(" pairs (limit 1500000)\n")
 
 
 def test_rank_plain(capsys):
