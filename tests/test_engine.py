@@ -427,6 +427,17 @@ def test_cross_check_counterexamples_on_all_of_di(n, kind, counts, pair):
     assert report.counterexample == (pair and tuple(map(PartialPerm.parse, pair)))
 
 
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
+@pytest.mark.parametrize("n", range(3, 8))
+def test_cross_check_witness_is_the_first_element_whose_classes_differ(kind, n):
+    # the per-element search the class-pair walk replaced
+    m = kind_monoid("di", n)
+    d_of = {p: frozenset(c) for c in green_structural(m).d_classes for p in c}
+    j_of = {p: frozenset(c) for c in j_partition(m, kind) for p in c}
+    naive = next(((p, min(d_of[p] ^ j_of[p])) for p in m if d_of[p] != j_of[p]), None)
+    assert cross_check_green(m, kind).counterexample == naive
+
+
 def test_j_class_counts_per_rank_at_n4():
     from collections import Counter
 
