@@ -64,7 +64,7 @@ class EnumeratedMonoid:
         self.n = n
         self.generators = tuple(generators)
         self.words = dict(words) if words else {}
-        self._members = self.words.keys() or frozenset(self.elements)
+        self._members = self.words or frozenset(self.elements)
 
     @property
     def size(self) -> int:

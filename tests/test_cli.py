@@ -673,7 +673,7 @@ with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink), \\
     for argv in argvs:
         argv = [arg.format(out={out!r}) for arg in argv]
         try:
-            codes.append(str(main(list(argv))))
+            codes.append(str(main(argv)))
         except BaseException as exc:  # a traceback, named with the argv that raised it
             codes.append(f"{{argv!r}} raised {{type(exc).__name__}}")
 print("\\n".join(codes))

@@ -3,6 +3,7 @@
 import gc
 import gzip
 import json
+import pickle
 import re
 from itertools import combinations
 
@@ -212,6 +213,13 @@ _membership = settings(
 @given(data=st.data())
 def test_closure_membership_reads_its_elements(kind, n, data):
     _membership_reads_the_elements(close(n, standard_generators(kind, n).elements), data)
+
+
+def test_a_closure_pickles_with_its_membership():
+    m = close(5, standard_generators("mdi", 5).elements)
+    back = pickle.loads(pickle.dumps(m))
+    assert (back.elements, back.words) == (m.elements, m.words)
+    assert all(p in back for p in m)
 
 
 @_membership
