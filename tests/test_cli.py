@@ -498,13 +498,21 @@ def test_gens_and_factorize_refuse_runaway_generating_sets_up_front():
     ]
 
 
-# the largest n whose standard set holds at most 1500000 pairs
-_LARGEST_SETS = [("odi", 1224), ("mdi", 1729), ("opdi", 500000), ("di", 500000)]
+# the largest n whose standard set holds at most the ceiling of 1500000 pairs, and at most
+# the earlier ceiling of 4000000, so each kind's count is pinned at two boundaries
+_LARGEST_SETS = [
+    (1_500_000, "odi", 1224), (1_500_000, "mdi", 1729),
+    (1_500_000, "opdi", 500000), (1_500_000, "di", 500000),
+    (4_000_000, "odi", 1999), (4_000_000, "mdi", 2825),
+    (4_000_000, "opdi", 1333334), (4_000_000, "di", 1333333),
+]
 
 
-@pytest.mark.parametrize("kind,n", _LARGEST_SETS)
+@pytest.mark.parametrize(
+    "limit,kind,n", [pytest.param(*case, id=f"{case[1]}-{case[2]}") for case in _LARGEST_SETS]
+)
 def test_the_largest_generating_sets_under_the_ceiling_go_on_to_build(capsys, monkeypatch,
-                                                                      kind, n):
+                                                                      limit, kind, n):
     class Built(Exception):
         pass
 
@@ -513,6 +521,7 @@ def test_the_largest_generating_sets_under_the_ceiling_go_on_to_build(capsys, mo
 
     monkeypatch.setattr("cycleiso.cli.standard_generators", build)
     monkeypatch.setattr("cycleiso.cli.factorize", build)
+    monkeypatch.setattr("cycleiso.cli._MAX_PAIRS", limit)
     with pytest.raises(Built):
         main(["gens", kind, str(n)])
     if kind != "di":
@@ -520,7 +529,7 @@ def test_the_largest_generating_sets_under_the_ceiling_go_on_to_build(capsys, mo
             main(["factorize", kind, f"n={n};1>1"])
     code, out, err = run(capsys, "gens", kind, str(n + 1))
     assert (code, out) == (2, "")
-    assert err.endswith(" pairs (limit 1500000)\n")
+    assert err.endswith(f" pairs (limit {limit})\n")
 
 
 def test_rank_plain(capsys):
