@@ -47,6 +47,14 @@ samples, which pins the ``(n, pairs)`` order across mixed n.
 line per letter of ``standard_generators(kind, n)``, letters in set order,
 for the four kinds at n = 3..9, 254 and 255.
 
+``CERTIFICATE_PIN`` is the sha256 of the rank certificates' requirements:
+a header line per case, then one ``<description> <satisfied> <witness>``
+line per requirement, each field as ``repr``.  The cases are
+``lower_bound_certificate`` of the standard sets at n = 4..12; at n = 4..8
+also of seeded reorderings of those sets and of supersets with extra
+members; and ``gap_requirements`` of seeded random member lists, some of
+which miss a gap.
+
 ``SURFACE_PIN`` is the sha256 of the package's public surface: one
 ``<name> <module> <qualname>`` line per entry of ``cycleiso.__all__``,
 sorted, with ``repr(value)`` in place of module and qualname for the
@@ -81,11 +89,13 @@ from cycleiso import (
     empty_map,
     export_bytes,
     factorize,
+    gap_requirements,
     green_structural,
     identity,
     identity_on,
     j_partition,
     j_related,
+    lower_bound_certificate,
     standard_generators,
     to_partial_perm,
 )
@@ -350,6 +360,7 @@ EXTENSION_PINS = {
 ELEMENT_PIN = "d7870e3fd4b718ebe8f45fe9e96335cc6a50f514aa5df44da62d0b40edf756bb"
 SORT_PIN = "a6842c2c3ea0c5e927993f40bb1d7a980bac42c78c7630e0823ef669884e7134"
 GENERATOR_SET_PIN = "f79e9bf8c127d675098f09f82dd4766438dddbab49741840c24eb598b847928e"
+CERTIFICATE_PIN = "538a904122b5eeca4fcf4417e61f7c917f26bfd0c4906e1b7c73a5da7b5ddfc1"
 
 SURFACE_PIN = "33dfb4403ec8f6ebe236b59d4b79856ff5671dd45f32634e76a62bb7f3fe3982"
 
@@ -473,6 +484,42 @@ def test_standard_generating_sets_match_pin():
         for name, p in standard_generators(kind, n)
     )
     assert _sha(listing.encode()) == GENERATOR_SET_PIN
+
+
+def _certificate_listing() -> str:
+    lines = []
+
+    def record(header, requirements):
+        lines.append(header + "\n")
+        lines.extend(f"{r.description!r} {r.satisfied!r} {r.witness!r}\n" for r in requirements)
+
+    for kind in KINDS:
+        for n in range(4, 13):
+            gens = standard_generators(kind, n).elements
+            record(f"{kind} {n} standard", lower_bound_certificate(kind, n, gens).requirements)
+            if n > 8:
+                continue
+            rng = random.Random(100 * n + KINDS.index(kind))
+            members = close(n, gens).elements
+            for trial in range(3):
+                shuffled = rng.sample(gens, len(gens))
+                record(f"{kind} {n} reordered {trial}",
+                       lower_bound_certificate(kind, n, shuffled).requirements)
+                superset = shuffled + rng.sample(members, trial + 1)
+                rng.shuffle(superset)
+                record(f"{kind} {n} superset {trial}",
+                       lower_bound_certificate(kind, n, superset).requirements)
+            for trial in range(6):
+                sample = rng.sample(members, rng.randrange(1, 2 * n))
+                record(f"{kind} {n} sample {trial}", gap_requirements(kind, n, sample))
+    return "".join(lines)
+
+
+def test_rank_certificates_match_pin():
+    listing = _certificate_listing()
+    # the random samples leave some gap uncovered, so both answers are pinned
+    assert " True " in listing and " False " in listing
+    assert _sha(listing.encode()) == CERTIFICATE_PIN
 
 
 def test_elements_refuse_assignment_and_deletion():
