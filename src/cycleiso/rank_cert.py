@@ -52,11 +52,6 @@ class CertificateReport:
     notes: tuple[str, ...]
 
 
-def _domain_gap(p: PartialPerm) -> int:
-    (a, _), (b, _) = p.pairs
-    return b - a
-
-
 def _requirement(description: str, candidates, pred) -> Requirement:
     """The requirement met by the first candidate satisfying ``pred``."""
     w = next((p for p in candidates if pred(p)), None)
@@ -64,63 +59,52 @@ def _requirement(description: str, candidates, pred) -> Requirement:
 
 
 def gap_requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
-    """Rank-2 coverage every generating set needs: for each gap size i up
-    to (n - 1) // 2, some rank-2 generator with domain gap exactly i and
-    one with gap exactly n - i; orientation-preserving sets may cover the
-    pair {i, n - i} with a single generator.  n is an int in 3..10**4300 - 1."""
+    """Rank-2 coverage every generating set needs, one requirement per class
+    of domain gaps (b - a for a map with domain {a < b}) that the kind's
+    symmetries identify: {i, n - i} for opdi, whose rotations turn a gap i
+    into n - i, and {i} then {n - i} for the other kinds, i = 1..(n - 1) // 2.
+    n is an int in 3..10**4300 - 1."""
     check_kind(kind)
     _check_cycle(n)
-    m = (n - 1) // 2
+    steps = range(1, (n - 1) // 2 + 1)
+    classes = ([(i, n - i) for i in steps] if kind == "opdi"
+               else [(i,) for i in steps] + [(n - i,) for i in steps])
     rank2 = [p for p in elements if p.rank == 2]
-    if kind == "opdi":
-        return tuple(
-            _requirement(
-                f"rank-2 generator with domain gap {i} or {n - i}",
-                rank2,
-                lambda p: _domain_gap(p) in (i, n - i),
-            )
-            for i in range(1, m + 1)
-        )
     return tuple(
         _requirement(
-            f"rank-2 generator with domain gap {gap}",
+            f"rank-2 generator with domain gap {' or '.join(map(str, gaps))}",
             rank2,
-            lambda p: _domain_gap(p) == gap,
+            lambda p: p.pairs[1][0] - p.pairs[0][0] in gaps,
         )
-        for gap in list(range(1, m + 1)) + [n - i for i in range(1, m + 1)]
+        for gaps in classes
     )
 
 
-def _requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
+def _requirements(kind: str, n: int, elements) -> list[Requirement]:
+    """opdi needs a nonidentity permutation and a rank n-1 map; odi needs a
+    rank n-1 map missing each image point i, and mdi the full reflection and
+    one missing a point of each class {i, n - i + 1}; then the gap classes."""
     ident = identity(n)
     gens = [p for p in elements if p != ident]
-    points = set(range(1, n + 1))
-    if kind == "odi":
-        reqs = [
-            _requirement(
-                f"rank n-1 generator with image missing {i}",
-                gens,
-                lambda p: p.rank == n - 1 and set(p.image) == points - {i},
-            )
-            for i in range(1, n + 1)
-        ]
-    elif kind == "mdi":
-        h = generator(n, "h")
-        reqs = [_requirement("the full reflection", gens, lambda p: p == h)]
-        for i in range(1, (n + 1) // 2 + 1):
-            orbit = {i, n - i + 1}
-            label = " or ".join(str(v) for v in sorted(orbit))
-            reqs.append(
-                _requirement(
-                    f"rank n-1 generator with image missing {label}",
-                    gens,
-                    lambda p: p.rank == n - 1 and points - set(p.image) <= orbit,
-                )
-            )
-    else:
+    if kind == "opdi":
         reqs = [
             _requirement("a nonidentity permutation", gens, lambda p: p.rank == n),
             _requirement("a rank n-1 generator", gens, lambda p: p.rank == n - 1),
+        ]
+    else:
+        points = set(range(1, n + 1))
+        reqs, classes = [], [{i} for i in range(1, n + 1)]
+        if kind == "mdi":
+            h = generator(n, "h")
+            reqs = [_requirement("the full reflection", gens, lambda p: p == h)]
+            classes = [{i, n - i + 1} for i in range(1, (n + 1) // 2 + 1)]
+        reqs += [
+            _requirement(
+                f"rank n-1 generator with image missing {' or '.join(map(str, sorted(c)))}",
+                gens,
+                lambda p: p.rank == n - 1 and points - set(p.image) <= c,
+            )
+            for c in classes
         ]
     return reqs + list(gap_requirements(kind, n, gens))
 
