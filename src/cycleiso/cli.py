@@ -8,13 +8,15 @@ exception is ``enumerate``, whose output is the export: it writes the
 bytes itself and returns its "wrote N elements" line, or no lines when
 the export goes to stdout.  Exit codes: 0 success, 1 a verification ran
 and failed, 2 invalid input (bad kind, n out of range, unparsable
-element, non-membership, an unwritable path).
+element, non-membership, an unwritable path).  A reader that closes
+stdout early leaves the code the command reached, with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 from dataclasses import asdict
@@ -305,6 +307,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse already printed usage; surface its code (2 on bad input)
         return int(exc.code or 0)
+    code = 0
     try:
         code, payload, lines = args.handler(args)
         # enumerate has no --json: its output is the export itself
@@ -313,10 +316,15 @@ def main(argv=None) -> int:
         else:
             for line in lines:
                 print(line)
-        return code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early, which is not invalid input: the code stands,
+        # and what is still buffered goes to devnull rather than failing at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (CycleIsoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -6,11 +6,15 @@ against the library call it wraps and pin the exit code contract:
 """
 
 import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import cycleiso
 from cycleiso import card, factorize, generator, import_elements, standard_generators, verify
 from cycleiso.brute_force import kind_elements
 from cycleiso.cli import _count, main
@@ -594,6 +598,55 @@ def test_verify_rejects_tiny_cap(capsys):
         code, _, err = run(capsys, "verify", "--max-n", cap)
         assert code == 2
         assert err.startswith("error:")
+
+
+# the child closes the read end of its own stdout pipe before the command
+# runs, so every write to stdout finds no reader, as under `cycleiso ... | true`
+_CLOSED_STDOUT = """
+import os, sys
+import cycleiso.cli
+read, write = os.pipe()
+os.close(read)
+os.dup2(write, 1)
+{patch}
+sys.exit(cycleiso.cli.main({argv!r}))
+"""
+_NO_ELEMENTS = "cycleiso.cli.kind_elements = lambda kind, n: []"
+_NO_EXTENSIONS = "sys.modules['cycleiso.verify'].extensions = lambda p: ()"
+
+
+@pytest.mark.parametrize(
+    "argv,patch,code",
+    [
+        (["card", "odi", "5"], "", 0),
+        (["card", "odi", "5", "--json"], "", 0),
+        (["card", "odi", "5", "--enumerate"], _NO_ELEMENTS, 1),
+        (["enumerate", "odi", "5"], "", 0),
+        (["enumerate", "mdi", "6", "--format", "jsonl", "--gzip"], "", 0),
+        (["greens", "odi", "5", "--relation", "L"], "", 0),
+        (["classify", "n=5;1>2,2>3"], "", 0),
+        (["extensions", "n=5;1>2,2>3", "--json"], "", 0),
+        (["factorize", "odi", "n=5;1>2,2>3"], "", 0),
+        (["gens", "odi", "200"], "", 0),
+        (["rank", "odi", "5", "--certify", "--json"], "", 0),
+        (["verify", "--max-n", "4"], "", 0),
+        (["verify", "--max-n", "4", "--json"], _NO_EXTENSIONS, 1),
+        (["gens", "--help"], "", 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_a_closed_stdout_keeps_the_command_code_and_says_nothing(argv, patch, code):
+    # a reader that stops early is not invalid input: the command's own code
+    # stands, and no error or "Exception ignored" line reaches stderr
+    src = os.path.dirname(os.path.dirname(cycleiso.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", _CLOSED_STDOUT.format(argv=argv, patch=patch)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (code, "")
 
 
 _LONG = "1" * 5000
