@@ -152,6 +152,11 @@ def test_enumerate_refuses_runaway_sizes_up_front():
         (("enumerate", "odi", "5", "--max-elements", "103"), "odi", 103),
         # di 8 has 3985 elements; opdi 8's 3521 used to stand in for it
         (("enumerate", "di", "8", "--max-elements", "3000"), "di", 3000),
+        # the first size of each kind past --max-elements' ceiling
+        (("enumerate", "odi", "20", "--max-elements", "2000000"), "odi", 2000000),
+        (("enumerate", "mdi", "19", "--max-elements", "2000000"), "mdi", 2000000),
+        (("enumerate", "opdi", "17", "--max-elements", "2000000"), "opdi", 2000000),
+        (("enumerate", "di", "16", "--max-elements", "2000000"), "di", 2000000),
     ]
     lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
     assert lines == [
@@ -179,6 +184,20 @@ def test_enumerate_refuses_a_huge_size_without_computing_its_count(capsys, monke
         f"error: enumerate odi {n} would build more than 2^{n} elements "
         f"(limit {'9' * 4300}); pass --max-elements to raise it\n"
     )
+
+
+def test_enumerate_refuses_a_max_elements_above_its_ceiling_up_front():
+    # without the ceiling, enumerate odi 30 --max-elements 10^30 admitted
+    # 3221225441 elements and ended in MemoryError, so it runs capped
+    cases = [
+        ("enumerate", "odi", "30", "--max-elements", str(10**30)),
+        ("enumerate", "di", "30", "--max-elements", str(10**12), "--format", "jsonl"),
+        ("enumerate", "odi", "3", "--max-elements", "2000001"),
+    ]
+    lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=cases))
+    assert lines == [
+        f"2 error: --max-elements {argv[4]} is above its ceiling 2000000" for argv in cases
+    ]
 
 
 def test_enumerate_max_elements_admits_a_monoid_of_exactly_that_size(tmp_path, capsys):
@@ -253,13 +272,17 @@ def test_greens_and_card_enumerate_refuse_di_15_before_building(capsys, monkeypa
         (("rank", "odi", "18", "--certify"), "lower_bound_certificate"),
         (("rank", "mdi", "17", "--certify"), "lower_bound_certificate"),
         (("rank", "opdi", "15", "--certify"), "lower_bound_certificate"),
+        (("enumerate", "odi", "19", "--max-elements", "2000000"), "close"),
+        (("enumerate", "mdi", "18", "--max-elements", "2000000"), "close"),
+        (("enumerate", "opdi", "16", "--max-elements", "2000000"), "close"),
+        (("enumerate", "di", "15", "--max-elements", "2000000"), "close"),
     ],
 )
 def test_the_largest_sizes_under_the_ceiling_go_on_to_build(monkeypatch, argv, builder):
     class Built(Exception):
         pass
 
-    def build(*args):
+    def build(*args, **kwargs):
         raise Built
 
     monkeypatch.setattr(f"cycleiso.cli.{builder}", build)
@@ -702,19 +725,20 @@ def test_any_argv_exits_0_1_or_2(tmp_path, capsysbinary, argv):
 
 
 _HUGE = "1" + "0" * 4300  # 10^4300, the first size past the ceiling
-_SIZES = ["-1", "0", "2", "3", "254", "255", "4000", "20000", _HUGE, "٥", "５", "१२"]
+_SIZES = ["-1", "0", "2", "3", "30", "254", "255", "4000", "20000", _HUGE, "٥", "５", "१२"]
+# --max-elements values on both sides of its ceiling, up to 10^30
+_LIMITS = ["-1", "4000", "2000000", "2000001", *(str(10**k) for k in (12, 18, 24, 30))]
 # the factorize round trip is quadratic in n, so element text stops at 255
 _ELEMENT_SIZES = ["-1", "0", "2", "3", "254", "255", _HUGE, "٥"]
 _SIZED_ELEMENTS = [
     text.format(n) for n in _ELEMENT_SIZES for text in ("n={};1>1", "n={};1>2,2>1", "n={};")
 ]
-# each subcommand's own flags, a size standing for N; --max-elements past
-# memory is the user's own override, so it takes no size above 20000
+# each subcommand's own flags, a size standing for N and a limit for M
 _OWN_FLAGS = {
     "card": [["--json"], ["--enumerate"]],
     "enumerate": [["--out", "{out}/file"], ["--out", "{out}/missing/file"], ["--gzip"],
-                  ["--format", "jsonl"], ["--workers", "N"], ["--max-elements", "4000"],
-                  ["--max-elements", "20000"], ["--max-elements", "-1"]],
+                  ["--format", "jsonl"], ["--workers", "N"], ["--max-elements", "M"],
+                  ["--max-elements", "M"]],
     "greens": [["--json"], ["--relation", "L"], ["--relation", "H"]],
     "classify": [["--json"]], "extensions": [["--json"]], "factorize": [["--json"]],
     "gens": [["--json"]], "rank": [["--json"], ["--certify"]], "verify": [["--json"]],
@@ -756,7 +780,8 @@ def _grammar_argvs(rng, count):
         for _ in range(rng.randrange(3)):
             flags = _OWN_FLAGS[command] if rng.random() < 0.8 else _FLAGS
             if flags:
-                argv += [rng.choice(_SIZES) if a == "N" else a for a in rng.choice(flags)]
+                draws = {"N": _SIZES, "M": _LIMITS}
+                argv += [rng.choice(draws[a]) if a in draws else a for a in rng.choice(flags)]
         if command == "verify":
             argv += ["--max-n", rng.choice(["3", "4"])]
         argvs.append(argv)
