@@ -39,9 +39,9 @@ _ALL_KINDS = KINDS + ("di",)
 _Output = tuple[int, dict, list[str]]
 
 # the most elements a command builds; only enumerate's --max-elements changes it,
-# up to _MAX_ENUMERATED, where mdi 18 (1,574,239 elements) peaks at about 0.7 GB
+# up to _MAX_LIMIT, where mdi 18 (1,574,239 elements) peaks at about 0.7 GB
 _MAX_ELEMENTS = 10**6
-_MAX_ENUMERATED = 2_000_000
+_MAX_LIMIT = 2_000_000
 # greens and card --enumerate build all of di; 1 GB holds n = 14 (458,431), not n = 15 (982,786)
 _MAX_DI = 500_000
 # gens and the factorize round trip build the standard set; opdi 500000 (1,499,997 pairs,
@@ -96,9 +96,8 @@ def _cmd_card(args) -> _Output:
 def _cmd_enumerate(args) -> _Output:
     _check_count(f"enumerate {args.kind} {args.n}", args.kind, args.n, args.max_elements,
                  "; pass --max-elements to raise it")
-    if args.max_elements > _MAX_ENUMERATED:
-        raise DomainError(f"--max-elements {args.max_elements} is above its ceiling "
-                          f"{_MAX_ENUMERATED}")
+    if args.max_elements > _MAX_LIMIT:
+        raise DomainError(f"--max-elements {args.max_elements} is above its ceiling {_MAX_LIMIT}")
     gens = standard_generators(args.kind, args.n)
     m = close(args.n, gens.elements, workers=args.workers)
     blob = export_bytes(m, fmt=args.format, compress=args.gzip)
@@ -323,8 +322,7 @@ def main(argv=None) -> int:
                 print(line)
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader left early, which is not invalid input: the code stands,
-        # and what is still buffered goes to devnull rather than failing at exit
+        # the reader left early: the code stands, and what is buffered goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (CycleIsoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

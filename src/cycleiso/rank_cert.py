@@ -6,6 +6,11 @@ requirements, a distinct generator meeting it.  A set is certified
 minimal when it generates, meets every requirement, and its size equals
 both the requirement count and the closed-form rank.
 
+Each requirement is a class of points that the kind's symmetries identify.
+odi needs, for each class {i}, a rank n-1 generator whose image misses i;
+mdi needs the full reflection and, for each class {i, n - i + 1}, a rank
+n-1 generator whose image misses a point of it.
+
 The requirement machinery needs n >= 4; at n = 3 exhaustive search over
 candidate subsets is still feasible and is used instead.
 """
@@ -59,11 +64,9 @@ def _requirement(description: str, candidates, pred) -> Requirement:
 
 
 def gap_requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
-    """Rank-2 coverage every generating set needs, one requirement per class
-    of domain gaps (b - a for a map with domain {a < b}) that the kind's
-    symmetries identify: {i, n - i} for opdi, whose rotations turn a gap i
-    into n - i, and {i} then {n - i} for the other kinds, i = 1..(n - 1) // 2.
-    n is an int in 3..10**4300 - 1."""
+    """Rank-2 generators every generating set needs, one per class of domain
+    gaps, i = 1..(n - 1) // 2: {i, n - i} for opdi, and {i} then {n - i} for
+    the other kinds.  n is an int in 3..10**4300 - 1."""
     check_kind(kind)
     _check_cycle(n)
     steps = range(1, (n - 1) // 2 + 1)
@@ -81,9 +84,6 @@ def gap_requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
 
 
 def _requirements(kind: str, n: int, elements) -> list[Requirement]:
-    """opdi needs a nonidentity permutation and a rank n-1 map; odi needs a
-    rank n-1 map missing each image point i, and mdi the full reflection and
-    one missing a point of each class {i, n - i + 1}; then the gap classes."""
     ident = identity(n)
     gens = [p for p in elements if p != ident]
     if kind == "opdi":
