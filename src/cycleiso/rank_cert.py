@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError, NotGeneratingError, _check_cycle
-from .partial_perm import PartialPerm, identity
+from .partial_perm import identity
 from .dihedral import check_kind, in_kind
 from .engine import close
 from .formulas import card, rank_formula
@@ -77,7 +77,7 @@ def gap_requirements(kind: str, n: int, elements) -> tuple[Requirement, ...]:
         _requirement(
             f"rank-2 generator with domain gap {' or '.join(map(str, gaps))}",
             rank2,
-            lambda p: p.pairs[1][0] - p.pairs[0][0] in gaps,
+            lambda p: (p.pairs[1][0] - p.pairs[0][0]) in gaps,
         )
         for gaps in classes
     )
