@@ -636,27 +636,26 @@ sys.exit(cycleiso.cli.main({argv!r}))
 """
 _NO_ELEMENTS = "cycleiso.cli.kind_elements = lambda kind, n: []"
 _NO_EXTENSIONS = "sys.modules['cycleiso.verify'].extensions = lambda p: ()"
+_CLOSED_STDOUT_CASES = [
+    (["card", "odi", "5"], "", 0),
+    (["card", "odi", "5", "--json"], "", 0),
+    (["card", "odi", "5", "--enumerate"], _NO_ELEMENTS, 1),
+    (["enumerate", "odi", "5"], "", 0),
+    (["enumerate", "mdi", "6", "--format", "jsonl", "--gzip"], "", 0),
+    (["greens", "odi", "5", "--relation", "L"], "", 0),
+    (["classify", "n=5;1>2,2>3"], "", 0),
+    (["extensions", "n=5;1>2,2>3", "--json"], "", 0),
+    (["factorize", "odi", "n=5;1>2,2>3"], "", 0),
+    (["gens", "odi", "200"], "", 0),
+    (["rank", "odi", "5", "--certify", "--json"], "", 0),
+    (["verify", "--max-n", "4"], "", 0),
+    (["verify", "--max-n", "4", "--json"], _NO_EXTENSIONS, 1),
+    (["gens", "--help"], "", 0),
+]
 
 
 @pytest.mark.parametrize(
-    "argv,patch,code",
-    [
-        (["card", "odi", "5"], "", 0),
-        (["card", "odi", "5", "--json"], "", 0),
-        (["card", "odi", "5", "--enumerate"], _NO_ELEMENTS, 1),
-        (["enumerate", "odi", "5"], "", 0),
-        (["enumerate", "mdi", "6", "--format", "jsonl", "--gzip"], "", 0),
-        (["greens", "odi", "5", "--relation", "L"], "", 0),
-        (["classify", "n=5;1>2,2>3"], "", 0),
-        (["extensions", "n=5;1>2,2>3", "--json"], "", 0),
-        (["factorize", "odi", "n=5;1>2,2>3"], "", 0),
-        (["gens", "odi", "200"], "", 0),
-        (["rank", "odi", "5", "--certify", "--json"], "", 0),
-        (["verify", "--max-n", "4"], "", 0),
-        (["verify", "--max-n", "4", "--json"], _NO_EXTENSIONS, 1),
-        (["gens", "--help"], "", 0),
-    ],
-    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    "argv,patch,code", _CLOSED_STDOUT_CASES, ids=[" ".join(c[0]) for c in _CLOSED_STDOUT_CASES]
 )
 def test_a_closed_stdout_keeps_the_command_code_and_says_nothing(argv, patch, code):
     # a reader that stops early is not invalid input: the command's own code
