@@ -15,6 +15,7 @@ stdout early leaves the code the command reached, with nothing on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -94,16 +95,16 @@ def _cmd_card(args) -> _Output:
 
 
 def _cmd_enumerate(args) -> _Output:
-    _check_count(f"enumerate {args.kind} {args.n}", args.kind, args.n, args.max_elements,
-                 "; pass --max-elements to raise it")
+    count = _count(args.kind, args.n)  # the hint only where the ceiling leaves room to follow it
+    hint = "; pass --max-elements to raise it" if count is not None and count <= _MAX_LIMIT else ""
+    _check_count(f"enumerate {args.kind} {args.n}", args.kind, args.n, args.max_elements, hint)
     if args.max_elements > _MAX_LIMIT:
         raise DomainError(f"--max-elements {args.max_elements} is above its ceiling {_MAX_LIMIT}")
     gens = standard_generators(args.kind, args.n)
     m = close(args.n, gens.elements, workers=args.workers)
     blob = export_bytes(m, fmt=args.format, compress=args.gzip)
     if args.out is None:
-        sys.stdout.buffer.write(blob)
-        sys.stdout.buffer.flush()
+        _to_stdout(lambda: sys.stdout.buffer.write(blob))
         return 0, {}, []
     with open(args.out, "wb") as fh:
         fh.write(blob)
@@ -258,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, kind=None, n=False, element=False):
+    def add(name, handler, help_text, kind=None, n=False, element=False, with_json=True):
         p = sub.add_parser(name, help=help_text)
         if kind is not None:
             p.add_argument("kind", choices=kind)
@@ -266,16 +267,16 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("n", type=_ascii_int)
         if element:
             p.add_argument("element", help="element text, e.g. 'n=5;2>1,4>3,5>4'")
-        p.add_argument("--json", action="store_true", help="structured output")
+        if with_json:
+            p.add_argument("--json", action="store_true", help="structured output")
         p.set_defaults(handler=handler)
         return p
 
     p = add("card", _cmd_card, "cardinality from the closed formula", kind=KINDS, n=True)
     p.add_argument("--enumerate", action="store_true", help="cross-check against brute force")
 
-    p = sub.add_parser("enumerate", help="write the full element list")
-    p.add_argument("kind", choices=_ALL_KINDS)
-    p.add_argument("n", type=_ascii_int)
+    p = add("enumerate", _cmd_enumerate, "write the full element list", kind=_ALL_KINDS, n=True,
+            with_json=False)
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument("--format", choices=("txt", "jsonl"), default="txt")
     p.add_argument("--gzip", action="store_true")
@@ -284,7 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-elements", type=_ascii_int, default=_MAX_ELEMENTS, help="refuse a "
                    "monoid larger than this, counted from its formula before any work "
                    "(default 10^6, at most 2*10^6)")
-    p.set_defaults(handler=_cmd_enumerate)
 
     p = add("greens", _cmd_greens, "Green's relation class counts", kind=_ALL_KINDS, n=True)
     p.add_argument("--relation", choices=("J", "L", "R", "H"), default="J")
@@ -304,26 +304,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_stdout(write=lambda: None) -> None:
+    """Call ``write`` and flush stdout; a reader that closed stdout early is not an error."""
+    try:
+        write()
+        sys.stdout.flush()
+    except BrokenPipeError:  # what is still buffered goes to devnull, not to an error at exit
+        with open(os.devnull, "wb") as devnull, contextlib.suppress(ValueError):  # no descriptor
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed usage; surface its code (2 on bad input)
-        return int(exc.code or 0)
-    code = 0
+    except (SystemExit, BrokenPipeError) as exc:  # help unbuffered to a closed stdout is the latter
+        # argparse already printed usage or help; surface its code (2 on bad input)
+        _to_stdout()
+        return int(getattr(exc, "code", 0) or 0)
     try:
         code, payload, lines = args.handler(args)
         # enumerate has no --json: its output is the export itself
         if getattr(args, "json", False):
-            print(json.dumps({"schema_version": SCHEMA_VERSION, **payload}))
-        else:
-            for line in lines:
-                print(line)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left early: the code stands, and what is buffered goes to devnull
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            lines = [json.dumps({"schema_version": SCHEMA_VERSION, **payload})]
+        _to_stdout(lambda: sys.stdout.write("".join(f"{line}\n" for line in lines)))
     except (CycleIsoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -159,10 +159,13 @@ def test_enumerate_refuses_runaway_sizes_up_front():
         (("enumerate", "di", "16", "--max-elements", "2000000"), "di", 2000000),
     ]
     lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
+    # the hint to raise the limit only where the ceiling leaves room for it
+    hint = "; pass --max-elements to raise it"
     assert lines == [
-        f"2 error: enumerate {argv[1]} {argv[2]} would build {_count(kind, int(argv[2]))} "
-        f"elements (limit {limit}); pass --max-elements to raise it"
+        f"2 error: enumerate {argv[1]} {argv[2]} would build {count} "
+        f"elements (limit {limit}){hint if count <= 2000000 else ''}"
         for argv, kind, limit in cases
+        for count in [_count(kind, int(argv[2]))]
     ]
 
 
@@ -182,7 +185,7 @@ def test_enumerate_refuses_a_huge_size_without_computing_its_count(capsys, monke
     assert out == ""
     assert err == (
         f"error: enumerate odi {n} would build more than 2^{n} elements "
-        f"(limit {'9' * 4300}); pass --max-elements to raise it\n"
+        f"(limit {'9' * 4300})\n"
     )
 
 
@@ -623,52 +626,70 @@ def test_verify_rejects_tiny_cap(capsys):
         assert err.startswith("error:")
 
 
-# the child closes the read end of its own stdout pipe before the command
-# runs, so every write to stdout finds no reader, as under `cycleiso ... | true`
-_CLOSED_STDOUT = """
+# the child makes a pipe and closes its read end before the command runs, so
+# every write to the pipe finds no reader, as under `cycleiso ... | true`
+_CLOSED_PIPE = """
 import os, sys
 import cycleiso.cli
 read, write = os.pipe()
 os.close(read)
-os.dup2(write, 1)
 {patch}
 sys.exit(cycleiso.cli.main({argv!r}))
 """
-_NO_ELEMENTS = "cycleiso.cli.kind_elements = lambda kind, n: []"
-_NO_EXTENSIONS = "sys.modules['cycleiso.verify'].extensions = lambda p: ()"
+_TO_STDOUT = "os.dup2(write, 1)"
+_NO_ELEMENTS = _TO_STDOUT + "; cycleiso.cli.kind_elements = lambda kind, n: []"
+_NO_EXTENSIONS = _TO_STDOUT + "; sys.modules['cycleiso.verify'].extensions = lambda p: ()"
 _CLOSED_STDOUT_CASES = [
-    (["card", "odi", "5"], "", 0),
-    (["card", "odi", "5", "--json"], "", 0),
+    (["card", "odi", "5"], _TO_STDOUT, 0),
+    (["card", "odi", "5", "--json"], _TO_STDOUT, 0),
     (["card", "odi", "5", "--enumerate"], _NO_ELEMENTS, 1),
-    (["enumerate", "odi", "5"], "", 0),
-    (["enumerate", "mdi", "6", "--format", "jsonl", "--gzip"], "", 0),
-    (["greens", "odi", "5", "--relation", "L"], "", 0),
-    (["classify", "n=5;1>2,2>3"], "", 0),
-    (["extensions", "n=5;1>2,2>3", "--json"], "", 0),
-    (["factorize", "odi", "n=5;1>2,2>3"], "", 0),
-    (["gens", "odi", "200"], "", 0),
-    (["rank", "odi", "5", "--certify", "--json"], "", 0),
-    (["verify", "--max-n", "4"], "", 0),
+    (["enumerate", "odi", "5"], _TO_STDOUT, 0),
+    (["enumerate", "mdi", "6", "--format", "jsonl", "--gzip"], _TO_STDOUT, 0),
+    (["greens", "odi", "5", "--relation", "L"], _TO_STDOUT, 0),
+    (["classify", "n=5;1>2,2>3"], _TO_STDOUT, 0),
+    (["extensions", "n=5;1>2,2>3", "--json"], _TO_STDOUT, 0),
+    (["factorize", "odi", "n=5;1>2,2>3"], _TO_STDOUT, 0),
+    (["gens", "odi", "200"], _TO_STDOUT, 0),
+    (["rank", "odi", "5", "--certify", "--json"], _TO_STDOUT, 0),
+    (["verify", "--max-n", "4"], _TO_STDOUT, 0),
     (["verify", "--max-n", "4", "--json"], _NO_EXTENSIONS, 1),
-    (["gens", "--help"], "", 0),
+    (["gens", "--help"], _TO_STDOUT, 0),
 ]
 
 
-@pytest.mark.parametrize(
-    "argv,patch,code", _CLOSED_STDOUT_CASES, ids=[" ".join(c[0]) for c in _CLOSED_STDOUT_CASES]
-)
-def test_a_closed_stdout_keeps_the_command_code_and_says_nothing(argv, patch, code):
-    # a reader that stops early is not invalid input: the command's own code
-    # stands, and no error or "Exception ignored" line reaches stderr
+def _closed_pipe_child(argv, patch, unbuffered):
+    # the environment is pinned: whether stdout is buffered decides whether a
+    # write fails at once or at the flush before exit, so each mode runs
     src = os.path.dirname(os.path.dirname(cycleiso.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
     child = subprocess.run(
-        [sys.executable, "-c", _CLOSED_STDOUT.format(argv=argv, patch=patch)],
-        env={**os.environ, "PYTHONPATH": src},
+        [sys.executable, "-c", _CLOSED_PIPE.format(argv=argv, patch=patch)],
+        env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
-    assert (child.returncode, child.stderr) == (code, "")
+    return child.returncode, child.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv,patch,code", _CLOSED_STDOUT_CASES, ids=[" ".join(c[0]) for c in _CLOSED_STDOUT_CASES]
+)
+def test_a_closed_stdout_keeps_the_command_code_and_says_nothing(argv, patch, code, unbuffered):
+    # a reader that stops early is not invalid input: the command's own code
+    # stands, and no error or "Exception ignored" line reaches stderr
+    assert _closed_pipe_child(argv, patch, unbuffered) == (code, "")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_closed_pipe_on_out_is_an_error(unbuffered):
+    # only stdout's reader may leave quietly: an --out whose reader left has
+    # cut the export short, so the command fails as an unwritable path does
+    patch = "cycleiso.cli.open = lambda path, mode: os.fdopen(write, mode)"
+    argv = ["enumerate", "odi", "5", "--out", "pipe"]
+    assert _closed_pipe_child(argv, patch, unbuffered) == (2, "error: [Errno 32] Broken pipe\n")
 
 
 _LONG = "1" * 5000
