@@ -39,10 +39,9 @@ _ALL_KINDS = KINDS + ("di",)
 
 _Output = tuple[int, dict, list[str]]
 
-# the most elements a command builds; only enumerate's --max-elements changes it,
-# up to _MAX_LIMIT, where mdi 18 (1,574,239 elements) peaks at about 0.7 GB
-_MAX_ELEMENTS = 10**6
-_MAX_LIMIT = 2_000_000
+# the most elements enumerate and rank --certify build; mdi 18 (1,574,239 elements),
+# the largest either admits, peaks at about 0.7 GB
+_MAX_ELEMENTS = 2_000_000
 # greens and card --enumerate build all of di; 1 GB holds n = 14 (458,431), not n = 15 (982,786)
 _MAX_DI = 500_000
 # gens and the factorize round trip build the standard set; opdi 500000 (1,499,997 pairs,
@@ -62,12 +61,12 @@ def _count(kind: str, n: int) -> int | None:
     return card(kind, n)
 
 
-def _check_count(what: str, kind: str, n: int, limit: int = _MAX_ELEMENTS, hint: str = "") -> None:
+def _check_count(what: str, kind: str, n: int, limit: int) -> None:
     """Refuse ``what``, the command as typed, if it would build more than ``limit`` elements."""
     count = _count(kind, n)
     if count is None or count > limit:
         shown = f"more than 2^{n}" if count is None else _shown(count)
-        raise DomainError(f"{what} would build {shown} elements (limit {limit}){hint}")
+        raise DomainError(f"{what} would build {shown} elements (limit {limit})")
 
 
 def _check_pairs(what: str, kind: str, n: int) -> None:
@@ -95,11 +94,7 @@ def _cmd_card(args) -> _Output:
 
 
 def _cmd_enumerate(args) -> _Output:
-    count = _count(args.kind, args.n)  # the hint only where the ceiling leaves room to follow it
-    hint = "; pass --max-elements to raise it" if count is not None and count <= _MAX_LIMIT else ""
-    _check_count(f"enumerate {args.kind} {args.n}", args.kind, args.n, args.max_elements, hint)
-    if args.max_elements > _MAX_LIMIT:
-        raise DomainError(f"--max-elements {args.max_elements} is above its ceiling {_MAX_LIMIT}")
+    _check_count(f"enumerate {args.kind} {args.n}", args.kind, args.n, _MAX_ELEMENTS)
     gens = standard_generators(args.kind, args.n)
     m = close(args.n, gens.elements, workers=args.workers)
     blob = export_bytes(m, fmt=args.format, compress=args.gzip)
@@ -196,7 +191,7 @@ def _cmd_rank(args) -> _Output:
     payload = {"kind": args.kind, "n": args.n, "rank": value}
     if not args.certify:
         return 0, payload, [f"rank={value}"]
-    _check_count(f"rank {args.kind} {args.n} --certify", args.kind, args.n)
+    _check_count(f"rank {args.kind} {args.n} --certify", args.kind, args.n, _MAX_ELEMENTS)
     report = lower_bound_certificate(
         args.kind, args.n, standard_generators(args.kind, args.n).elements
     )
@@ -282,9 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gzip", action="store_true")
     p.add_argument("--workers", type=_ascii_int, default=1, help="positive int; the closure "
                    "is serial, so neither work nor output depends on it")
-    p.add_argument("--max-elements", type=_ascii_int, default=_MAX_ELEMENTS, help="refuse a "
-                   "monoid larger than this, counted from its formula before any work "
-                   "(default 10^6, at most 2*10^6)")
 
     p = add("greens", _cmd_greens, "Green's relation class counts", kind=_ALL_KINDS, n=True)
     p.add_argument("--relation", choices=("J", "L", "R", "H"), default="J")

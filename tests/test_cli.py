@@ -145,28 +145,38 @@ def test_enumerate_refuses_runaway_sizes_up_front():
     # without the guard, enumerate opdi 40 ran until memory was gone, so
     # the refusals run in a child whose memory is capped
     cases = [
-        (("enumerate", "opdi", "40"), "opdi", 10**6),
-        (("enumerate", "opdi", "16"), "opdi", 10**6),
-        (("enumerate", "mdi", "20", "--format", "jsonl"), "mdi", 10**6),
-        (("enumerate", "di", "18"), "di", 10**6),
-        (("enumerate", "odi", "5", "--max-elements", "103"), "odi", 103),
-        # di 8 has 3985 elements; opdi 8's 3521 used to stand in for it
-        (("enumerate", "di", "8", "--max-elements", "3000"), "di", 3000),
-        # the first size of each kind past --max-elements' ceiling
-        (("enumerate", "odi", "20", "--max-elements", "2000000"), "odi", 2000000),
-        (("enumerate", "mdi", "19", "--max-elements", "2000000"), "mdi", 2000000),
-        (("enumerate", "opdi", "17", "--max-elements", "2000000"), "opdi", 2000000),
-        (("enumerate", "di", "16", "--max-elements", "2000000"), "di", 2000000),
+        ("enumerate", "opdi", "40"),
+        ("enumerate", "mdi", "20", "--format", "jsonl"),
+        ("enumerate", "di", "18"),
+        # the first size of each kind past the ceiling
+        ("enumerate", "odi", "20"),
+        ("enumerate", "mdi", "19"),
+        ("enumerate", "opdi", "17"),
+        ("enumerate", "di", "16"),
     ]
-    lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
-    # the hint to raise the limit only where the ceiling leaves room for it
-    hint = "; pass --max-elements to raise it"
+    lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=cases))
     assert lines == [
-        f"2 error: enumerate {argv[1]} {argv[2]} would build {count} "
-        f"elements (limit {limit}){hint if count <= 2000000 else ''}"
-        for argv, kind, limit in cases
-        for count in [_count(kind, int(argv[2]))]
+        f"2 error: enumerate {kind} {n} would build {_count(kind, int(n))} "
+        f"elements (limit 2000000)"
+        for _, kind, n, *_ in cases
     ]
+
+
+@pytest.mark.parametrize(
+    "argv,limit",
+    [
+        (("enumerate", "odi", "5"), 103),
+        # di 8 has 3985 elements; opdi 8's 3521 used to stand in for it
+        (("enumerate", "di", "8", "--format", "jsonl"), 3000),
+    ],
+)
+def test_enumerate_refuses_one_element_past_the_ceiling(capsys, monkeypatch, argv, limit):
+    monkeypatch.setattr("cycleiso.cli._MAX_ELEMENTS", limit)
+    kind, n = argv[1], argv[2]
+    assert run(capsys, *argv) == (
+        2, "", f"error: enumerate {kind} {n} would build {_count(kind, int(n))} "
+        f"elements (limit {limit})\n"
+    )
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -180,34 +190,36 @@ def test_enumerate_refuses_a_huge_size_without_computing_its_count(capsys, monke
 
     monkeypatch.setattr("cycleiso.cli.card", fail)
     n = "9" * 4300  # 2^n alone would not fit in memory
-    code, out, err = run(capsys, "enumerate", "odi", n, "--max-elements", "9" * 4300)
+    code, out, err = run(capsys, "enumerate", "odi", n)
     assert code == 2
     assert out == ""
     assert err == (
-        f"error: enumerate odi {n} would build more than 2^{n} elements "
-        f"(limit {'9' * 4300})\n"
+        f"error: enumerate odi {n} would build more than 2^{n} elements (limit 2000000)\n"
     )
 
 
-def test_enumerate_refuses_a_max_elements_above_its_ceiling_up_front():
-    # without the ceiling, enumerate odi 30 --max-elements 10^30 admitted
-    # 3221225441 elements and ended in MemoryError, so it runs capped
-    cases = [
+def test_enumerate_refuses_any_max_elements_as_a_usage_error(capsys, monkeypatch):
+    # the limit is fixed, so the flag is an unknown option and nothing is built
+    def build(*args, **kwargs):
+        raise AssertionError("close ran")
+
+    monkeypatch.setattr("cycleiso.cli.close", build)
+    for argv in [
         ("enumerate", "odi", "30", "--max-elements", str(10**30)),
         ("enumerate", "di", "30", "--max-elements", str(10**12), "--format", "jsonl"),
-        ("enumerate", "odi", "3", "--max-elements", "2000001"),
-    ]
-    lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=cases))
-    assert lines == [
-        f"2 error: --max-elements {argv[4]} is above its ceiling 2000000" for argv in cases
-    ]
+        ("enumerate", "odi", "5", "--max-elements", "104"),
+        ("enumerate", "odi", "3", "--max-elements", "x"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: --max-elements {argv[4]}\n")
 
 
-def test_enumerate_max_elements_admits_a_monoid_of_exactly_that_size(tmp_path, capsys):
+def test_enumerate_max_elements_admits_a_monoid_of_exactly_that_size(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.setattr("cycleiso.cli._MAX_ELEMENTS", 104)
     path = tmp_path / "odi5.txt"
-    code, out, _ = run(
-        capsys, "enumerate", "odi", "5", "--max-elements", "104", "--out", str(path)
-    )
+    code, out, _ = run(capsys, "enumerate", "odi", "5", "--out", str(path))
     assert code == 0
     assert out == f"wrote 104 elements to {path}\n"
 
@@ -226,16 +238,16 @@ def test_greens_card_enumerate_and_rank_certify_refuse_runaway_sizes_up_front():
         (("card", "mdi", "16", "--enumerate", "--json"), "card mdi 16 --enumerate",
          _count("di", 16), 500000),
         (("rank", "opdi", "30", "--certify"), "rank opdi 30 --certify", card("opdi", 30),
-         1000000),
-        (("rank", "odi", "19", "--certify"), "rank odi 19 --certify", card("odi", 19), 1000000),
-        (("rank", "mdi", "18", "--certify", "--json"), "rank mdi 18 --certify",
-         card("mdi", 18), 1000000),
-        (("rank", "opdi", "16", "--certify"), "rank opdi 16 --certify", card("opdi", 16),
-         1000000),
+         2000000),
+        (("rank", "odi", "20", "--certify"), "rank odi 20 --certify", card("odi", 20), 2000000),
+        (("rank", "mdi", "19", "--certify", "--json"), "rank mdi 19 --certify",
+         card("mdi", 19), 2000000),
+        (("rank", "opdi", "17", "--certify"), "rank opdi 17 --certify", card("opdi", 17),
+         2000000),
         # past card's print limit the count is not computed
         (("greens", "odi", "20000"), "greens odi 20000", "more than 2^20000", 500000),
         (("rank", "mdi", "20000", "--certify"), "rank mdi 20000 --certify",
-         "more than 2^20000", 1000000),
+         "more than 2^20000", 2000000),
     ]
     lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
     assert lines == [
@@ -275,10 +287,13 @@ def test_greens_and_card_enumerate_refuse_di_15_before_building(capsys, monkeypa
         (("rank", "odi", "18", "--certify"), "lower_bound_certificate"),
         (("rank", "mdi", "17", "--certify"), "lower_bound_certificate"),
         (("rank", "opdi", "15", "--certify"), "lower_bound_certificate"),
-        (("enumerate", "odi", "19", "--max-elements", "2000000"), "close"),
-        (("enumerate", "mdi", "18", "--max-elements", "2000000"), "close"),
-        (("enumerate", "opdi", "16", "--max-elements", "2000000"), "close"),
-        (("enumerate", "di", "15", "--max-elements", "2000000"), "close"),
+        (("enumerate", "odi", "19"), "close"),
+        (("enumerate", "mdi", "18"), "close"),
+        (("enumerate", "opdi", "16"), "close"),
+        (("enumerate", "di", "15"), "close"),
+        (("rank", "odi", "19", "--certify"), "lower_bound_certificate"),
+        (("rank", "mdi", "18", "--certify"), "lower_bound_certificate"),
+        (("rank", "opdi", "16", "--certify"), "lower_bound_certificate"),
     ],
 )
 def test_the_largest_sizes_under_the_ceiling_go_on_to_build(monkeypatch, argv, builder):
@@ -746,7 +761,8 @@ def test_any_argv_exits_0_1_or_2(tmp_path, capsysbinary, argv):
 
 _HUGE = "1" + "0" * 4300  # 10^4300, the first size past the ceiling
 _SIZES = ["-1", "0", "2", "3", "30", "254", "255", "4000", "20000", _HUGE, "٥", "５", "१२"]
-# --max-elements values on both sides of its ceiling, up to 10^30
+# values for the --max-elements option that enumerate no longer has, so that the seeded
+# argvs stay as they were and the option is now fuzzed as an unknown one
 _LIMITS = ["-1", "4000", "2000000", "2000001", *(str(10**k) for k in (12, 18, 24, 30))]
 # the factorize round trip is quadratic in n, so element text stops at 255
 _ELEMENT_SIZES = ["-1", "0", "2", "3", "254", "255", _HUGE, "٥"]
