@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import io
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import getitem, gt, itemgetter, methodcaller
 
@@ -63,10 +64,19 @@ _MAX_BYTE_N = 254  # images 1..n leave the byte 0xFF free to mark a point withou
 _set = object.__setattr__
 
 
+def _iterated(value, what: str) -> tuple:
+    """``tuple(value)``; a value that is not iterable is refused by ``what`` it stands for."""
+    try:
+        items = iter(value)
+    except TypeError:
+        raise DomainError(f"{what} must be iterable, got {_shown(value)}") from None
+    return tuple(items)
+
+
 def sorted_points(n: int, points) -> tuple[int, ...]:
     """Validate distinct points of 1..n, n an int in 1..10**4300 - 1; return them sorted."""
     _check_size(n)
-    pts = tuple(points)
+    pts = _iterated(points, "points")
     for p in pts:
         if type(p) is not int or not 1 <= p <= n:
             raise DomainError(f"point {_shown(p)} is outside 1..{_shown(n)}")
@@ -161,8 +171,18 @@ class PartialPerm:
 
     @classmethod
     def from_map(cls, n: int, mapping) -> "PartialPerm":
-        """Build from a {point: image} mapping or an iterable of pairs."""
-        return cls(n, tuple(sorted(dict(mapping).items())))
+        """Build from a {point: image} mapping or an iterable of pairs, each point once."""
+        items = mapping.items() if isinstance(mapping, Mapping) else _iterated(mapping, "mapping")
+        pairs = []
+        for item in items:
+            try:
+                a, b = item
+            except (TypeError, ValueError):
+                raise DomainError(f"{_shown(item)} is not a (point, image) pair") from None
+            pairs.append((a, b))
+        points = sorted_points(n, [a for a, _ in pairs])  # no repeated or unhashable point
+        image = dict(pairs)
+        return cls(n, tuple((a, image[a]) for a in points))
 
     @classmethod
     def parse(cls, text: str) -> "PartialPerm":

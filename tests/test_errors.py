@@ -20,6 +20,7 @@ from cycleiso import (
     extensions,
     generator,
     identity_off,
+    identity_on,
     is_in_b2,
     is_partial_isometry,
     is_partial_isometry_fast,
@@ -226,3 +227,40 @@ def test_answers_that_need_no_cycle_stay_answers(call, value):
     # below rank 2 the J key is the rank, and b2 needs rank 2 on an even cycle,
     # so these read no distance and refuse nothing
     assert call() is value
+
+
+# points and maps given as a value that is not iterable, or as pairs that
+# repeat a point or are not pairs, are refused with a DomainError naming it
+_P = PartialPerm(5, ((1, 2),))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda: PartialPerm.from_map(5, [(1, 2), (1, 3)]), "point 1 repeats",
+                     id="from_map-repeat"),
+        pytest.param(lambda: PartialPerm.from_map(5, {1: 2, "a": 3}),
+                     "point 'a' is outside 1..5", id="from_map-str-point"),
+        pytest.param(lambda: PartialPerm.from_map(5, [([1], 2)]), "point [1] is outside 1..5",
+                     id="from_map-list-point"),
+        pytest.param(lambda: PartialPerm.from_map(5, [(1, 2, 3)]),
+                     "(1, 2, 3) is not a (point, image) pair", id="from_map-triple"),
+        pytest.param(lambda: PartialPerm.from_map(5, [1]), "1 is not a (point, image) pair",
+                     id="from_map-int-pair"),
+        pytest.param(lambda: PartialPerm.from_map(5, 7), "mapping must be iterable, got 7",
+                     id="from_map-int"),
+        pytest.param(lambda: sorted_points(5, 3), "points must be iterable, got 3",
+                     id="sorted_points"),
+        pytest.param(lambda: identity_on(5, 3), "points must be iterable, got 3",
+                     id="identity_on"),
+        pytest.param(lambda: _P.restrict(3), "points must be iterable, got 3", id="restrict"),
+        pytest.param(lambda: delta(5, 3, [1]), "points must be iterable, got 3", id="delta"),
+        pytest.param(lambda: to_partial_perm(_G, 3), "points must be iterable, got 3",
+                     id="to_partial_perm"),
+    ],
+)
+def test_points_and_maps_that_are_not_point_sets_are_refused_by_name(call, message):
+    with pytest.raises(DomainError) as err:
+        call()
+    assert type(err.value) is DomainError
+    assert str(err.value) == message
