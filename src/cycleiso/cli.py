@@ -8,8 +8,9 @@ exception is ``enumerate``, whose output is the export: it writes the
 bytes itself and returns its "wrote N elements" line, or no lines when
 the export goes to stdout.  Exit codes: 0 success, 1 a verification ran
 and failed, 2 invalid input (bad kind, n out of range, unparsable
-element, non-membership, an unwritable path).  A reader that closes
-stdout early leaves the code the command reached, with nothing on stderr.
+element, non-membership, an unwritable path or stdout).  A reader that
+closes stdout early leaves the code the command reached, with nothing on
+stderr.
 """
 
 from __future__ import annotations
@@ -247,8 +248,13 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # argparse drops a failed write on some versions
+        _to_stdout(lambda: (file or sys.stdout).write(self.format_help()))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cycleiso",
         description="exact computations in the partial-isometry monoids of a cycle graph",
     )
@@ -296,30 +302,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _to_stdout(write=lambda: None) -> None:
-    """Call ``write`` and flush stdout; a reader that closed stdout early is not an error."""
+def _to_stdout(write) -> None:
+    """Call ``write`` and flush stdout; a reader that closed stdout early is not an error,
+    any other failure is raised."""
     try:
         write()
         sys.stdout.flush()
-    except BrokenPipeError:  # what is still buffered goes to devnull, not to an error at exit
+    except OSError as exc:  # what is still buffered goes to devnull, not to an error at exit
         with open(os.devnull, "wb") as devnull, contextlib.suppress(ValueError):  # no descriptor
             os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except (SystemExit, BrokenPipeError) as exc:  # help unbuffered to a closed stdout is the latter
-        # argparse already printed usage or help; surface its code (2 on bad input)
-        _to_stdout()
-        return int(getattr(exc, "code", 0) or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         code, payload, lines = args.handler(args)
         # enumerate has no --json: its output is the export itself
         if getattr(args, "json", False):
             lines = [json.dumps({"schema_version": SCHEMA_VERSION, **payload})]
         _to_stdout(lambda: sys.stdout.write("".join(f"{line}\n" for line in lines)))
+    except SystemExit as exc:  # argparse printed usage or help; 2 on bad input
+        return int(exc.code or 0)
     except (CycleIsoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

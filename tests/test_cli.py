@@ -707,6 +707,18 @@ def test_a_closed_pipe_on_out_is_an_error(unbuffered):
     assert _closed_pipe_child(argv, patch, unbuffered) == (2, "error: [Errno 32] Broken pipe\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["gens", "--help"], ["card", "odi", "5"]], ids=" ".join)
+def test_a_full_stdout_is_an_error(argv, unbuffered):
+    # a stdout that takes no bytes has not been read, so the output is lost:
+    # exit 2 with the error, for --help as for a command's own lines
+    patch = "os.dup2(os.open('/dev/full', os.O_WRONLY), 1)"
+    assert _closed_pipe_child(argv, patch, unbuffered) == (
+        2, "error: [Errno 28] No space left on device\n"
+    )
+
+
 _LONG = "1" * 5000
 # each subcommand with its positionals: a kind, an n, an element
 _COMMANDS = {
