@@ -305,6 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _to_stdout(write) -> None:
     """Call ``write`` and flush stdout; a reader that closed stdout early is not an error,
     any other failure is raised."""
+    if sys.stdout is None:  # descriptor 1 was closed when Python started
+        raise OSError("stdout is closed")
     try:
         write()
         sys.stdout.flush()

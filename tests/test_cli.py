@@ -719,6 +719,14 @@ def test_a_full_stdout_is_an_error(argv, unbuffered):
     )
 
 
+@pytest.mark.parametrize("argv", [["gens", "--help"], ["card", "odi", "5"]], ids=" ".join)
+def test_no_stdout_at_all_is_an_error(argv):
+    # started with descriptor 1 closed, Python sets sys.stdout to None
+    assert _closed_pipe_child(argv, "sys.stdout = None", False) == (
+        2, "error: stdout is closed\n"
+    )
+
+
 _LONG = "1" * 5000
 # each subcommand with its positionals: a kind, an n, an element
 _COMMANDS = {
