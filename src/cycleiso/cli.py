@@ -319,14 +319,15 @@ def _to_stdout(write) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse printed usage or help; 2 on bad input
+            return int(exc.code or 0)
         code, payload, lines = args.handler(args)
         # enumerate has no --json: its output is the export itself
         if getattr(args, "json", False):
             lines = [json.dumps({"schema_version": SCHEMA_VERSION, **payload})]
         _to_stdout(lambda: sys.stdout.write("".join(f"{line}\n" for line in lines)))
-    except SystemExit as exc:  # argparse printed usage or help; 2 on bad input
-        return int(exc.code or 0)
     except (CycleIsoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -707,24 +707,23 @@ def test_a_closed_pipe_on_out_is_an_error(unbuffered):
     assert _closed_pipe_child(argv, patch, unbuffered) == (2, "error: [Errno 32] Broken pipe\n")
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [["gens", "--help"], ["card", "odi", "5"]], ids=" ".join)
-def test_a_full_stdout_is_an_error(argv, unbuffered):
-    # a stdout that takes no bytes has not been read, so the output is lost:
-    # exit 2 with the error, for --help as for a command's own lines
-    patch = "os.dup2(os.open('/dev/full', os.O_WRONLY), 1)"
-    assert _closed_pipe_child(argv, patch, unbuffered) == (
-        2, "error: [Errno 28] No space left on device\n"
-    )
-
-
-@pytest.mark.parametrize("argv", [["gens", "--help"], ["card", "odi", "5"]], ids=" ".join)
-def test_no_stdout_at_all_is_an_error(argv):
+_NO_READER = [
+    pytest.param("os.dup2(os.open('/dev/full', os.O_WRONLY), 1)",
+                 "[Errno 28] No space left on device", id="full",
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                          reason="needs /dev/full")),
     # started with descriptor 1 closed, Python sets sys.stdout to None
-    assert _closed_pipe_child(argv, "sys.stdout = None", False) == (
-        2, "error: stdout is closed\n"
-    )
+    pytest.param("sys.stdout = None", "stdout is closed", id="none"),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("patch,error", _NO_READER)
+@pytest.mark.parametrize("argv", [["gens", "--help"], ["card", "odi", "5"]], ids=" ".join)
+def test_a_stdout_that_takes_nothing_is_an_error(argv, patch, error, unbuffered):
+    # output that no reader could take is lost, not cut short by a reader:
+    # exit 2 with the error, for --help as for a command's own lines
+    assert _closed_pipe_child(argv, patch, unbuffered) == (2, f"error: {error}\n")
 
 
 _LONG = "1" * 5000
