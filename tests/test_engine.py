@@ -126,6 +126,7 @@ def _assert_closure_is_naive(n, gens):
     words = _naive_closure(n, gens)
     assert m.elements == tuple(sorted(words))
     assert m.words == words
+    assert list(m.words) == list(m.elements)
     for p, word in m.words.items():
         value = identity(n)
         for gi in word:
@@ -153,10 +154,14 @@ def test_wide_closure_matches_naive_fixpoint(case):
     _assert_closure_is_naive(*case)
 
 
+def _byte_boundary_generators(n):
+    swap = PartialPerm.from_map(n, {1: n, n: 1, **{x: x for x in range(2, n)}})
+    return [swap, PartialPerm(n, ((n, n),)), identity_off(n, 1)]
+
+
 @pytest.mark.parametrize("n", [254, 255])
 def test_closure_at_the_byte_boundary_matches_naive_fixpoint(n):
-    swap = PartialPerm.from_map(n, {1: n, n: 1, **{x: x for x in range(2, n)}})
-    _assert_closure_is_naive(n, [swap, PartialPerm(n, ((n, n),)), identity_off(n, 1)])
+    _assert_closure_is_naive(n, _byte_boundary_generators(n))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -182,6 +187,7 @@ def test_enumerated_monoid_basics():
     assert list(m) == sorted(elems)
     assert identity(4) in m
     assert PartialPerm.parse("n=4;1>1,2>3") not in m
+    assert m.words == {}
     with pytest.raises(AmbientMismatchError):
         EnumeratedMonoid(5, elems)
     # the least stray element, in the canonical (n, pairs) order, is named
@@ -194,7 +200,7 @@ def _membership_reads_the_elements(m, data):
     # every member is in, and each probe is in exactly when the element tuple holds it
     assert all(p in m for p in m.elements)
     n = m.n
-    probes = data.draw(st.lists(perm_on(n), max_size=12))
+    probes = data.draw(st.lists(perm_on(n) | sparse_perm_on(n), max_size=12))
     probes += data.draw(st.lists(perm_on(n - 1) | perm_on(n + 1), max_size=3))
     for p in (*probes, "x", None):
         assert (p in m) == (p in m.elements)
@@ -215,9 +221,29 @@ def test_closure_membership_reads_its_elements(kind, n, data):
     _membership_reads_the_elements(close(n, standard_generators(kind, n).elements), data)
 
 
+@pytest.mark.parametrize("n", [254, 255])
+@_membership
+@given(data=st.data())
+def test_byte_boundary_membership_reads_its_elements(n, data):
+    # a closure's index holds codes at the search's length, so a probe's byte code is
+    # padded to n before the lookup; a set built from its elements pads the same way
+    m = close(n, _byte_boundary_generators(n))
+    _membership_reads_the_elements(m, data)
+    _membership_reads_the_elements(EnumeratedMonoid(n, m.elements), data)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_wide_generator_sets(), data=st.data())
+def test_wide_closure_membership_reads_its_elements(case, data):
+    _membership_reads_the_elements(close(*case), data)
+
+
 def test_a_closure_pickles_with_its_membership():
-    m = close(5, standard_generators("mdi", 5).elements)
+    gens = standard_generators("mdi", 5).elements
+    m = close(5, gens)
     back = pickle.loads(pickle.dumps(m))
+    assert back.words == _naive_closure(5, gens)
+    assert list(back.words) == list(m.elements)
     assert (back.elements, back.words) == (m.elements, m.words)
     assert all(p in back for p in m)
 

@@ -155,6 +155,18 @@ def test_inverse_laws(p):
     assert q.inverse() == p
 
 
+@given(st.sampled_from([*range(1, 9), 254, 255]).flatmap(
+    lambda n: perm_on(n) if n <= 8 else sparse_perm_on(n)))
+@example(PartialPerm(254, ((1, 254), (254, 1))))
+@example(PartialPerm(254, ((253, 254),)))
+@example(PartialPerm(255, ((254, 255),)))
+def test_inverse_is_the_sorted_swapped_pairs(p):
+    # the naive path: swap each pair, sort and encode through the checking constructor
+    naive = PartialPerm(p.n, tuple(sorted((b, a) for a, b in p.pairs)))
+    q = p.inverse()
+    assert (q, q._code, q.pairs) == (naive, naive._code, naive.pairs)
+
+
 @given(perm_pairs())
 def test_inverse_reverses_products(ab):
     a, b = ab
