@@ -14,6 +14,7 @@ import json
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     _check_size,
     _shown,
 )
-from .partial_perm import PartialPerm, _kernel, _render, identity
+from .partial_perm import PartialPerm, _kernel, _padded, _render, identity
 from .geometry import _sequence
 from .dihedral import check_kind
 
@@ -48,23 +49,32 @@ __all__ = [
 class EnumeratedMonoid:
     """A canonically sorted element set, optionally with generator words.
 
-    Elements are sorted in the canonical ``(n, pairs)`` order.  ``words``,
-    when given, maps exactly the elements, each to the shortest word that
-    the search of ``close`` found, as a tuple of indices into
-    ``generators``; it is empty for sets built directly from elements.
-    Membership reads the keys of ``words``, or a frozenset of the elements
-    when there are no words, so each set keeps one hash index.
+    Elements are sorted in the canonical ``(n, pairs)`` order, as ``close`` passes them
+    with its ``parents`` table of (parent code, letter) per search code.  ``words``, built
+    from that table on first read, maps the elements in order to the shortest words the
+    search found, as tuples of indices into ``generators``; it is empty for sets built
+    from elements.  Membership reads the table's keys, or a frozenset of the elements'
+    padded codes, so each set keeps one code-keyed index.
     """
 
-    def __init__(self, n, elements, generators=(), words=None):
-        self.elements = tuple(sorted(elements))
-        for p in self.elements:
-            if p.n != n:
-                raise AmbientMismatchError(f"element {p} does not live on n={n}")
+    def __init__(self, n, elements, generators=(), parents=None):
+        if parents is None:
+            elements = tuple(sorted(elements))
+            for p in elements:
+                if p.n != n:
+                    raise AmbientMismatchError(f"element {p} does not live on n={n}")
+        self.elements = elements
         self.n = n
         self.generators = tuple(generators)
-        self.words = dict(words) if words else {}
-        self._members = self.words or frozenset(self.elements)
+        self._parents = parents or {}
+        self._index = parents or frozenset(_padded(n, p._code) for p in elements)
+
+    @cached_property
+    def words(self) -> dict:
+        words = {}  # by code; the table lists every parent before its children
+        for code, link in self._parents.items():
+            words[code] = () if link is None else words[link[0]] + (link[1],)
+        return {p: words[_padded(self.n, p._code)] for p in self.elements} if words else {}
 
     @property
     def size(self) -> int:
@@ -77,7 +87,8 @@ class EnumeratedMonoid:
         return iter(self.elements)
 
     def __contains__(self, p) -> bool:
-        return p in self._members
+        hash(p)  # an unhashable probe raises TypeError, as set membership does
+        return isinstance(p, PartialPerm) and p.n == self.n and _padded(p.n, p._code) in self._index
 
 
 def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
@@ -86,9 +97,9 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
 
     It runs on the element codes ``partial_perm._kernel(n)`` composes: up to n = 254
     ``p * g`` is one ``bytes.translate``.  Each layer is visited in canonical order, each
-    element against the generators in index order, and the first word found (shortest
-    layer, then generator index) is kept, so generator duplication changes nothing.
-    Each element holds the code the search found.  The search makes no reference
+    element against the generators in index order, and the first product found (shortest
+    layer, then generator index) is kept with its parent and letter, as Froidure and Pin
+    store it, so generator duplication changes nothing.  The search makes no reference
     cycles, so the cyclic collector is paused for it.  ``n`` must be an int in
     1..10**4300 - 1, ``workers`` a positive int; the search is serial.
     """
@@ -102,7 +113,7 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     mul, strip, table, _ = _kernel(n)
     tables = [table(g._code) for g in gens]
     layer = [identity(n)._code]
-    words = {layer[0]: ()}
+    found = {layer[0]: None}
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
@@ -110,16 +121,14 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
             layer.sort(key=strip)
             fresh = []
             for code in layer:
-                word = words[code]
                 for gi, t in enumerate(tables):
                     prod = mul(code, t)
-                    if prod not in words:
-                        words[prod] = word + (gi,)
+                    if prod not in found:
+                        found[prod] = (code, gi)
                         fresh.append(prod)
             layer = fresh
-        # rebinding frees the search's dict before the monoid copies this one
-        words = {PartialPerm._wrap(n, strip(c)): words[c] for c in sorted(words, key=strip)}
-        return EnumeratedMonoid(n, words, gens, words)
+        elements = tuple(PartialPerm._wrap(n, c) for c in sorted(map(strip, found)))
+        return EnumeratedMonoid(n, elements, gens, found)
     finally:
         if gc_was_on:
             gc.enable()

@@ -104,6 +104,11 @@ def _kernel(n: int):
     return _KERNELS[n > _MAX_BYTE_N]
 
 
+def _padded(n: int, code):
+    """``code`` at the length that products of full-length codes keep: bytes padded to n."""
+    return code.ljust(n, b"\xff") if n <= _MAX_BYTE_N else code
+
+
 @dataclass(frozen=True, init=False, repr=False, order=True)
 class PartialPerm:
     """An injective partial self-map of {1, ..., n} in canonical form, built from ``n``
