@@ -263,7 +263,13 @@ class PartialPerm:
         return PartialPerm._wrap(self.n, strip(mul(self._code, table(other._code))))
 
     def inverse(self) -> "PartialPerm":
-        return PartialPerm._trusted(self.n, tuple(sorted((b, a) for a, b in self.pairs)))
+        if self.n > _MAX_BYTE_N:
+            return PartialPerm._trusted(self.n, tuple(sorted((b, a) for a, b in self.pairs)))
+        inv = bytearray(b"\xff") * self.n  # byte y - 1 is the point that y is the image of
+        for x, y in enumerate(self._code, 1):
+            if y != 0xFF:
+                inv[y - 1] = x
+        return PartialPerm._wrap(self.n, bytes(inv).rstrip(b"\xff"))
 
     def restrict(self, points) -> "PartialPerm":
         """Restrict to the given points; points outside the domain just drop.
