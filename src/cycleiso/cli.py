@@ -40,8 +40,8 @@ _ALL_KINDS = KINDS + ("di",)
 
 _Output = tuple[int, dict, list[str]]
 
-# the most elements enumerate and rank --certify build; mdi 18 (1,574,239 elements),
-# the largest either admits, peaks at about 0.7 GB
+# the most elements enumerate and rank --certify build; mdi 18 and odi 19 (about 1,574,000
+# elements), the largest either admits, peak at about 0.6 GB
 _MAX_ELEMENTS = 2_000_000
 # greens and card --enumerate build all of di; 1 GB holds n = 14 (458,431), not n = 15 (982,786)
 _MAX_DI = 500_000
