@@ -15,7 +15,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cycleiso
-from cycleiso import card, factorize, generator, import_elements, standard_generators, verify
+from cycleiso import (
+    PartialPerm, card, factorize, generator, import_elements, standard_generators, verify,
+)
 from cycleiso.brute_force import kind_elements
 from cycleiso.cli import _count, main
 
@@ -577,6 +579,92 @@ def test_the_largest_generating_sets_under_the_ceiling_go_on_to_build(capsys, mo
     assert err.endswith(f" pairs (limit {limit})\n")
 
 
+def test_extensions_and_classify_refuse_an_empty_map_on_a_runaway_cycle_up_front():
+    # only the empty map extends to more than two symmetries, to all 2n of them: at
+    # n = 2000000 both commands built them and died of a MemoryError under a 400 MB cap,
+    # and at n = 10^4000 they never ended
+    huge = "n=1" + "0" * 4000 + ";"
+    cases = [
+        (("extensions", "n=1000001;"), 2000002),
+        (("classify", "n=1000001;", "--json"), 2000002),
+        (("extensions", "n=2000000;", "--json"), 4000000),
+        (("classify", huge), 2 * 10**4000),
+    ]
+    lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
+    assert lines == [
+        f"2 error: {command} {element} would build {count} symmetries (limit 2000000)"
+        for (command, element, *_), count in cases
+    ]
+
+
+@pytest.mark.parametrize("command", ["extensions", "classify"])
+def test_an_empty_map_on_the_largest_admitted_cycle_goes_on_to_build(capsys, monkeypatch,
+                                                                    command):
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    monkeypatch.setattr(f"cycleiso.cli.{command}", build)
+    with pytest.raises(Built):
+        main([command, "n=1000000;"])
+    # a map with a pair has at most two extensions, whatever its cycle
+    with pytest.raises(Built):
+        main([command, "n=1000001;1>1"])
+    monkeypatch.setattr("cycleiso.cli._MAX_ELEMENTS", 10)
+    with pytest.raises(Built):
+        main([command, "n=5;"])
+    assert run(capsys, command, "n=6;") == (
+        2, "", f"error: {command} n=6; would build 12 symmetries (limit 10)\n"
+    )
+
+
+def test_extensions_of_a_map_on_a_large_cycle_lists_its_two_symmetries(capsys):
+    assert run(capsys, "extensions", "n=1000001;1>1") == (0, "g^0\nh*g^1\n", "")
+
+
+def test_factorize_refuses_a_runaway_round_trip_before_it_evaluates():
+    # the round trip composes the standard set letter by letter, n points a letter: opdi
+    # 'n=8000;1>1' took 21 s through the command line and 'n=20000;1>1' about two minutes
+    cases = [
+        (("factorize", "opdi", "n=4001;1>1"), 8001, 4001),
+        (("factorize", "opdi", "n=4001;"), 8002, 4001),
+        (("factorize", "opdi", "n=20000;1>1", "--json"), 39999, 20000),
+        (("factorize", "opdi", "n=20000;1>2,2>1"), 20002, 20000),
+    ]
+    lines = capped_child_lines(_REFUSALS_IN_A_CAPPED_CHILD.format(argvs=[c[0] for c in cases]))
+    assert lines == [
+        f"2 error: factorize opdi {element} would evaluate {letters} letters on n={n}, "
+        f"{letters * n} steps (limit 32000000)"
+        for (_, _, element, *_), letters, n in cases
+    ]
+
+
+@pytest.mark.parametrize("kind,element,letters", [
+    ("opdi", "n=4000;", 8000), ("opdi", "n=4000;1>1", 7999), ("mdi", "n=1729;1>2,2>1", 5184),
+])
+def test_the_largest_round_trips_under_the_ceiling_go_on_to_evaluate(capsys, monkeypatch, kind,
+                                                                     element, letters):
+    # the empty map of opdi 4000, 8000 letters on 4000 points, is exactly the ceiling
+    class Built(Exception):
+        pass
+
+    def build(*args):
+        raise Built
+
+    assert len(factorize(PartialPerm.parse(element), kind)) == letters
+    monkeypatch.setattr("cycleiso.cli.standard_generators", build)
+    with pytest.raises(Built):
+        main(["factorize", kind, element])
+    steps = letters * int(element[2:element.index(";")])
+    monkeypatch.setattr("cycleiso.cli._MAX_STEPS", steps - 1)
+    code, out, err = run(capsys, "factorize", kind, element)
+    assert (code, out) == (2, "")
+    assert err.endswith(f" letters on n={element[2:element.index(';')]}, {steps} steps "
+                        f"(limit {steps - 1})\n")
+
+
 def test_rank_plain(capsys):
     code, out, _ = run(capsys, "rank", "opdi", "5")
     assert code == 0
@@ -783,8 +871,10 @@ _SIZES = ["-1", "0", "2", "3", "30", "254", "255", "4000", "20000", _HUGE, "٥",
 # values for the --max-elements option that enumerate no longer has, so that the seeded
 # argvs stay as they were and the option is now fuzzed as an unknown one
 _LIMITS = ["-1", "4000", "2000000", "2000001", *(str(10**k) for k in (12, 18, 24, 30))]
-# the factorize round trip is quadratic in n, so element text stops at 255
-_ELEMENT_SIZES = ["-1", "0", "2", "3", "254", "255", _HUGE, "٥"]
+# 1000001 and a size of 4299 digits put the empty map's 2n symmetries past the element
+# ceiling, and 20000 an opdi round trip past its step ceiling
+_ELEMENT_SIZES = ["-1", "0", "2", "3", "254", "255", "4000", "20000", "1000001",
+                  "1" + "0" * 4298, _HUGE, "٥"]
 _SIZED_ELEMENTS = [
     text.format(n) for n in _ELEMENT_SIZES for text in ("n={};1>1", "n={};1>2,2>1", "n={};")
 ]

@@ -196,6 +196,19 @@ def test_enumerated_monoid_basics():
         EnumeratedMonoid(5, iter(mixed))
 
 
+def test_enumerated_monoid_takes_only_n_and_elements():
+    # no argument can skip the sort or the n check, which only close's own result may do
+    stray = [PartialPerm.parse("n=4;")]
+    with pytest.raises(TypeError):
+        EnumeratedMonoid(5, [], (), {})
+    with pytest.raises(TypeError):
+        EnumeratedMonoid(5, stray, parents={b"": None})
+    with pytest.raises(TypeError):
+        EnumeratedMonoid(5, stray, generators=())
+    m = EnumeratedMonoid(4, reversed(kind_elements("odi", 4)))
+    assert (m.elements, m.generators, m.words) == (kind_elements("odi", 4), (), {})
+
+
 def _membership_reads_the_elements(m, data, perm=perm_on):
     # every member is in, and each probe is in exactly when the element tuple holds it
     assert all(p in m for p in m.elements)
