@@ -29,13 +29,11 @@ __all__ = [
 
 
 def all_partial_perms(n: int):
-    """Every injective partial self-map of 1..n, one at a time."""
+    """Every injective partial self-map of 1..n, one at a time; n is checked at the call."""
     _check_size(n)
     points = range(1, n + 1)
-    for k in range(n + 1):
-        for dom in combinations(points, k):
-            for img in permutations(points, k):
-                yield PartialPerm(n, tuple(zip(dom, img)))
+    return (PartialPerm(n, tuple(zip(dom, img))) for k in range(n + 1)
+            for dom in combinations(points, k) for img in permutations(points, k))
 
 
 @lru_cache(maxsize=None, typed=True)

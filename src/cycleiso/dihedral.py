@@ -131,11 +131,10 @@ class DihedralElement:
 
 
 def all_elements(n: int):
-    """All 2n symmetries, rotations first, in canonical (j, k) order."""
+    """All 2n symmetries, rotations first, in canonical (j, k) order, one at a time; n is
+    checked at the call."""
     _check_cycle(n)
-    for j in (0, 1):
-        for k in range(n):
-            yield DihedralElement(n, j, k)
+    return (DihedralElement(n, j, k) for j in (0, 1) for k in range(n))
 
 
 def to_partial_perm(sigma: DihedralElement, points) -> PartialPerm:

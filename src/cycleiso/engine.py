@@ -47,27 +47,24 @@ __all__ = [
 
 
 class EnumeratedMonoid:
-    """A canonically sorted element set, optionally with generator words.
+    """A canonically sorted element set on one cycle, optionally with generator words.
 
-    Elements are sorted in the canonical ``(n, pairs)`` order, as ``close`` passes them
-    with its ``parents`` table of (parent code, letter) per search code.  ``words``, built
-    from that table on first read, maps the elements in order to the shortest words the
-    search found, as tuples of indices into ``generators``; it is empty for sets built
-    from elements.  Membership reads the table's keys, or a frozenset of the elements'
-    padded codes, so each set keeps one code-keyed index.
+    ``EnumeratedMonoid(n, elements)`` sorts the elements in the canonical ``(n, pairs)``
+    order and refuses one on another n; its ``generators`` are ``()`` and its ``words``
+    ``{}``.  ``close`` builds its result itself, with its generators and its search table
+    of (parent code, letter) per search code.  ``words``, built from that table on first
+    read, maps the elements in order to the shortest words the search found, as tuples of
+    indices into ``generators``.  Membership reads the table's keys, or a frozenset of the
+    elements' padded codes, so each set keeps one code-keyed index.
     """
 
-    def __init__(self, n, elements, generators=(), parents=None):
-        if parents is None:
-            elements = tuple(sorted(elements))
-            for p in elements:
-                if p.n != n:
-                    raise AmbientMismatchError(f"element {p} does not live on n={n}")
-        self.elements = elements
-        self.n = n
-        self.generators = tuple(generators)
-        self._parents = parents or {}
-        self._index = parents or frozenset(_padded(n, p._code) for p in elements)
+    def __init__(self, n, elements):
+        self.elements = tuple(sorted(elements))
+        for p in self.elements:
+            if p.n != n:
+                raise AmbientMismatchError(f"element {p} does not live on n={n}")
+        self.n, self.generators, self._parents = n, (), {}
+        self._index = frozenset(_padded(n, p._code) for p in self.elements)
 
     @cached_property
     def words(self) -> dict:
@@ -100,8 +97,9 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     element against the generators in index order, and the first product found (shortest
     layer, then generator index) is kept with its parent and letter, as Froidure and Pin
     store it, so generator duplication changes nothing.  The search makes no reference
-    cycles, so the cyclic collector is paused for it.  ``n`` must be an int in
-    1..10**4300 - 1, ``workers`` a positive int; the search is serial.
+    cycles, so the cyclic collector is paused for it.  The result skips the constructor: its
+    elements are one sort of the stripped codes, and the search table is its parent table
+    and its index.  ``n`` must be an int in 1..10**4300 - 1, ``workers`` a positive int.
     """
     _check_size(n)
     gens = tuple(generators)
@@ -127,8 +125,10 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
                         found[prod] = (code, gi)
                         fresh.append(prod)
             layer = fresh
-        elements = tuple(PartialPerm._wrap(n, c) for c in sorted(map(strip, found)))
-        return EnumeratedMonoid(n, elements, gens, found)
+        m = object.__new__(EnumeratedMonoid)
+        m.elements = tuple(PartialPerm._wrap(n, c) for c in sorted(map(strip, found)))
+        m.n, m.generators, m._parents, m._index = n, gens, found, found
+        return m
     finally:
         if gc_was_on:
             gc.enable()
