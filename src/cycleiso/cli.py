@@ -48,6 +48,9 @@ _MAX_DI = 500_000
 # gens and the factorize round trip build the standard set; opdi 500000 (1,499,997 pairs,
 # a PartialPerm per letter) peaks at 416 MB with --json, the most of any kind
 _MAX_PAIRS = 1_500_000
+# the factorize round trip composes the standard set letter by letter, n points a letter;
+# opdi 'n=4000;' (8000 letters on 4000 points, exactly this) takes about 2.3 s in process
+_MAX_STEPS = 32_000_000
 
 
 def _count(kind: str, n: int) -> int | None:
@@ -77,6 +80,14 @@ def _check_pairs(what: str, kind: str, n: int) -> None:
              "opdi": 2 * n - 1 + 2 * m, "di": 3 * n - 1}[kind]
     if pairs > _MAX_PAIRS:
         raise DomainError(f"{what} would build {_shown(pairs)} pairs (limit {_MAX_PAIRS})")
+
+
+def _check_symmetries(what: str, p: PartialPerm) -> None:
+    """Refuse ``what`` for the empty map, whose extensions are all 2n symmetries, past the
+    element ceiling; any other map has at most two."""
+    if not p.pairs and 2 * p.n > _MAX_ELEMENTS:
+        shown = _shown(2 * p.n)
+        raise DomainError(f"{what} would build {shown} symmetries (limit {_MAX_ELEMENTS})")
 
 
 def _cmd_card(args) -> _Output:
@@ -138,6 +149,7 @@ def _cmd_greens(args) -> _Output:
 
 def _cmd_classify(args) -> _Output:
     p = PartialPerm.parse(args.element)
+    _check_symmetries(f"classify {args.element}", p)
     report = classify(p)
     fields = {"element": str(p), "rank": p.rank}
     for name in ("in_di", "in_odi", "in_mdi", "in_opdi"):
@@ -156,14 +168,19 @@ def _cmd_classify(args) -> _Output:
 
 def _cmd_extensions(args) -> _Output:
     p = PartialPerm.parse(args.element)
+    _check_symmetries(f"extensions {args.element}", p)
     ext = [str(s) for s in extensions(p)]
     return 0, {"element": str(p), "extensions": ext}, ext
 
 
 def _cmd_factorize(args) -> _Output:
     p = PartialPerm.parse(args.element)
-    _check_pairs(f"factorize {args.kind} {args.element}", args.kind, p.n)
+    what = f"factorize {args.kind} {args.element}"
+    _check_pairs(what, args.kind, p.n)
     word = factorize(p, args.kind)
+    if len(word) * p.n > _MAX_STEPS:
+        raise DomainError(f"{what} would evaluate {len(word)} letters on n={p.n}, "
+                          f"{len(word) * p.n} steps (limit {_MAX_STEPS})")
     ok = standard_generators(args.kind, p.n).evaluate(word) == p
     payload = {
         "kind": args.kind,
