@@ -47,12 +47,6 @@ def test_restrictions_are_exactly_the_di_elements(n):
     assert dihedral_restrictions(n) == kind_elements("di", n)
 
 
-@pytest.mark.parametrize("n", [0, "5", 5.0, None])
-def test_all_partial_perms_checks_its_size_when_called(n):
-    with pytest.raises(DomainError, match="ambient size must be a positive int"):
-        all_partial_perms(n)
-
-
 def test_all_partial_perms_count():
     # sum over rank k of C(n,k)^2 k! for n = 3: 1 + 9 + 18 + 6
     assert sum(1 for _ in all_partial_perms(3)) == 34

@@ -620,10 +620,6 @@ def test_an_empty_map_on_the_largest_admitted_cycle_goes_on_to_build(capsys, mon
     )
 
 
-def test_extensions_of_a_map_on_a_large_cycle_lists_its_two_symmetries(capsys):
-    assert run(capsys, "extensions", "n=1000001;1>1") == (0, "g^0\nh*g^1\n", "")
-
-
 def test_factorize_refuses_a_runaway_round_trip_before_it_evaluates():
     # the round trip composes the standard set letter by letter, n points a letter: opdi
     # 'n=8000;1>1' took 21 s through the command line and 'n=20000;1>1' about two minutes

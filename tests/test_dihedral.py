@@ -170,12 +170,6 @@ def test_ambient_mismatch_is_rejected():
         DihedralElement.rotation(4, 1) * DihedralElement.rotation(5, 1)
 
 
-@pytest.mark.parametrize("n", [2, "5", 5.0, None])
-def test_all_elements_checks_its_size_when_called(n):
-    with pytest.raises(DomainError, match="the cycle graph needs n >= 3"):
-        all_elements(n)
-
-
 def test_all_elements_order_and_count():
     elems = list(all_elements(4))
     assert len(elems) == 8

@@ -187,26 +187,18 @@ def test_enumerated_monoid_basics():
     assert list(m) == sorted(elems)
     assert identity(4) in m
     assert PartialPerm.parse("n=4;1>1,2>3") not in m
-    assert m.words == {}
+    assert (m.generators, m.words) == ((), {})
     with pytest.raises(AmbientMismatchError):
         EnumeratedMonoid(5, elems)
+    # no argument can skip the sort or the n check; only close builds a monoid without them
+    with pytest.raises(TypeError):
+        EnumeratedMonoid(5, [], (), {})
+    with pytest.raises(TypeError):
+        EnumeratedMonoid(5, [PartialPerm.parse("n=4;")], parents={b"": None})
     # the least stray element, in the canonical (n, pairs) order, is named
     mixed = [identity(5), PartialPerm(6, ((2, 2),)), PartialPerm(4, ((3, 1),)), identity(4)]
     with pytest.raises(AmbientMismatchError, match=r"^element n=4;1>1,2>2,3>3,4>4 does not"):
         EnumeratedMonoid(5, iter(mixed))
-
-
-def test_enumerated_monoid_takes_only_n_and_elements():
-    # no argument can skip the sort or the n check, which only close's own result may do
-    stray = [PartialPerm.parse("n=4;")]
-    with pytest.raises(TypeError):
-        EnumeratedMonoid(5, [], (), {})
-    with pytest.raises(TypeError):
-        EnumeratedMonoid(5, stray, parents={b"": None})
-    with pytest.raises(TypeError):
-        EnumeratedMonoid(5, stray, generators=())
-    m = EnumeratedMonoid(4, reversed(kind_elements("odi", 4)))
-    assert (m.elements, m.generators, m.words) == (kind_elements("odi", 4), (), {})
 
 
 def _membership_reads_the_elements(m, data, perm=perm_on):
