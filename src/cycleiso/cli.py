@@ -41,7 +41,8 @@ _ALL_KINDS = KINDS + ("di",)
 _Output = tuple[int, dict, list[str]]
 
 # the most elements enumerate and rank --certify build; mdi 18 and odi 19 (about 1,574,000
-# elements), the largest either admits, peak at about 0.6 GB
+# elements), the largest either admits, peak at about 0.6 GB.  Also the most symmetries
+# extensions and classify list: the 2,000,000 of n=1000000; peak at 444 and 482 MB
 _MAX_ELEMENTS = 2_000_000
 # greens and card --enumerate build all of di; 1 GB holds n = 14 (458,431), not n = 15 (982,786)
 _MAX_DI = 500_000
@@ -49,7 +50,7 @@ _MAX_DI = 500_000
 # a PartialPerm per letter) peaks at 416 MB with --json, the most of any kind
 _MAX_PAIRS = 1_500_000
 # the factorize round trip composes the standard set letter by letter, n points a letter;
-# opdi 'n=4000;' (8000 letters on 4000 points, exactly this) takes about 2.3 s in process
+# opdi 'n=4000;' (8000 letters on 4000 points, exactly this) takes about 2.7 s end to end
 _MAX_STEPS = 32_000_000
 
 
