@@ -653,12 +653,11 @@ def test_the_largest_round_trips_under_the_ceiling_go_on_to_evaluate(capsys, mon
     monkeypatch.setattr("cycleiso.cli.standard_generators", build)
     with pytest.raises(Built):
         main(["factorize", kind, element])
-    steps = letters * int(element[2:element.index(";")])
-    monkeypatch.setattr("cycleiso.cli._MAX_STEPS", steps - 1)
+    n = int(element[2:element.index(";")])
+    monkeypatch.setattr("cycleiso.cli._MAX_STEPS", letters * n - 1)
     code, out, err = run(capsys, "factorize", kind, element)
     assert (code, out) == (2, "")
-    assert err.endswith(f" letters on n={element[2:element.index(';')]}, {steps} steps "
-                        f"(limit {steps - 1})\n")
+    assert err.endswith(f" letters on n={n}, {letters * n} steps (limit {letters * n - 1})\n")
 
 
 def test_rank_plain(capsys):
