@@ -42,7 +42,7 @@ _Output = tuple[int, dict, list[str]]
 
 # the most elements enumerate and rank --certify build; mdi 18 and odi 19 (about 1,574,000
 # elements), the largest either admits, peak at about 0.6 GB.  Also the most symmetries
-# extensions and classify list: the 2,000,000 of n=1000000; peak at 444 and 482 MB
+# extensions and classify list: the 2,000,000 of n=1000000; peak at 353 and 390 MB
 _MAX_ELEMENTS = 2_000_000
 # greens and card --enumerate build all of di; 1 GB holds n = 14 (458,431), not n = 15 (982,786)
 _MAX_DI = 500_000

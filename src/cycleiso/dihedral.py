@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import AmbientMismatchError, DomainError, ParseError, _check_cycle, _shown
-from .partial_perm import PartialPerm, classify_order, sorted_points
+from .partial_perm import PartialPerm, _set, classify_order, sorted_points
 from .geometry import _dist, is_partial_isometry
 
 __all__ = [
@@ -40,6 +40,8 @@ __all__ = [
 # The three submonoids of the partial isometries with closed-form theory:
 # order-preserving, monotone, and orientation-preserving.
 KINDS = ("odi", "mdi", "opdi")
+# the order flag that narrows the isometries to each kind
+_KIND_FLAG = {"odi": "order_preserving", "mdi": "monotone", "opdi": "orientation_preserving"}
 
 _DIHEDRAL_TEXT = re.compile(r"(h\*)?g\^(\d+)", re.ASCII)
 
@@ -50,7 +52,7 @@ def check_kind(kind: str, allow_di: bool = False) -> None:
         raise DomainError(f"unknown kind {_shown(kind)}; expected one of {', '.join(allowed)}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DihedralElement:
     """A symmetry of the n-cycle in the normal form h^j g^k."""
 
@@ -112,29 +114,38 @@ class DihedralElement:
         # pushing g^k past a reflection inverts the exponent: g^k h = h g^(-k)
         j = (self.j + other.j) % 2
         k = (other.k + (self.k if other.j == 0 else -self.k)) % self.n
-        return DihedralElement(self.n, j, k)
+        return _symmetry(self.n, j, k)
 
     def inverse(self) -> "DihedralElement":
         if self.j == 1:
             return self
-        return DihedralElement(self.n, 0, (self.n - self.k) % self.n)
+        return _symmetry(self.n, 0, (self.n - self.k) % self.n)
 
     def power(self, m: int) -> "DihedralElement":
         if type(m) is not int:
             raise DomainError(f"power exponent must be an int, got {_shown(m)}")
         if self.j == 0:
-            return DihedralElement(self.n, 0, (self.k * m) % self.n)
-        return self if m % 2 else DihedralElement.identity(self.n)
+            return _symmetry(self.n, 0, (self.k * m) % self.n)
+        return self if m % 2 else _symmetry(self.n, 0, 0)
 
     def __str__(self) -> str:
         return f"h*g^{self.k}" if self.j else f"g^{self.k}"
+
+
+def _symmetry(n: int, j: int, k: int) -> DihedralElement:
+    """Build h^j g^k without the constructor's checks, for symmetries valid by construction."""
+    s = object.__new__(DihedralElement)
+    _set(s, "n", n)
+    _set(s, "j", j)
+    _set(s, "k", k)
+    return s
 
 
 def all_elements(n: int):
     """All 2n symmetries, rotations first, in canonical (j, k) order, one at a time; n is
     checked at the call."""
     _check_cycle(n)
-    return (DihedralElement(n, j, k) for j in (0, 1) for k in range(n))
+    return (_symmetry(n, j, k) for j in (0, 1) for k in range(n))
 
 
 def to_partial_perm(sigma: DihedralElement, points) -> PartialPerm:
@@ -159,6 +170,7 @@ def extensions(p: PartialPerm) -> tuple[DihedralElement, ...]:
     so the first pair a -> b leaves two candidates: the rotation g^(b-a)
     and the reflection h*g^(a+b-1), exponents mod n.  Each is checked on
     the k pairs, so the cost is O(k), not the 2n restrictions of a scan.
+    n is checked once; no symmetry is built through the checking constructor.
 
     >>> [str(s) for s in extensions(PartialPerm.parse("n=5;1>3,2>4,3>5,5>2"))]
     ['g^2']
@@ -166,7 +178,8 @@ def extensions(p: PartialPerm) -> tuple[DihedralElement, ...]:
     if not p.pairs:
         return tuple(all_elements(p.n))
     (a, b), n = p.pairs[0], p.n
-    candidates = DihedralElement.rotation(n, b - a), DihedralElement.reflection(n, a + b - 1)
+    _check_cycle(n)
+    candidates = _symmetry(n, 0, (b - a) % n), _symmetry(n, 1, (a + b - 1) % n)
     return tuple(s for s in candidates if all(s._image(x) == y for x, y in p.pairs))
 
 
@@ -206,13 +219,8 @@ def classify(p: PartialPerm) -> MembershipReport:
     exts = extensions(p)
     flags = classify_order(p)
     in_di = bool(exts)
-    return MembershipReport(
-        in_di=in_di,
-        in_odi=in_di and flags.order_preserving,
-        in_mdi=in_di and flags.monotone,
-        in_opdi=in_di and flags.orientation_preserving,
-        extensions=exts,
-    )
+    in_kinds = {f"in_{k}": in_di and getattr(flags, flag) for k, flag in _KIND_FLAG.items()}
+    return MembershipReport(in_di=in_di, **in_kinds, extensions=exts)
 
 
 def in_kind(p: PartialPerm, kind: str) -> bool:

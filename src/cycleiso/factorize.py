@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from .errors import MembershipError
 from .partial_perm import PartialPerm, classify_order
-from .dihedral import DihedralElement, check_kind, classify, extensions
+# classify is unused here but stays importable: bench/jobs.py's tracer patches it by name
+from .dihedral import _KIND_FLAG, DihedralElement, check_kind, classify, extensions
 
 __all__ = ["factorize"]
 
@@ -25,15 +26,19 @@ __all__ = ["factorize"]
 def factorize(p: PartialPerm, kind: str) -> tuple[str, ...]:
     """A word over ``standard_generators(kind, p.n)`` evaluating to ``p``.
 
-    Deterministic: of the at most two dihedral extensions the rotation is
-    preferred, then the smaller exponent.
+    Deterministic: of the dihedral extensions the rotation is preferred,
+    then the smaller exponent.  Only that one is built: the empty map,
+    which every symmetry extends, takes g^0 once n is checked, and any
+    other map has at most two extensions.
     """
     check_kind(kind)
-    report = classify(p)
-    if not getattr(report, f"in_{kind}"):
+    exts = extensions(p) if p.pairs else (DihedralElement.identity(p.n),)
+    flags = classify_order(p)
+    if not exts or not getattr(flags, _KIND_FLAG[kind]):
         raise MembershipError(f"{p} is not in {kind.upper()}_{p.n}")
-    word = {"odi": _odi_word, "mdi": _mdi_word, "opdi": _opdi_word}[kind]
-    return tuple(word(p, report.extensions[0]))
+    if kind == "mdi":
+        return tuple(_mdi_word(p, exts[0], flags.order_preserving))
+    return tuple({"odi": _odi_word, "opdi": _opdi_word}[kind](p, exts[0]))
 
 
 def _op_identity_word(n: int, missing) -> list[str]:
@@ -98,9 +103,9 @@ def _to_monotone_alphabet(n: int, letters) -> list[str]:
     return out
 
 
-def _mdi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
+def _mdi_word(p: PartialPerm, sigma: DihedralElement, order_preserving: bool) -> list[str]:
     n = p.n
-    if classify_order(p).order_preserving:
+    if order_preserving:
         return _to_monotone_alphabet(n, _odi_word(p, sigma))
     # p is order-reversing of rank >= 2; peeling the reflection h (i to
     # n - i + 1) off the right leaves an order-preserving member

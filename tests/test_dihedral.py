@@ -1,3 +1,9 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+from functools import partial
+from itertools import islice
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -5,6 +11,7 @@ from cycleiso import (
     AmbientMismatchError,
     DihedralElement,
     DomainError,
+    KINDS,
     ParseError,
     PartialPerm,
     all_elements,
@@ -13,6 +20,7 @@ from cycleiso import (
     classify,
     extensions,
     empty_map,
+    factorize,
     in_kind,
     is_in_b2,
     to_partial_perm,
@@ -177,6 +185,59 @@ def test_all_elements_order_and_count():
     assert [str(s) for s in elems[:5]] == ["g^0", "g^1", "g^2", "g^3", "h*g^0"]
 
 
+def _checked(s):
+    # the constructor runs every check on the fields a symmetry was built with
+    return DihedralElement(s.n, s.j, s.k)
+
+
+@pytest.mark.parametrize("n", [*range(3, 41), 254, 255])
+def test_symmetries_built_inside_equal_the_checked_ones(n):
+    elems = list(all_elements(n))
+    assert elems == [DihedralElement(n, j, k) for j in (0, 1) for k in range(n)]
+    assert all(_checked(s) == s for s in elems)
+    others = elems if n <= 40 else elems[:: n // 8]
+    for s in elems:
+        assert all(_checked(s * t) == s * t for t in others)
+        assert _checked(s.inverse()) == s.inverse()
+        for m in (-n - 1, -1, 0, 1, 2, n + 1, 10**30 + 5):
+            assert _checked(s.power(m)) == s.power(m)
+    for s in others:
+        for points in ([], [1], [n // 2, n], [1, n // 2 + 1], [1, 2], range(1, n + 1)):
+            p = to_partial_perm(s, points)
+            exts = extensions(p)
+            assert all(_checked(t) == t for t in exts)
+            assert exts == scan_extensions(p)
+
+
+def test_symmetries_built_inside_equal_the_checked_ones_at_4000_digits():
+    n = 10**3999 + 7
+    assert list(islice(all_elements(n), 3)) == [DihedralElement(n, 0, k) for k in range(3)]
+    g, h = DihedralElement.rotation(n, 1), DihedralElement.reflection(n, 0)
+    for s in (g.inverse(), g.power(-2), h * g, g * h, (h * g).inverse()):
+        assert _checked(s) == s
+    exts = extensions(PartialPerm(n, ((1, n),)))
+    assert exts == (DihedralElement(n, 0, n - 1), DihedralElement(n, 1, 0))
+    assert all(_checked(t) == t for t in exts)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [DihedralElement(7, 1, 3), next(all_elements(7)), DihedralElement.rotation(7, 2).inverse()],
+    ids=str,
+)
+def test_a_symmetry_is_slotted_frozen_and_copies_with_its_hash(s):
+    assert not hasattr(s, "__dict__")
+    copies = [pickle.loads(pickle.dumps(s, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for back in copies + [copy.copy(s), copy.deepcopy(s)]:
+        assert type(back) is DihedralElement
+        assert back == s and hash(back) == hash(s)
+    with pytest.raises(FrozenInstanceError):
+        s.k = 1
+    with pytest.raises(FrozenInstanceError):
+        del s.k
+    assert s == _checked(s)
+
+
 @pytest.mark.parametrize("i", [True, 1.0, "1", 0, 6])
 def test_apply_requires_a_point_of_the_cycle(i):
     with pytest.raises(DomainError):
@@ -254,12 +315,16 @@ def test_extensions_match_the_scan(p):
     "n,pairs", [(1, ()), (1, ((1, 1),)), (2, ()), (2, ((1, 2),)), (2, ((1, 1), (2, 2)))]
 )
 def test_extensions_refuse_short_cycles_like_the_scan(n, pairs):
+    # classify and factorize refuse with the same text, the empty map too,
+    # although factorize builds none of its 2n extensions
     p = PartialPerm(n, pairs)
-    with pytest.raises(DomainError) as fast:
-        extensions(p)
     with pytest.raises(DomainError) as scan:
         scan_extensions(p)
-    assert str(fast.value) == str(scan.value) == f"the cycle graph needs n >= 3, got {n}"
+    assert str(scan.value) == f"the cycle graph needs n >= 3, got {n}"
+    for call in [extensions, classify, *(partial(factorize, kind=kind) for kind in KINDS)]:
+        with pytest.raises(DomainError) as fast:
+            call(p)
+        assert type(fast.value) is DomainError and str(fast.value) == str(scan.value)
 
 
 def test_antipodal_rank2_detection():

@@ -4,6 +4,9 @@ from cycleiso import (
     DihedralElement,
     MembershipError,
     PartialPerm,
+    classify,
+    classify_order,
+    empty_map,
     factorize,
     identity,
     identity_off,
@@ -11,7 +14,7 @@ from cycleiso import (
     to_partial_perm,
 )
 from cycleiso.brute_force import kind_elements
-from cycleiso.factorize import _rank2_reflection_word
+from cycleiso.factorize import _mdi_word, _odi_word, _opdi_word, _rank2_reflection_word
 
 from conftest import capped_child_lines
 
@@ -26,6 +29,22 @@ def test_every_member_round_trips(kind, n):
         assert set(word) <= names, (p, word)
         assert gens.evaluate(word) == p, (p, word)
 
+
+def _listed_word(p, kind):
+    # the word built from the first of the extensions classify lists
+    sigma = classify(p).extensions[0]
+    if kind == "mdi":
+        return tuple(_mdi_word(p, sigma, classify_order(p).order_preserving))
+    return tuple({"odi": _odi_word, "opdi": _opdi_word}[kind](p, sigma))
+
+
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
+def test_the_empty_map_factorizes_as_through_its_listed_extensions(kind):
+    for n in range(3, 65):
+        p = empty_map(n)
+        word = factorize(p, kind)
+        assert word == _listed_word(p, kind), n
+        assert standard_generators(kind, n).evaluate(word) == p, n
 
 @pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
 def test_word_length_stays_linear(kind):
