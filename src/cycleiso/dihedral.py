@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import AmbientMismatchError, DomainError, ParseError, _check_cycle, _shown
-from .partial_perm import PartialPerm, _set, classify_order, sorted_points
+from .partial_perm import _MAX_BYTE_N, PartialPerm, _set, classify_order, sorted_points
 from .geometry import _dist, is_partial_isometry
 
 __all__ = [
@@ -44,6 +44,9 @@ KINDS = ("odi", "mdi", "opdi")
 _KIND_FLAG = {"odi": "order_preserving", "mdi": "monotone", "opdi": "orientation_preserving"}
 
 _DIHEDRAL_TEXT = re.compile(r"(h\*)?g\^(\d+)", re.ASCII)
+# the points of a byte code in order, and the table that translates a byte code to a
+# mask: 0xFF under each point with an image, 0 elsewhere
+_POINTS, _DEFINED = bytes(range(1, _MAX_BYTE_N + 1)), b"\xff" * 255 + b"\0"
 
 
 def check_kind(kind: str, allow_di: bool = False) -> None:
@@ -168,19 +171,32 @@ def extensions(p: PartialPerm) -> tuple[DihedralElement, ...]:
 
     A symmetry is fixed by its reflection flag and the image of one point,
     so the first pair a -> b leaves two candidates: the rotation g^(b-a)
-    and the reflection h*g^(a+b-1), exponents mod n.  Each is checked on
-    the k pairs, so the cost is O(k), not the 2n restrictions of a scan.
-    n is checked once; no symmetry is built through the checking constructor.
+    and the reflection h*g^(a+b-1), exponents mod n.  Up to n = 254 each
+    is checked in a constant number of C-level steps, a masked compare of
+    the code with a slice of a doubled ascending or descending run of
+    1..n; above, on the k pairs, O(k).  n is checked once; no symmetry is
+    built through the checking constructor.
 
     >>> [str(s) for s in extensions(PartialPerm.parse("n=5;1>3,2>4,3>5,5>2"))]
     ['g^2']
     """
-    if not p.pairs:
-        return tuple(all_elements(p.n))
-    (a, b), n = p.pairs[0], p.n
+    code, n = p._code, p.n
+    if not code:
+        return tuple(all_elements(n))
     _check_cycle(n)
-    candidates = _symmetry(n, 0, (b - a) % n), _symmetry(n, 1, (a + b - 1) % n)
-    return tuple(s for s in candidates if all(s._image(x) == y for x, y in p.pairs))
+    if n > _MAX_BYTE_N:
+        a, b = code[0]
+        candidates = _symmetry(n, 0, (b - a) % n), _symmetry(n, 1, (a + b - 1) % n)
+        return tuple(s for s in candidates if all(s._image(x) == y for x, y in code))
+    a = len(code) - len(code.lstrip(b"\xff")) + 1  # the first point with an image
+    t, k, size = (code[a - 1] - a) % n, (a + code[a - 1] - 1) % n, len(code)
+    # g^t sends x to asc[x - 1 + t] and h*g^k to asc[::-1][x - 1 - k mod n]; a candidate
+    # agrees when its run differs from the code only where the mask is 0
+    asc = _POINTS[:n] * 2
+    runs = (0, t, asc[t:t + size]), (1, k, asc[::-1][-k % n:][:size])
+    have, mask = int.from_bytes(code, "big"), int.from_bytes(code.translate(_DEFINED), "big")
+    return tuple([_symmetry(n, j, e) for j, e, run in runs
+                  if (have ^ int.from_bytes(run, "big")) & mask == 0])
 
 
 def is_in_b2(p: PartialPerm) -> bool:

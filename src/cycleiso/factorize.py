@@ -37,16 +37,22 @@ def factorize(p: PartialPerm, kind: str) -> tuple[str, ...]:
     if not exts or not getattr(flags, _KIND_FLAG[kind]):
         raise MembershipError(f"{p} is not in {kind.upper()}_{p.n}")
     if kind == "mdi":
-        return tuple(_mdi_word(p, exts[0], flags.order_preserving))
+        return tuple(_mdi_word(p, exts, flags.order_preserving))
     return tuple({"odi": _odi_word, "opdi": _opdi_word}[kind](p, exts[0]))
 
 
+def _missing(n: int, domain) -> list[int]:
+    """The points of 1..n outside ``domain``, ascending, in one pass over 1..n."""
+    have = set(domain)
+    return [x for x in range(1, n + 1) if x not in have]
+
+
 def _op_identity_word(n: int, missing) -> list[str]:
-    """The partial identity off ``missing``, spelled with e letters; the
-    two partial identities that are not generators factor through the
-    shift: yx misses 1, xy misses n."""
+    """The partial identity off the ascending points ``missing``, spelled
+    with e letters; the two partial identities that are not generators
+    factor through the shift: yx misses 1, xy misses n."""
     out: list[str] = []
-    for pt in sorted(missing):
+    for pt in missing:
         if pt == 1:
             out += ["y", "x"]
         elif pt == n:
@@ -72,18 +78,17 @@ def _rank2_reflection_word(n: int, k: int, i: int, j: int) -> list[str]:
 
 
 def _odi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
-    """Order-preserving word for ``p``, given its preferred extension."""
-    n = p.n
+    """Order-preserving word for the preferred extension ``sigma`` cut to p's domain."""
+    n, dom = p.n, p.domain
     if sigma.j == 0:
-        missing = set(range(1, n + 1)) - set(p.domain)
-        word = _op_identity_word(n, missing)
+        word = _op_identity_word(n, _missing(n, dom))
         t = sigma.k
-        if all(a <= n - t for a in p.domain):
-            return word + ["x"] * t
         # an order-preserving rotation piece fits one of the two arcs
-        assert all(a >= n - t + 1 for a in p.domain)
+        if not dom or dom[-1] <= n - t:
+            return word + ["x"] * t
+        assert dom[0] >= n - t + 1
         return word + ["y"] * (n - t)
-    i, j = p.domain
+    i, j = dom
     return _rank2_reflection_word(n, sigma.k, i, j)
 
 
@@ -103,14 +108,15 @@ def _to_monotone_alphabet(n: int, letters) -> list[str]:
     return out
 
 
-def _mdi_word(p: PartialPerm, sigma: DihedralElement, order_preserving: bool) -> list[str]:
+def _mdi_word(p: PartialPerm, exts, order_preserving: bool) -> list[str]:
     n = p.n
     if order_preserving:
-        return _to_monotone_alphabet(n, _odi_word(p, sigma))
-    # p is order-reversing of rank >= 2; peeling the reflection h (i to
-    # n - i + 1) off the right leaves an order-preserving member
-    q = PartialPerm._trusted(n, tuple((a, n + 1 - b) for a, b in p.pairs))
-    return _to_monotone_alphabet(n, _odi_word(q, extensions(q)[0])) + ["h"]
+        return _to_monotone_alphabet(n, _odi_word(p, exts[0]))
+    # p is order-reversing of rank >= 2, so q = p h (h: i to n - i + 1) is an
+    # order-preserving member on p's domain whose extensions are the s h, the
+    # least preferred; q's word reads only n and that domain, and q h = p
+    h = DihedralElement.reflection(n, 0)
+    return _to_monotone_alphabet(n, _odi_word(p, min(s * h for s in exts))) + ["h"]
 
 
 def _rot_identity_word(n: int, missing) -> list[str]:
@@ -129,8 +135,7 @@ def _rot_identity_word(n: int, missing) -> list[str]:
 def _opdi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
     n = p.n
     if sigma.j == 0:
-        missing = set(range(1, n + 1)) - set(p.domain)
-        return _rot_identity_word(n, missing) + ["g"] * sigma.k
+        return _rot_identity_word(n, _missing(n, p.domain)) + ["g"] * sigma.k
     # a reflection-only extension forces rank 2; g^k followed by the piece
     # beta = g^(-k) p is p, and the least k making beta order-preserving
     # is 0 or the shift carrying j past n to 1, which moves i to i + k

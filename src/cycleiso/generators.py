@@ -101,6 +101,10 @@ class GeneratorSet:
         table = _kernel(self.n)[2]
         return {name: table(p._code) for name, p in self}
 
+    @cached_property
+    def _identity_code(self):  # every word starts here; codes are immutable, so one serves all
+        return identity(self.n)._code
+
     def evaluate(self, word) -> PartialPerm:
         """Compose the named generators left to right.
 
@@ -113,7 +117,7 @@ class GeneratorSet:
                 "read text with parse_word"
             )
         mul, strip, _, _ = _kernel(self.n)
-        code = identity(self.n)._code
+        code = self._identity_code
         images = self._images
         for name in word:
             try:

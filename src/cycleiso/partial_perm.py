@@ -359,7 +359,7 @@ def classify_order(p: PartialPerm) -> OrderFlags:
     >>> (f.order_preserving, f.orientation_preserving)
     (False, True)
     """
-    v = p.values
+    v = p._code.replace(b"\xff", b"") if p.n <= _MAX_BYTE_N else p.values
     t = len(v)
     if t <= 1:
         return OrderFlags(True, True, True, True)

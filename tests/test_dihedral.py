@@ -1,8 +1,9 @@
 import copy
 import pickle
+import random
 from dataclasses import FrozenInstanceError
 from functools import partial
-from itertools import islice
+from itertools import combinations, islice, permutations
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,20 +13,23 @@ from cycleiso import (
     DihedralElement,
     DomainError,
     KINDS,
+    OrderFlags,
     ParseError,
     PartialPerm,
     all_elements,
     b2_count,
     check_kind,
     classify,
+    classify_order,
     extensions,
     empty_map,
     factorize,
+    identity,
     in_kind,
     is_in_b2,
     to_partial_perm,
 )
-from cycleiso.brute_force import scan_extensions
+from cycleiso.brute_force import dihedral_restrictions, scan_extensions
 
 from conftest import perm_on
 
@@ -325,6 +329,63 @@ def test_extensions_refuse_short_cycles_like_the_scan(n, pairs):
         with pytest.raises(DomainError) as fast:
             call(p)
         assert type(fast.value) is DomainError and str(fast.value) == str(scan.value)
+
+
+def _random_maps(n, rng, count=24):
+    """The empty map, then per round: a symmetry cut to a random domain, drawn past 1 two
+    times in three, that cut with one image moved, an arbitrary injective map, and the cut
+    again as a product, which holds only its code."""
+    out = [empty_map(n)]
+    for _ in range(count):
+        sigma = DihedralElement(n, rng.randint(0, 1), rng.randrange(n))
+        pool = range(rng.choice((1, 2, n // 2)), n + 1)
+        cut = to_partial_perm(sigma, rng.sample(pool, rng.randint(1, len(pool))))
+        images = cut.as_dict()
+        a, b = rng.choice(cut.domain), rng.randint(1, n)
+        images.update({x: images[a] for x, y in cut.pairs if y == b})
+        images[a] = b
+        dom = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+        arbitrary = PartialPerm(n, tuple(zip(dom, rng.sample(range(1, n + 1), len(dom)))))
+        out += [cut, PartialPerm.from_map(n, images), arbitrary, cut * identity(n)]
+    return out
+
+
+def _code_draws(case):
+    """The maps the code-reading paths are held to their oracles on."""
+    what, n = case
+    if what == "di":
+        return dihedral_restrictions(n)
+    if what == "rank3":
+        points = range(1, n + 1)
+        return [PartialPerm(n, tuple(zip(dom, img))) for k in range(4)
+                for dom in combinations(points, k) for img in permutations(points, k)]
+    return _random_maps(n, random.Random(n))
+
+
+# 3..9 whole, rank <= 3 at 8, then random draws at 10..40 and around the last byte-code size;
+# 255 and 256 hold their maps as pairs
+_CODE_CASES = [*(("di", n) for n in range(3, 10)), ("rank3", 8),
+               *(("random", n) for n in (*range(10, 41), 253, 254, 255, 256))]
+
+
+@pytest.mark.parametrize("case", _CODE_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_extensions_from_the_code_match_the_scan(case):
+    for p in _code_draws(case):
+        assert extensions(p) == scan_extensions(p), p
+
+
+def _naive_order(values) -> OrderFlags:
+    # ascending or descending as listed, or as one of its rotations
+    v = list(values)
+    up, down = sorted(v), sorted(v, reverse=True)
+    turns = [v[r:] + v[:r] for r in range(len(v))] or [v]
+    return OrderFlags(v == up, v == down, up in turns, down in turns)
+
+
+@pytest.mark.parametrize("case", _CODE_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_order_flags_from_the_code_match_the_values(case):
+    for p in _code_draws(case):
+        assert classify_order(p) == _naive_order(p.values), p
 
 
 def test_antipodal_rank2_detection():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cycleiso import (
@@ -7,6 +9,7 @@ from cycleiso import (
     classify,
     classify_order,
     empty_map,
+    extensions,
     factorize,
     identity,
     identity_off,
@@ -14,7 +17,15 @@ from cycleiso import (
     to_partial_perm,
 )
 from cycleiso.brute_force import kind_elements
-from cycleiso.factorize import _mdi_word, _odi_word, _opdi_word, _rank2_reflection_word
+from cycleiso.factorize import (
+    _mdi_word,
+    _missing,
+    _odi_word,
+    _op_identity_word,
+    _opdi_word,
+    _rank2_reflection_word,
+    _to_monotone_alphabet,
+)
 
 from conftest import capped_child_lines
 
@@ -31,11 +42,11 @@ def test_every_member_round_trips(kind, n):
 
 
 def _listed_word(p, kind):
-    # the word built from the first of the extensions classify lists
-    sigma = classify(p).extensions[0]
+    # the word built from the extensions classify lists, the first preferred
+    exts = classify(p).extensions
     if kind == "mdi":
-        return tuple(_mdi_word(p, sigma, classify_order(p).order_preserving))
-    return tuple({"odi": _odi_word, "opdi": _opdi_word}[kind](p, sigma))
+        return tuple(_mdi_word(p, exts, classify_order(p).order_preserving))
+    return tuple({"odi": _odi_word, "opdi": _opdi_word}[kind](p, exts[0]))
 
 
 @pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
@@ -122,3 +133,83 @@ for n in (301, 3000):
     print(len(word), word[-1], n > 301 or standard_generators("mdi", n).evaluate(word) == p)
 """)
     assert lines == ["900 h True", "8998 h True"]
+
+
+def _old_odi_word(p, sigma):
+    # _odi_word before it read the missing points and the arc off the sorted domain
+    n = p.n
+    if sigma.j == 0:
+        missing = set(range(1, n + 1)) - set(p.domain)
+        word = _op_identity_word(n, sorted(missing))
+        t = sigma.k
+        if all(a <= n - t for a in p.domain):
+            return word + ["x"] * t
+        assert all(a >= n - t + 1 for a in p.domain)
+        return word + ["y"] * (n - t)
+    i, j = p.domain
+    return _rank2_reflection_word(n, sigma.k, i, j)
+
+
+def _peeled_mdi_word(p):
+    # the monotone word before it was read off p's own extensions: an order-reversing p
+    # had the reflection h (i to n - i + 1) peeled off the right, and the order-preserving
+    # rest q was factorized from its own extensions
+    n = p.n
+    if classify_order(p).order_preserving:
+        return tuple(_to_monotone_alphabet(n, _old_odi_word(p, extensions(p)[0])))
+    q = PartialPerm(n, tuple((a, n + 1 - b) for a, b in p.pairs))
+    h = DihedralElement.reflection(n, 0)
+    assert tuple(sorted({s * h for s in extensions(p)})) == extensions(q)
+    return tuple(_to_monotone_alphabet(n, _old_odi_word(q, extensions(q)[0])) + ["h"])
+
+
+def _random_mdi_members(n, rng, count=16):
+    """Symmetries cut to at least two points of one arc on which their images run one way,
+    and on an even cycle the antipodal rank-2 swaps, which are order-reversing but extend to
+    a rotation."""
+    out = []
+    if n % 2 == 0:
+        out = [PartialPerm(n, ((a, a + n // 2), (a + n // 2, a))) for a in (1, 2, n // 2)]
+    while len(out) < count:
+        j, k = rng.randint(0, 1), rng.randrange(n)
+        cut = k if j else n - k
+        pool = rng.choice((range(1, cut + 1), range(cut + 1, n + 1)))
+        if len(pool) >= 2:
+            dom = rng.sample(pool, rng.randint(2, len(pool)))
+            out.append(to_partial_perm(DihedralElement(n, j, k), dom))
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(3, 10), 32, 254, 255])
+def test_monotone_words_match_the_peeled_words(n):
+    if n < 10:
+        members = kind_elements("mdi", n)
+    else:
+        members = _random_mdi_members(n, random.Random(n))
+    assert any(not classify_order(p).order_preserving for p in members)
+    gens = standard_generators("mdi", n)
+    for p in members:
+        word = factorize(p, "mdi")
+        assert word == _peeled_mdi_word(p), p
+        assert gens.evaluate(word) == p, p
+
+
+@pytest.mark.parametrize("n", [*range(3, 10), 32, 254, 255])
+def test_order_preserving_words_match_the_old_arc_test(n):
+    if n < 10:
+        members = kind_elements("odi", n)
+    else:
+        members = [p for p in _random_mdi_members(n, random.Random(n))
+                   if classify_order(p).order_preserving]
+    for p in members:
+        assert factorize(p, "odi") == tuple(_old_odi_word(p, extensions(p)[0])), p
+
+
+@pytest.mark.parametrize("n", [3, 4, 9, 254, 255])
+def test_missing_points_are_the_complement_of_the_domain(n):
+    rng = random.Random(n)
+    points = range(1, n + 1)
+    drawn = [rng.sample(points, rng.randint(1, n)) for _ in range(20)]
+    for dom in ([], points, [1], [n], [2, n - 1], *drawn):
+        dom = tuple(sorted(dom))
+        assert _missing(n, dom) == sorted(set(points) - set(dom)), dom

@@ -1,5 +1,7 @@
 """Named generators, standard sets, and word text."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,6 +115,25 @@ def test_evaluate_is_the_left_to_right_product(case):
     for name in word:
         expected = expected * gens.element(name)
     assert gens.evaluate(word) == expected
+
+
+@pytest.mark.parametrize("n", [*range(3, 9), 254, 255])
+def test_evaluate_starts_every_word_from_its_own_identity(n):
+    rng = random.Random(n)
+    for kind in ("odi", "mdi", "opdi", "di"):
+        # the shared standard set and a fresh one, which has evaluated nothing yet
+        shared = standard_generators(kind, n)
+        for gens in (shared, GeneratorSet(kind, n, shared.names)):
+            words = [(), *(rng.choices(gens.names, k=rng.randint(1, 3 * n)) for _ in range(6)), ()]
+            for word in words:
+                expected = identity(n)
+                for name in word:
+                    expected = expected * gens.element(name)
+                assert gens.evaluate(word) == expected, (kind, word)
+            # the start code is the identity's, immutable, and this size's alone
+            assert type(gens._identity_code) in (bytes, tuple)
+            assert gens._identity_code == identity(n)._code
+    assert standard_generators("odi", n)._identity_code != identity(n + 1)._code
 
 
 @pytest.mark.parametrize("word", [[["g"]], [None], ["z"], ["x", 1]], ids=repr)
