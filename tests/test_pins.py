@@ -1,11 +1,15 @@
 """Byte-level pins of closure output and of factorization words.
 
-Each ``PINS`` entry, taken before the image-array kernel, holds the sha256 of the ``txt`` export, of the ``jsonl``
+Each ``PINS`` entry holds the sha256 of the ``txt`` export, of the ``jsonl``
 export, and of a listing with one ``<element> <word>`` line per element
 (the word as comma-separated generator indices), for the closure of the
-standard generators.  Gzip exports are pinned on their decompressed bytes,
-since the compressed stream may depend on the zlib build, plus a zero
-header timestamp.
+standard generators.  The entries up to n = 9 were taken before the
+image-array kernel; opdi 11, odi 12 and mdi 10 are the benchmark's
+enumerate sizes, whose exports ``bench/jobs.py`` also pins.  Gzip exports
+are pinned on their decompressed bytes, plus a zero header timestamp.
+Each ``GZIP_PINS`` entry, at the benchmark's sizes, also pins the
+compressed streams of the ``txt`` and ``jsonl`` exports, taken with zlib
+1.2.13; another deflate build may compress the same bytes differently.
 
 Each ``WORD_PINS`` entry holds the sha256 of a listing with one
 ``<element> <word>`` line per member of the kind, in canonical order, where
@@ -248,6 +252,37 @@ PINS = {
         "0625980b0d6c1650b83c470a193945a5a035b856d15f1f14e4d155ec8ce9b054",
         "2e325df8efbe001a7efe31bbd3a79d9feb291447076f5e739e9cc8889687a698",
     ),
+    # the benchmark's enumerate sizes
+    ("mdi", 10): (
+        "f471698e627628e94e32ab761ccc3ef8f74d5feb069da36d100fa09cc15fa40b",
+        "86eb214a55e14d0eb99fb75811bf09b03e15d8bdcccba791fcb7ff808fd7cd4a",
+        "4904c239bea6fc9d4b2f907d0fe88387ed7cf3e7a1a54921dd1827b638a1a242",
+    ),
+    ("odi", 12): (
+        "9e0f59e7c2f5a2250285d7e6b14a912933164d283994af871f10d33f8c0ba2a9",
+        "52869ce5301b84b7f90fe604e5f4f29ebc1264db04992ce2f4de39a2cae1ea3f",
+        "9bae5c44168f91ec10403218f8708ae6b99f7a61eec2dbd57a9e90a836595c63",
+    ),
+    ("opdi", 11): (
+        "3925e845001eda0374c8514b0093874c3387a6fb2d5a74d041ae47e9f663eafa",
+        "c3275277f18cf3b3332145ab78a8b41b17a643f0aee27c903fff933b0423a0bb",
+        "94148ebf5084574e131a1930ce6930a399468dc38121268400f0739d6ca976ab",
+    ),
+}
+
+GZIP_PINS = {
+    ("mdi", 10): (
+        "89258ef781f6971b15959c1d6f2c64fd102e17c756912068257b357c4bc9c9f0",
+        "416636ff207c27b6ca41fea200d7362a92f3d7b59e0fd3176e388f43a9f66794",
+    ),
+    ("odi", 12): (
+        "b7a1ed1e44c1628c661117d0b0e1467ab714b5c1568f8fd77832d17c866b3275",
+        "4cbaac8e13784d158b55694cca29966c90af2076e17dbdf66979b4ced07de0f9",
+    ),
+    ("opdi", 11): (
+        "0d86605dd0db169f816c620d4004d31136bcbbc886c65df475941b48169cfa66",
+        "0d5236c19c88f14c67022ecccf1e11af6e72e87ad1f05822b005bd10b7aad696",
+    ),
 }
 
 WORD_PINS = {
@@ -385,6 +420,13 @@ def test_closure_output_matches_pin(kind, n):
         assert blob[4:8] == bytes(4)  # gzip MTIME field
         assert _sha(gzip.decompress(blob)) == pin
     assert _sha(_word_listing(m)) == words_pin
+
+
+@pytest.mark.parametrize("kind,n", sorted(GZIP_PINS), ids=lambda v: str(v))
+def test_closure_gzip_streams_match_pin(kind, n):
+    m = close(n, standard_generators(kind, n).elements)
+    streams = (export_bytes(m, fmt, compress=True) for fmt in ("txt", "jsonl"))
+    assert tuple(map(_sha, streams)) == GZIP_PINS[kind, n]
 
 
 @pytest.mark.parametrize("kind,n", sorted(WORD_PINS), ids=lambda v: str(v))
