@@ -40,6 +40,7 @@ from cycleiso.brute_force import (
     kind_monoid,
 )
 from cycleiso.engine import _j_key
+from cycleiso.partial_perm import _kernel
 
 from conftest import perm_on, sparse_perm_on
 
@@ -162,6 +163,62 @@ def _byte_boundary_generators(n):
 @pytest.mark.parametrize("n", [254, 255])
 def test_closure_at_the_byte_boundary_matches_naive_fixpoint(n):
     _assert_closure_is_naive(n, _byte_boundary_generators(n))
+
+
+def _search_table(n, gens):
+    """The search loop ``close`` ran before it skipped products: each layer in stripped
+    order, each code against every letter in index order, the first link found kept."""
+    mul, strip, table, _ = _kernel(n)
+    tables = [table(g._code) for g in gens]
+    layer = [identity(n)._code]
+    found = {layer[0]: None}
+    while layer:
+        layer.sort(key=strip)
+        fresh = []
+        for code in layer:
+            for gi, t in enumerate(tables):
+                prod = mul(code, t)
+                if prod not in found:
+                    found[prod] = (code, gi)
+                    fresh.append(prod)
+        layer = fresh
+    return list(found.items())
+
+
+def _assert_table_is_the_full_search(n, gens):
+    # the same codes, in the same order, with the same (parent, letter) links
+    assert list(close(n, gens)._parents.items()) == _search_table(n, gens)
+
+
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi", "di"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_closure_table_is_the_full_search(kind, n):
+    _assert_table_is_the_full_search(n, standard_generators(kind, n).elements)
+
+
+@pytest.mark.parametrize("n", [254, 255])
+def test_byte_boundary_table_is_the_full_search(n):
+    _assert_table_is_the_full_search(n, _byte_boundary_generators(n))
+
+
+@st.composite
+def _repeating_generator_sets(draw, sets):
+    # letters that repeat, the identity and idempotents give products that equal a letter
+    n, gens = draw(sets)
+    extra = [identity(n), *gens, *(p * p.inverse() for p in gens)]
+    return n, draw(st.permutations(gens + draw(st.lists(st.sampled_from(extra), max_size=4))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_repeating_generator_sets(_generator_sets()))
+def test_table_of_repeating_letters_is_the_full_search(case):
+    _assert_table_is_the_full_search(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_repeating_generator_sets(_wide_generator_sets()))
+def test_wide_table_of_repeating_letters_is_the_full_search(case):
+    _assert_table_is_the_full_search(*case)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
