@@ -233,10 +233,10 @@ def classify(p: PartialPerm) -> MembershipReport:
     dihedral extension, and the order flags narrow that down to the
     submonoids."""
     exts = extensions(p)
-    flags = classify_order(p)
-    in_di = bool(exts)
-    in_kinds = {f"in_{k}": in_di and getattr(flags, flag) for k, flag in _KIND_FLAG.items()}
-    return MembershipReport(in_di=in_di, **in_kinds, extensions=exts)
+    if not exts:
+        return MembershipReport(False, False, False, False, exts)
+    f = classify_order(p)
+    return MembershipReport(True, f.order_preserving, f.monotone, f.orientation_preserving, exts)
 
 
 def in_kind(p: PartialPerm, kind: str) -> bool:

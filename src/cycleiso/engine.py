@@ -49,13 +49,14 @@ __all__ = [
 class EnumeratedMonoid:
     """A canonically sorted element set on one cycle, optionally with generator words.
 
-    ``EnumeratedMonoid(n, elements)`` sorts the elements in the canonical ``(n, pairs)``
-    order and refuses one on another n; its ``generators`` are ``()`` and its ``words``
-    ``{}``.  ``close`` builds its result itself, with its generators and its search table
-    of (parent code, letter) per search code.  ``words``, built from that table on first
-    read, maps the elements in order to the shortest words the search found, as tuples of
-    indices into ``generators``.  Membership reads the table's keys, or a frozenset of the
-    elements' padded codes, so each set keeps one code-keyed index.
+    The set is held as its sorted stripped codes, which size, membership and export read;
+    ``elements`` wraps them on first read.  ``EnumeratedMonoid(n, elements)`` sorts the
+    elements in the canonical ``(n, pairs)`` order and refuses one on another n; its
+    ``generators`` are ``()`` and its ``words`` ``{}``.  ``close`` builds its result itself,
+    with its generators and its search table of (parent code, letter) per search code.
+    ``words``, built from that table on first read, maps the elements in order to the
+    shortest words the search found, as tuples of indices into ``generators``.  Membership
+    reads the table's keys, or a frozenset of the padded codes: one code-keyed index.
     """
 
     def __init__(self, n, elements):
@@ -64,7 +65,12 @@ class EnumeratedMonoid:
             if p.n != n:
                 raise AmbientMismatchError(f"element {p} does not live on n={n}")
         self.n, self.generators, self._parents = n, (), {}
-        self._index = frozenset(_padded(n, p._code) for p in self.elements)
+        self._codes = tuple(p._code for p in self.elements)
+        self._index = frozenset(_padded(n, c) for c in self._codes)
+
+    @cached_property
+    def elements(self) -> tuple[PartialPerm, ...]:
+        return tuple(PartialPerm._wrap(self.n, c) for c in self._codes)
 
     @cached_property
     def words(self) -> dict:
@@ -75,10 +81,10 @@ class EnumeratedMonoid:
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self._codes)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._codes)
 
     def __iter__(self):
         return iter(self.elements)
@@ -96,10 +102,13 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     ``p * g`` is one ``bytes.translate``.  Each layer is visited in canonical order, each
     element against the generators in index order, and the first product found (shortest
     layer, then generator index) is kept with its parent and letter, as Froidure and Pin
-    store it, so generator duplication changes nothing.  The search makes no reference
-    cycles, so the cyclic collector is paused for it.  The result skips the constructor: its
-    elements are one sort of the stripped codes, and the search table is its parent table
-    and its index.  ``n`` must be an int in 1..10**4300 - 1, ``workers`` a positive int.
+    store it.  A product already found is not formed: a repeated letter, nor u * b where
+    u's word ends in a letter a with a * b the identity or a letter, since u * b is then
+    u's parent times a * b, found the layer before; so the table is the full search's.  The
+    search makes no reference cycles, so the cyclic collector is paused for it.  The result
+    skips the constructor: it holds one sort of the stripped codes, and the search table
+    as its parent table and its index.  ``n`` must be an int in 1..10**4300 - 1,
+    ``workers`` a positive int.
     """
     _check_size(n)
     gens = tuple(generators)
@@ -112,6 +121,12 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     tables = [table(g._code) for g in gens]
     layer = [identity(n)._code]
     found = {layer[0]: None}
+    letters = dict(found)  # the identity, then each distinct letter's search code: first index
+    for gi, t in enumerate(tables):
+        letters.setdefault(mul(layer[0], t), gi)
+    every = [(gi, tables[gi]) for gi in letters.values() if gi is not None]
+    after = {a: [(b, t) for b, t in every if mul(c, t) not in letters] for c, a in letters.items()}
+    after[None] = every  # the letters a word with no last letter is multiplied by
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
@@ -119,14 +134,15 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
             layer.sort(key=strip)
             fresh = []
             for code in layer:
-                for gi, t in enumerate(tables):
+                link = found[code]
+                for gi, t in after[link and link[1]]:
                     prod = mul(code, t)
                     if prod not in found:
                         found[prod] = (code, gi)
                         fresh.append(prod)
             layer = fresh
         m = object.__new__(EnumeratedMonoid)
-        m.elements = tuple(PartialPerm._wrap(n, c) for c in sorted(map(strip, found)))
+        m._codes = tuple(sorted(map(strip, found)))
         m.n, m.generators, m._parents, m._index = n, gens, found, found
         return m
     finally:
@@ -262,9 +278,9 @@ def export_bytes(m: EnumeratedMonoid, fmt: str = "txt", compress: bool = False) 
     if fmt not in ("txt", "jsonl"):
         raise ParseError(f"unknown format {_shown(fmt)}; expected txt or jsonl")
     if fmt == "txt":
-        raw = _render(m.n, m.elements, "{}>{}", f"n={m.n};", "\n")
+        raw = _render(m.n, m._codes, "{}>{}", f"n={m.n};", "\n")
     else:
-        raw = _render(m.n, m.elements, "[{},{}]", f'{{"n":{m.n},"map":[', "]}\n")
+        raw = _render(m.n, m._codes, "[{},{}]", f'{{"n":{m.n},"map":[', "]}\n")
     if not compress:
         return raw
     buf = io.BytesIO()

@@ -284,17 +284,17 @@ class PartialPerm:
         return f"n={self.n};" + ",".join(f"{a}>{b}" for a, b in self.pairs)
 
 
-def _render(n: int, elements, cell: str, head: str, tail: str) -> bytes:
-    """One line per element: ``head``, its pairs as ``cell`` texts joined by commas, then
-    ``tail``, as ASCII.  Byte codes read through one table per point of each image's cell,
-    so no element is decoded."""
+def _render(n: int, codes, cell: str, head: str, tail: str) -> bytes:
+    """One line per code of a map on n points: ``head``, its pairs as ``cell`` texts joined
+    by commas, then ``tail``, as ASCII.  Byte codes read through one table per point of
+    each image's cell, so no code is decoded."""
     if n > _MAX_BYTE_N:
-        pairs = (",".join(cell.format(*pair) for pair in p._code) for p in elements)
+        pairs = (",".join(cell.format(*pair) for pair in code) for code in codes)
         return "".join(head + text + tail for text in pairs).encode()
     cells = [[f",{cell.format(x, y)}".encode() for y in range(n + 1)] + [b""] * (255 - n)
              for x in range(1, n + 1)]
     head, tail, out = head.encode(), tail.encode(), io.BytesIO()
-    out.writelines(head + b"".join(map(getitem, cells, p._code))[1:] + tail for p in elements)
+    out.writelines(head + b"".join(map(getitem, cells, code))[1:] + tail for code in codes)
     return out.getvalue()
 
 

@@ -310,6 +310,33 @@ def test_a_closure_pickles_with_its_membership():
     assert all(p in back for p in m)
 
 
+def _exports(m):
+    return [export_bytes(m, fmt, compress) for fmt in ("txt", "jsonl") for compress in (0, 1)]
+
+
+@pytest.mark.parametrize("kind,n", [("odi", 7), ("mdi", 7), ("opdi", 7), ("di", 7), ("pairs", 255)])
+def test_a_closure_builds_no_elements_until_they_are_read(kind, n):
+    if kind == "pairs":  # codes that are pairs, not bytes
+        gens = _byte_boundary_generators(n)
+        expected = tuple(sorted(_naive_closure(n, gens)))
+    else:
+        gens = standard_generators(kind, n).elements
+        expected = kind_elements(kind, n)
+    m = close(n, gens)
+    assert (m.size, len(m), identity(n) in m, identity(n - 1) in m) == (
+        len(expected), len(expected), True, False)
+    exports = _exports(m)
+    back = pickle.loads(pickle.dumps(m))
+    assert "elements" not in vars(m) and "elements" not in vars(back)
+    assert m.elements == back.elements == expected
+    assert _exports(EnumeratedMonoid(n, m.elements)) == _exports(back) == exports
+    again = pickle.loads(pickle.dumps(m))
+    assert "elements" in vars(again)
+    assert (again.elements, again.words, again.size) == (expected, m.words, len(expected))
+    assert all(p in again for p in expected)
+    assert _exports(again) == exports
+
+
 @_membership
 @given(data=st.data())
 def test_closure_of_a_generator_subset_membership_reads_its_elements(data):
