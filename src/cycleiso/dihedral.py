@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import AmbientMismatchError, DomainError, ParseError, _check_cycle, _shown
 from .partial_perm import _MAX_BYTE_N, PartialPerm, _set, classify_order, sorted_points
@@ -151,6 +152,10 @@ def all_elements(n: int):
     return (_symmetry(n, j, k) for j in (0, 1) for k in range(n))
 
 
+# the 2n symmetries as one tuple per n, read for n <= 254 only: at most 64,764 in all
+_all_symmetries = lru_cache(maxsize=None)(lambda n: tuple(all_elements(n)))
+
+
 def to_partial_perm(sigma: DihedralElement, points) -> PartialPerm:
     """Restrict a symmetry to a point set.
 
@@ -177,26 +182,37 @@ def extensions(p: PartialPerm) -> tuple[DihedralElement, ...]:
     1..n; above, on the k pairs, O(k).  n is checked once; no symmetry is
     built through the checking constructor.
 
+    A nonempty map keeps its answer, at most two symmetries, on the element.
+    The empty map keeps nothing: its 2n symmetries are one shared tuple per n
+    up to n = 254 and built on each call above, so no map holds them alive.
+
     >>> [str(s) for s in extensions(PartialPerm.parse("n=5;1>3,2>4,3>5,5>2"))]
     ['g^2']
     """
+    try:
+        return p._exts
+    except AttributeError:
+        pass
     code, n = p._code, p.n
     if not code:
-        return tuple(all_elements(n))
+        return _all_symmetries(n) if n <= _MAX_BYTE_N else tuple(all_elements(n))
     _check_cycle(n)
     if n > _MAX_BYTE_N:
         a, b = code[0]
         candidates = _symmetry(n, 0, (b - a) % n), _symmetry(n, 1, (a + b - 1) % n)
-        return tuple(s for s in candidates if all(s._image(x) == y for x, y in code))
-    a = len(code) - len(code.lstrip(b"\xff")) + 1  # the first point with an image
-    t, k, size = (code[a - 1] - a) % n, (a + code[a - 1] - 1) % n, len(code)
-    # g^t sends x to asc[x - 1 + t] and h*g^k to asc[::-1][x - 1 - k mod n]; a candidate
-    # agrees when its run differs from the code only where the mask is 0
-    asc = _POINTS[:n] * 2
-    runs = (0, t, asc[t:t + size]), (1, k, asc[::-1][-k % n:][:size])
-    have, mask = int.from_bytes(code, "big"), int.from_bytes(code.translate(_DEFINED), "big")
-    return tuple([_symmetry(n, j, e) for j, e, run in runs
-                  if (have ^ int.from_bytes(run, "big")) & mask == 0])
+        exts = tuple(s for s in candidates if all(s._image(x) == y for x, y in code))
+    else:
+        a = len(code) - len(code.lstrip(b"\xff")) + 1  # the first point with an image
+        t, k, size = (code[a - 1] - a) % n, (a + code[a - 1] - 1) % n, len(code)
+        # g^t sends x to asc[x - 1 + t] and h*g^k to asc[::-1][x - 1 - k mod n]; a candidate
+        # agrees when its run differs from the code only where the mask is 0
+        asc = _POINTS[:n] * 2
+        runs = (0, t, asc[t:t + size]), (1, k, asc[::-1][-k % n:][:size])
+        have, mask = int.from_bytes(code, "big"), int.from_bytes(code.translate(_DEFINED), "big")
+        exts = tuple([_symmetry(n, j, e) for j, e, run in runs
+                      if (have ^ int.from_bytes(run, "big")) & mask == 0])
+    _set(p, "_exts", exts)
+    return exts
 
 
 def is_in_b2(p: PartialPerm) -> bool:

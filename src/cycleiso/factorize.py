@@ -3,9 +3,9 @@
 Every member either extends to a rotation, in which case it is a partial
 identity followed by a power of the shift, or it is a rank-2 piece of a
 reflection, which one straddling generator plus shifts produces.  The
-monotone alphabet is reached by rewriting the order-preserving letters;
-the orientation-preserving reflection piece is spelled directly over the
-rotation alphabet.
+monotone words are the order-preserving ones spelled, as they are built,
+in the monotone alphabet; the orientation-preserving reflection piece is
+spelled directly over the rotation alphabet.
 
 Word lengths stay linear in n: partial identities cost one or two letters
 per missing point in the order-preserving alphabet, and the rotation
@@ -18,9 +18,11 @@ from __future__ import annotations
 from .errors import MembershipError
 from .partial_perm import PartialPerm, classify_order
 # classify is unused here but stays importable: bench/jobs.py's tracer patches it by name
-from .dihedral import _KIND_FLAG, DihedralElement, check_kind, classify, extensions
+from .dihedral import _KIND_FLAG, DihedralElement, _symmetry, check_kind, classify, extensions
 
 __all__ = ["factorize"]
+
+_Y, _MONOTONE_Y = ["y"], ["h", "x", "h"]  # the shift y, and its spelling with h for mdi
 
 
 def factorize(p: PartialPerm, kind: str) -> tuple[str, ...]:
@@ -33,8 +35,7 @@ def factorize(p: PartialPerm, kind: str) -> tuple[str, ...]:
     """
     check_kind(kind)
     exts = extensions(p) if p.pairs else (DihedralElement.identity(p.n),)
-    flags = classify_order(p)
-    if not exts or not getattr(flags, _KIND_FLAG[kind]):
+    if not exts or not getattr(flags := classify_order(p), _KIND_FLAG[kind]):
         raise MembershipError(f"{p} is not in {kind.upper()}_{p.n}")
     if kind == "mdi":
         return tuple(_mdi_word(p, exts, flags.order_preserving))
@@ -47,22 +48,27 @@ def _missing(n: int, domain) -> list[int]:
     return [x for x in range(1, n + 1) if x not in have]
 
 
-def _op_identity_word(n: int, missing) -> list[str]:
+def _op_identity_word(n: int, missing, y=_Y) -> list[str]:
     """The partial identity off the ascending points ``missing``, spelled
-    with e letters; the two partial identities that are not generators
-    factor through the shift: yx misses 1, xy misses n."""
+    with e letters and ``y``, the spelling of the shift; the two partial
+    identities that are not generators factor through the shift: yx misses
+    1, xy misses n.  The monotone set keeps the e_i with i <= (n + 1) / 2,
+    the reflection-closed half, and spells the others h e_(n-i+1) h."""
+    half = (n + 1) // 2 if y is _MONOTONE_Y else n
     out: list[str] = []
     for pt in missing:
         if pt == 1:
-            out += ["y", "x"]
+            out += y + ["x"]
         elif pt == n:
-            out += ["x", "y"]
-        else:
+            out += ["x"] + y
+        elif pt <= half:
             out.append(f"e{pt}")
+        else:
+            out += ["h", f"e{n - pt + 1}", "h"]
     return out
 
 
-def _rank2_reflection_word(n: int, k: int, i: int, j: int) -> list[str]:
+def _rank2_reflection_word(n: int, k: int, i: int, j: int, y=_Y) -> list[str]:
     """Order-preserving word for the restriction of the k-th reflection to
     {i, j}, where i <= k < j (exactly the order-preserving case) and the
     gap j - i is not half the circumference.
@@ -74,49 +80,32 @@ def _rank2_reflection_word(n: int, k: int, i: int, j: int) -> list[str]:
     assert 1 <= i <= k < j <= n and 2 * (j - i) != n
     gap = j - i
     jump = f"x{gap}" if gap <= (n - 1) // 2 else f"y{n - gap}"
-    return ["y"] * (i - 1) + [jump] + ["x"] * (k - i)
+    return y * (i - 1) + [jump] + ["x"] * (k - i)
 
 
-def _odi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
+def _odi_word(p: PartialPerm, sigma: DihedralElement, y=_Y) -> list[str]:
     """Order-preserving word for the preferred extension ``sigma`` cut to p's domain."""
     n, dom = p.n, p.domain
     if sigma.j == 0:
-        word = _op_identity_word(n, _missing(n, dom))
+        word = _op_identity_word(n, _missing(n, dom), y)
         t = sigma.k
         # an order-preserving rotation piece fits one of the two arcs
         if not dom or dom[-1] <= n - t:
             return word + ["x"] * t
         assert dom[0] >= n - t + 1
-        return word + ["y"] * (n - t)
+        return word + y * (n - t)
     i, j = dom
-    return _rank2_reflection_word(n, sigma.k, i, j)
-
-
-def _to_monotone_alphabet(n: int, letters) -> list[str]:
-    """Rewrite order-preserving letters for the monotone set, which keeps
-    only the reflection-closed half of the partial identities: y = hxh
-    and e_i = h e_(n-i+1) h."""
-    half = (n + 1) // 2
-    out: list[str] = []
-    for w in letters:
-        if w == "y":
-            out += ["h", "x", "h"]
-        elif w[0] == "e" and int(w[1:]) > half:
-            out += ["h", f"e{n - int(w[1:]) + 1}", "h"]
-        else:
-            out.append(w)
-    return out
+    return _rank2_reflection_word(n, sigma.k, i, j, y)
 
 
 def _mdi_word(p: PartialPerm, exts, order_preserving: bool) -> list[str]:
-    n = p.n
     if order_preserving:
-        return _to_monotone_alphabet(n, _odi_word(p, exts[0]))
+        return _odi_word(p, exts[0], _MONOTONE_Y)
     # p is order-reversing of rank >= 2, so q = p h (h: i to n - i + 1) is an
     # order-preserving member on p's domain whose extensions are the s h, the
     # least preferred; q's word reads only n and that domain, and q h = p
-    h = DihedralElement.reflection(n, 0)
-    return _to_monotone_alphabet(n, _odi_word(p, min(s * h for s in exts))) + ["h"]
+    h = _symmetry(p.n, 1, 0)
+    return _odi_word(p, min(s * h for s in exts), _MONOTONE_Y) + ["h"]
 
 
 def _rot_identity_word(n: int, missing) -> list[str]:

@@ -6,7 +6,9 @@ the map, which equality, hashing, order and composition read, and derives
 its (point, image) ``pairs`` from the code at most once.  Up to n = 254
 the code is bytes: byte x - 1 is the image of point x, 0xFF marks no
 image, and trailing 0xFF are stripped.  Above, it is the pairs themselves,
-so a map on any cycle costs what its pairs cost.
+so a map on any cycle costs what its pairs cost.  ``dihedral.extensions``
+keeps its answer for a nonempty map on the element too; equality, hashing,
+order, repr and pickling never read that slot.
 
 Codes sort as their pairs do, so ``(n, code)`` is the canonical order.
 For bytes: at the first point x where maps a and b differ, say a is
@@ -34,6 +36,7 @@ import io
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import product
 from operator import getitem, gt, itemgetter, methodcaller
 
 from .errors import (
@@ -114,7 +117,7 @@ class PartialPerm:
     """An injective partial self-map of {1, ..., n} in canonical form, built from ``n``
     and the tuple of (point, image) pairs sorted by point."""
 
-    __slots__ = ("n", "_code", "_pairs")
+    __slots__ = ("n", "_code", "_pairs", "_exts")
     __match_args__ = ("n", "pairs")
     n: int
     _code: bytes | tuple
@@ -346,12 +349,16 @@ class OrderFlags:
         return self.orientation_preserving or self.orientation_reversing
 
 
+_FLAGS = {flags: OrderFlags(*flags) for flags in product((False, True), repeat=4)}
+
+
 def classify_order(p: PartialPerm) -> OrderFlags:
     """Order and orientation behavior of the image sequence.
 
     The sequence is orientation-preserving when it is cyclic (at most one
     descent, read cyclically) and orientation-reversing when it is
-    anti-cyclic (at most one ascent).
+    anti-cyclic (at most one ascent).  Equal answers are one shared object,
+    one of the 16 flag combinations built at import.
 
     >>> classify_order(PartialPerm.parse("n=5;2>5,3>3,4>2,5>1")).order_reversing
     True
@@ -362,7 +369,7 @@ def classify_order(p: PartialPerm) -> OrderFlags:
     v = p._code.replace(b"\xff", b"") if p.n <= _MAX_BYTE_N else p.values
     t = len(v)
     if t <= 1:
-        return OrderFlags(True, True, True, True)
+        return _FLAGS[True, True, True, True]
     # the values are distinct, so the t - d steps that are not cyclic descents ascend
     d = sum(map(gt, v, v[1:] + v[:1]))
-    return OrderFlags(d == 1 and v[-1] > v[0], d == t - 1 and v[-1] < v[0], d <= 1, d >= t - 1)
+    return _FLAGS[d == 1 and v[-1] > v[0], d == t - 1 and v[-1] < v[0], d <= 1, d >= t - 1]

@@ -374,6 +374,85 @@ def test_extensions_from_the_code_match_the_scan(case):
         assert extensions(p) == scan_extensions(p), p
 
 
+# every di map at 3..7, then random draws on the last byte-code size and the first held as pairs
+_MEMO_CASES = [*(("di", n) for n in range(3, 8)), ("random", 254), ("random", 255)]
+
+
+def _observed(p, other):
+    """What equality, hashing, order, text, pickling and copying make of a map."""
+    return (p == other, p != other, hash(p), p < other, p >= other, repr(p), str(p),
+            pickle.dumps(p), pickle.loads(pickle.dumps(p)) == p, copy.copy(p) == p,
+            hash(copy.deepcopy(p)))
+
+
+def _fresh(p):
+    """Two new maps equal to p, neither holding an answer yet: one built from the pairs,
+    one a product, which holds only its code."""
+    return PartialPerm(p.n, p.pairs), p * identity(p.n)
+
+
+@pytest.mark.parametrize("case", _MEMO_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_keeping_the_extensions_changes_no_answer(case):
+    maps = _code_draws(case)
+    for p, other in zip(maps, [*maps[1:], maps[0]]):
+        want = scan_extensions(p)
+        for q in _fresh(p):
+            before = _observed(q, other)
+            assert extensions(q) == want, p
+            assert extensions(q) == want == extensions(PartialPerm(p.n, p.pairs)), p
+            assert _observed(q, other) == before, p
+
+
+@pytest.mark.parametrize("case", _MEMO_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_a_second_extensions_call_reads_the_kept_answer(case):
+    for p in [p for p in _code_draws(case) if p.pairs]:  # the empty map has its own tests
+        for q in _fresh(p):
+            first = extensions(q)
+            assert extensions(q) is first, p
+            # the answer is the element's own: a copy or an unpickled map works it out anew
+            assert not hasattr(copy.copy(q), "_exts")
+            assert not hasattr(pickle.loads(pickle.dumps(q)), "_exts")
+
+
+def _empty_maps(n):
+    """Three empty maps on n points: two parsed, one the product of disjoint rank-1 maps."""
+    return [empty_map(n), PartialPerm.parse(f"n={n};"),
+            PartialPerm.parse(f"n={n};1>1") * PartialPerm.parse(f"n={n};2>2")]
+
+
+@pytest.mark.parametrize("n", [3, 254, 255])
+def test_the_empty_map_keeps_no_extensions_on_the_element(n):
+    maps = _empty_maps(n)
+    for p in maps:
+        assert extensions(p) == tuple(all_elements(n))
+        assert extensions(p) == tuple(all_elements(n))
+    assert not any(hasattr(p, "_exts") for p in maps)
+
+
+@pytest.mark.parametrize("n", [3, 254, 255])
+def test_the_empty_maps_extensions_are_shared_up_to_254(n):
+    first, *rest = (extensions(p) for p in _empty_maps(n))
+    assert all((other is first) == (n <= 254) for other in rest)
+
+
+def test_order_flags_are_shared_and_frozen():
+    shared = {}
+    for n in range(3, 9):
+        for p in dihedral_restrictions(n):
+            f = classify_order(p)
+            assert shared.setdefault(f, f) is f, p
+            assert f == _naive_order(p.values), p
+    assert len(shared) <= 16
+    for f in shared.values():
+        made = OrderFlags(f.order_preserving, f.order_reversing,
+                          f.orientation_preserving, f.orientation_reversing)
+        assert made == f and made is not f and hash(made) == hash(f)
+        with pytest.raises(FrozenInstanceError):
+            f.order_preserving = not f.order_preserving
+        with pytest.raises(FrozenInstanceError):
+            made.orientation_reversing = True
+
+
 def _naive_order(values) -> OrderFlags:
     # ascending or descending as listed, or as one of its rotations
     v = list(values)

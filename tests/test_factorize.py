@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -24,7 +25,6 @@ from cycleiso.factorize import (
     _op_identity_word,
     _opdi_word,
     _rank2_reflection_word,
-    _to_monotone_alphabet,
 )
 
 from conftest import capped_child_lines
@@ -150,6 +150,22 @@ def _old_odi_word(p, sigma):
     return _rank2_reflection_word(n, sigma.k, i, j)
 
 
+def _to_monotone_alphabet(n, letters):
+    # the monotone spelling before words were spelled in it as they were built: the
+    # order-preserving letters rewritten one by one, y = hxh and e_i = h e_(n-i+1) h, since
+    # the monotone set keeps only the reflection-closed half of the partial identities
+    half = (n + 1) // 2
+    out = []
+    for w in letters:
+        if w == "y":
+            out += ["h", "x", "h"]
+        elif w[0] == "e" and int(w[1:]) > half:
+            out += ["h", f"e{n - int(w[1:]) + 1}", "h"]
+        else:
+            out.append(w)
+    return out
+
+
 def _peeled_mdi_word(p):
     # the monotone word before it was read off p's own extensions: an order-reversing p
     # had the reflection h (i to n - i + 1) peeled off the right, and the order-preserving
@@ -213,3 +229,58 @@ def test_missing_points_are_the_complement_of_the_domain(n):
     for dom in ([], points, [1], [n], [2, n - 1], *drawn):
         dom = tuple(sorted(dom))
         assert _missing(n, dom) == sorted(set(points) - set(dom)), dom
+
+
+@pytest.mark.parametrize("n", range(8, 33))
+def test_monotone_words_of_random_members_match_the_rewritten_words(n):
+    members = _random_mdi_members(n, random.Random(1000 + n), count=24)
+    preserving = [classify_order(p).order_preserving for p in members]
+    assert any(preserving) and not all(preserving)
+    gens = standard_generators("mdi", n)
+    half = (n + 1) // 2
+    for p in members:
+        word = factorize(p, "mdi")
+        assert word == _peeled_mdi_word(p), p
+        assert gens.evaluate(word) == p, p
+        assert not any(w[0] == "e" and int(w[1:]) > half for w in word), word
+
+
+def _order_reversing_members():
+    """Order-reversing mdi members of rank >= 2, every one at 5..7 and random draws on the
+    last byte-code size and the first held as pairs."""
+    members = [p for n in range(5, 8) for p in kind_elements("mdi", n)]
+    members += [p for n in (254, 255) for p in _random_mdi_members(n, random.Random(n))]
+    return [p for p in members if not classify_order(p).order_preserving]
+
+
+def test_an_order_reversing_word_builds_no_checked_symmetry(monkeypatch):
+    members = _order_reversing_members()
+    words = [factorize(p, "mdi") for p in members]
+
+    def refuse(self):
+        raise AssertionError("a symmetry went through the checking constructor")
+
+    monkeypatch.setattr(DihedralElement, "__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        DihedralElement.reflection(5, 0)
+    assert [factorize(PartialPerm(p.n, p.pairs), "mdi") for p in members] == words
+
+
+def test_a_non_isometry_is_refused_before_its_order_flags(monkeypatch):
+    module = importlib.import_module("cycleiso.factorize")  # the package's name is the function
+    read = []
+    monkeypatch.setattr(module, "classify_order", lambda p: read.append(p) or classify_order(p))
+    strangers = ["n=5;1>1,2>3", "n=8;1>2,2>4,3>3", "n=255;1>1,2>3"]
+    for text in strangers:
+        for kind in ("odi", "mdi", "opdi"):
+            p = PartialPerm.parse(text)
+            with pytest.raises(MembershipError) as refused:
+                factorize(p, kind)
+            assert str(refused.value) == f"{text} is not in {kind.upper()}_{p.n}"
+    assert read == []
+    # an isometry outside the kind is refused from its flags, with the same text
+    p = PartialPerm.parse("n=5;1>2,2>3,3>4,4>5,5>1")
+    with pytest.raises(MembershipError) as refused:
+        factorize(p, "mdi")
+    assert str(refused.value) == "n=5;1>2,2>3,3>4,4>5,5>1 is not in MDI_5"
+    assert read == [p]
