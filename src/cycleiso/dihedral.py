@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import AmbientMismatchError, DomainError, ParseError, _check_cycle, _shown
-from .partial_perm import _MAX_BYTE_N, PartialPerm, _set, classify_order, sorted_points
+from .partial_perm import _DEFINED, _MAX_BYTE_N, PartialPerm, _set, classify_order, sorted_points
 from .geometry import _dist, is_partial_isometry
 
 __all__ = [
@@ -45,9 +45,7 @@ KINDS = ("odi", "mdi", "opdi")
 _KIND_FLAG = {"odi": "order_preserving", "mdi": "monotone", "opdi": "orientation_preserving"}
 
 _DIHEDRAL_TEXT = re.compile(r"(h\*)?g\^(\d+)", re.ASCII)
-# the points of a byte code in order, and the table that translates a byte code to a
-# mask: 0xFF under each point with an image, 0 elsewhere
-_POINTS, _DEFINED = bytes(range(1, _MAX_BYTE_N + 1)), b"\xff" * 255 + b"\0"
+_POINTS = bytes(range(1, _MAX_BYTE_N + 1))  # the points of a byte code in order
 
 
 def check_kind(kind: str, allow_di: bool = False) -> None:
@@ -189,10 +187,9 @@ def extensions(p: PartialPerm) -> tuple[DihedralElement, ...]:
     >>> [str(s) for s in extensions(PartialPerm.parse("n=5;1>3,2>4,3>5,5>2"))]
     ['g^2']
     """
-    try:
-        return p._exts
-    except AttributeError:
-        pass
+    exts = getattr(p, "_exts", None)
+    if exts is not None:
+        return exts
     code, n = p._code, p.n
     if not code:
         return _all_symmetries(n) if n <= _MAX_BYTE_N else tuple(all_elements(n))
@@ -233,7 +230,7 @@ def b2_count(n: int) -> int:
     return n * n // 2 if n % 2 == 0 else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipReport:
     """Membership of one partial permutation in the four studied monoids."""
 

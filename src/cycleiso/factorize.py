@@ -15,6 +15,8 @@ missing points once in descending order.
 
 from __future__ import annotations
 
+from sys import intern
+
 from .errors import MembershipError
 from .partial_perm import PartialPerm, classify_order
 # classify is unused here but stays importable: bench/jobs.py's tracer patches it by name
@@ -34,7 +36,7 @@ def factorize(p: PartialPerm, kind: str) -> tuple[str, ...]:
     other map has at most two extensions.
     """
     check_kind(kind)
-    exts = extensions(p) if p.pairs else (DihedralElement.identity(p.n),)
+    exts = extensions(p) if p._code else (DihedralElement.identity(p.n),)
     if not exts or not getattr(flags := classify_order(p), _KIND_FLAG[kind]):
         raise MembershipError(f"{p} is not in {kind.upper()}_{p.n}")
     if kind == "mdi":
@@ -53,7 +55,8 @@ def _op_identity_word(n: int, missing, y=_Y) -> list[str]:
     with e letters and ``y``, the spelling of the shift; the two partial
     identities that are not generators factor through the shift: yx misses
     1, xy misses n.  The monotone set keeps the e_i with i <= (n + 1) / 2,
-    the reflection-closed half, and spells the others h e_(n-i+1) h."""
+    the reflection-closed half, and spells the others h e_(n-i+1) h.  Each
+    e letter is the one interned string of its name, so words share them."""
     half = (n + 1) // 2 if y is _MONOTONE_Y else n
     out: list[str] = []
     for pt in missing:
@@ -62,9 +65,9 @@ def _op_identity_word(n: int, missing, y=_Y) -> list[str]:
         elif pt == n:
             out += ["x"] + y
         elif pt <= half:
-            out.append(f"e{pt}")
+            out.append(intern(f"e{pt}"))
         else:
-            out += ["h", f"e{n - pt + 1}", "h"]
+            out += ["h", intern(f"e{n - pt + 1}"), "h"]
     return out
 
 
@@ -111,13 +114,14 @@ def _mdi_word(p: PartialPerm, exts, order_preserving: bool) -> list[str]:
 def _rot_identity_word(n: int, missing) -> list[str]:
     """The partial identity off ``missing`` over the rotation alphabet,
     via e_l = g^(n-l) e_n g^l.  Walking the missing points in descending
-    order telescopes the rotation letters to exactly n."""
+    order telescopes the rotation letters to exactly n; every e_n is one string."""
     pts = sorted(missing, reverse=True)
     if not pts:
         return []
-    out = ["g"] * (n - pts[0]) + [f"e{n}"]
+    e = [f"e{n}"]
+    out = ["g"] * (n - pts[0]) + e
     for prev, cur in zip(pts, pts[1:]):
-        out += ["g"] * (prev - cur) + [f"e{n}"]
+        out += ["g"] * (prev - cur) + e
     return out + ["g"] * pts[-1]
 
 

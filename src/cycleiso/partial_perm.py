@@ -2,13 +2,14 @@
 
 A partial permutation is an injective map from a subset of {1, ..., n}
 into {1, ..., n}.  An element holds its ambient size ``n`` and a code of
-the map, which equality, hashing, order and composition read, and derives
-its (point, image) ``pairs`` from the code at most once.  Up to n = 254
-the code is bytes: byte x - 1 is the image of point x, 0xFF marks no
-image, and trailing 0xFF are stripped.  Above, it is the pairs themselves,
-so a map on any cycle costs what its pairs cost.  ``dihedral.extensions``
-keeps its answer for a nonempty map on the element too; equality, hashing,
-order, repr and pickling never read that slot.
+the map, which equality, hashing, order, composition and every view read:
+the code is all the map holds.  Up to n = 254 it is bytes: byte x - 1 is
+the image of point x, 0xFF marks no image, and trailing 0xFF are stripped;
+``pairs``, ``domain`` and the text are decoded from it on each read.
+Above, it is the (point, image) pairs themselves, so a map on any cycle
+costs what its pairs cost.  ``classify_order`` and, for a nonempty map,
+``dihedral.extensions`` keep their answers on the element too; equality,
+hashing, order, repr and pickling never read those two slots.
 
 Codes sort as their pairs do, so ``(n, code)`` is the canonical order.
 For bytes: at the first point x where maps a and b differ, say a is
@@ -36,8 +37,8 @@ import io
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product
-from operator import getitem, gt, itemgetter, methodcaller
+from itertools import compress, count, product
+from operator import getitem, gt, itemgetter, lt, methodcaller
 
 from .errors import (
     AmbientMismatchError,
@@ -64,6 +65,7 @@ _TEXT = re.compile(
     r"n=([1-9]\d*);((?:[1-9]\d*>[1-9]\d*)(?:,[1-9]\d*>[1-9]\d*)*)?", re.ASCII
 )
 _MAX_BYTE_N = 254  # images 1..n leave the byte 0xFF free to mark a point without one
+_DEFINED = b"\xff" * 255 + b"\0"  # a byte code to its mask: 0xFF where a point has an image
 _set = object.__setattr__
 
 
@@ -107,6 +109,14 @@ def _kernel(n: int):
     return _KERNELS[n > _MAX_BYTE_N]
 
 
+def _byte_code(last: int, pairs) -> bytes:
+    """The byte code of ascending (point, image) pairs whose last point is ``last``."""
+    buf = bytearray(b"\xff") * last
+    for a, b in pairs:
+        buf[a - 1] = b
+    return bytes(buf)
+
+
 def _padded(n: int, code):
     """``code`` at the length that products of full-length codes keep: bytes padded to n."""
     return code.ljust(n, b"\xff") if n <= _MAX_BYTE_N else code
@@ -117,7 +127,7 @@ class PartialPerm:
     """An injective partial self-map of {1, ..., n} in canonical form, built from ``n``
     and the tuple of (point, image) pairs sorted by point."""
 
-    __slots__ = ("n", "_code", "_pairs", "_exts")
+    __slots__ = ("n", "_code", "_flags", "_exts")
     __match_args__ = ("n", "pairs")
     n: int
     _code: bytes | tuple
@@ -153,23 +163,12 @@ class PartialPerm:
     @classmethod
     def _trusted(cls, n: int, pairs) -> "PartialPerm":
         """Build from canonical pairs without validation, for results valid by construction."""
-        code = pairs
-        if n <= _MAX_BYTE_N:
-            buf = bytearray(b"\xff" * (pairs[-1][0] if pairs else 0))
-            for a, b in pairs:
-                buf[a - 1] = b
-            code = bytes(buf)
-        p = cls._wrap(n, code)
-        _set(p, "_pairs", pairs)
-        return p
+        code = pairs if n > _MAX_BYTE_N else _byte_code(pairs[-1][0] if pairs else 0, pairs)
+        return cls._wrap(n, code)
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        try:
-            return self._pairs
-        except AttributeError:  # a product's code, read once
-            _set(self, "_pairs", _kernel(self.n)[3](self._code))
-            return self._pairs
+        return _kernel(self.n)[3](self._code)
 
     def __reduce__(self):
         return PartialPerm, (self.n, self.pairs)
@@ -194,7 +193,8 @@ class PartialPerm:
 
     @classmethod
     def parse(cls, text: str) -> "PartialPerm":
-        """Parse the canonical text form.
+        """Parse the canonical text form.  A valid text on n <= 254 fills the byte code
+        straight from its numbers; any other goes through the checking constructor.
 
         >>> PartialPerm.parse("n=3;").rank
         0
@@ -204,15 +204,16 @@ class PartialPerm:
             raise ParseError(f"not an element in n=<n>;a>b,... form: {_shown(text)}")
         try:
             n = int(m.group(1))
-            pairs = ()
-            if m.group(2):
-                pairs = tuple(
-                    (int(a), int(b))
-                    for a, b in (item.split(">") for item in m.group(2).split(","))
-                )
+            nums = list(map(int, m.group(2).replace(">", ",").split(","))) if m.group(2) else []
         except ValueError:  # the pattern admits only digits, so too many of them
             raise ParseError("a number in the element text has too many digits to read") from None
-        return cls(n, pairs)
+        points, images = nums[::2], nums[1::2]
+        # the pattern admits only numbers >= 1, so these pass just when the constructor's do
+        if n <= _MAX_BYTE_N and (not nums or points[-1] <= n and max(images) <= n
+                                 and all(map(lt, points, points[1:]))
+                                 and len(set(images)) == len(images)):
+            return cls._wrap(n, _byte_code(points[-1] if nums else 0, zip(points, images)))
+        return cls(n, tuple(zip(points, images)))
 
     def to_json(self) -> dict:
         return {"n": self.n, "map": [[a, b] for a, b in self.pairs]}
@@ -239,20 +240,24 @@ class PartialPerm:
     @property
     def rank(self) -> int:
         """Number of points the map is defined on (= size of the image)."""
-        return len(self.pairs)
+        return len(self._code) - (self._code.count(0xFF) if self.n <= _MAX_BYTE_N else 0)
 
     @property
     def domain(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.pairs)
+        if self.n <= _MAX_BYTE_N:
+            return tuple(compress(count(1), self._code.translate(_DEFINED)))
+        return tuple(a for a, _ in self._code)
 
     @property
     def values(self) -> tuple[int, ...]:
         """Images read along the ascending domain."""
-        return tuple(b for _, b in self.pairs)
+        if self.n <= _MAX_BYTE_N:
+            return tuple(self._code.replace(b"\xff", b""))
+        return tuple(b for _, b in self._code)
 
     @property
     def image(self) -> tuple[int, ...]:
-        return tuple(sorted(b for _, b in self.pairs))
+        return tuple(sorted(self.values))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.pairs)
@@ -284,7 +289,10 @@ class PartialPerm:
         return PartialPerm._trusted(self.n, tuple(p for p in self.pairs if p[0] in keep))
 
     def __str__(self) -> str:
-        return f"n={self.n};" + ",".join(f"{a}>{b}" for a, b in self.pairs)
+        if self.n > _MAX_BYTE_N:
+            return f"n={self.n};" + ",".join([f"{a}>{b}" for a, b in self._code])
+        pairs = [f"{a}>{b}" for a, b in enumerate(self._code, 1) if b != 0xFF]
+        return f"n={self.n};" + ",".join(pairs)
 
 
 def _render(n: int, codes, cell: str, head: str, tail: str) -> bytes:
@@ -358,7 +366,7 @@ def classify_order(p: PartialPerm) -> OrderFlags:
     The sequence is orientation-preserving when it is cyclic (at most one
     descent, read cyclically) and orientation-reversing when it is
     anti-cyclic (at most one ascent).  Equal answers are one shared object,
-    one of the 16 flag combinations built at import.
+    one of the 16 flag combinations built at import, which the map keeps.
 
     >>> classify_order(PartialPerm.parse("n=5;2>5,3>3,4>2,5>1")).order_reversing
     True
@@ -366,10 +374,15 @@ def classify_order(p: PartialPerm) -> OrderFlags:
     >>> (f.order_preserving, f.orientation_preserving)
     (False, True)
     """
+    flags = getattr(p, "_flags", None)
+    if flags is not None:
+        return flags
     v = p._code.replace(b"\xff", b"") if p.n <= _MAX_BYTE_N else p.values
     t = len(v)
     if t <= 1:
-        return _FLAGS[True, True, True, True]
-    # the values are distinct, so the t - d steps that are not cyclic descents ascend
-    d = sum(map(gt, v, v[1:] + v[:1]))
-    return _FLAGS[d == 1 and v[-1] > v[0], d == t - 1 and v[-1] < v[0], d <= 1, d >= t - 1]
+        flags = _FLAGS[True, True, True, True]
+    else:  # the values are distinct, so the t - d steps that are not cyclic descents ascend
+        d = sum(map(gt, v, v[1:] + v[:1]))
+        flags = _FLAGS[d == 1 and v[-1] > v[0], d == t - 1 and v[-1] < v[0], d <= 1, d >= t - 1]
+    _set(p, "_flags", flags)
+    return flags

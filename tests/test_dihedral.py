@@ -1,4 +1,5 @@
 import copy
+import importlib
 import pickle
 import random
 from dataclasses import FrozenInstanceError
@@ -13,6 +14,7 @@ from cycleiso import (
     DihedralElement,
     DomainError,
     KINDS,
+    MembershipReport,
     OrderFlags,
     ParseError,
     PartialPerm,
@@ -412,6 +414,34 @@ def test_a_second_extensions_call_reads_the_kept_answer(case):
             # the answer is the element's own: a copy or an unpickled map works it out anew
             assert not hasattr(copy.copy(q), "_exts")
             assert not hasattr(pickle.loads(pickle.dumps(q)), "_exts")
+
+
+@pytest.mark.parametrize("case", _MEMO_CASES, ids=lambda c: f"{c[0]}-{c[1]}")
+def test_a_second_classify_order_call_reads_the_kept_flags(case, monkeypatch):
+    maps = [q for p in _code_draws(case) for q in _fresh(p)]
+    others = [*maps[1:], maps[0]]
+    before = [_observed(q, other) for q, other in zip(maps, others)]
+    first = [classify_order(q) for q in maps]
+    assert [_observed(q, other) for q, other in zip(maps, others)] == before
+    # with no flags left to look up, only a kept answer can come back
+    monkeypatch.setattr(importlib.import_module("cycleiso.partial_perm"), "_FLAGS", {})
+    assert all(classify_order(q) is f for q, f in zip(maps, first))
+    # the flags are the element's own: a copy or an unpickled map works them out anew
+    q = maps[-1]
+    assert not hasattr(copy.copy(q), "_flags")
+    assert not hasattr(pickle.loads(pickle.dumps(q)), "_flags")
+
+
+def test_membership_reports_hold_no_dict_and_round_trip():
+    for text in ("n=5;1>3,2>4,3>5,5>2", "n=5;1>1,2>3", "n=6;1>1,4>4", "n=4;"):
+        report = classify(PartialPerm.parse(text))
+        assert not hasattr(report, "__dict__")
+        copies = [pickle.loads(pickle.dumps(report, proto))
+                  for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in copies + [copy.copy(report), copy.deepcopy(report)]:
+            assert type(back) is MembershipReport and back == report
+        with pytest.raises(FrozenInstanceError):
+            report.in_di = not report.in_di
 
 
 def _empty_maps(n):

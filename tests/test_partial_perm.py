@@ -1,15 +1,22 @@
+import gc
+import pickle
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from cycleiso import (
     KINDS,
     AmbientMismatchError,
+    CycleIsoError,
     DihedralElement,
     DomainError,
     NotInjectiveError,
     OrderFlags,
     ParseError,
     PartialPerm,
+    all_elements,
     classify_order,
     delta,
     empty_map,
@@ -76,6 +83,58 @@ def test_parse_rejects_unsorted_or_repeated_domains():
 def test_repeated_image_point_is_rejected():
     with pytest.raises(NotInjectiveError):
         PartialPerm.parse("n=5;1>2,3>2")
+
+
+@st.composite
+def _pair_texts(draw):
+    """n and a list of pairs of numbers up to n + 2, ascending in the point or not, often
+    with a repeated image, on small cycles and around the last byte-code size."""
+    n = draw(st.integers(1, 40) | st.integers(253, 255))
+    number = st.integers(1, n + 2) | st.sampled_from((1, n, n + 1))
+    pairs = draw(st.lists(st.tuples(number, number), max_size=8))
+    if pairs and draw(st.booleans()):
+        pairs.append((draw(number), draw(st.sampled_from(pairs))[1]))
+    if draw(st.booleans()):
+        pairs.sort()
+    return n, pairs
+
+
+@given(_pair_texts())
+@example((254, [(1, 254), (254, 1)]))
+@example((254, [(1, 255)]))
+@example((254, [(255, 1)]))
+@example((254, [(2, 1), (1, 2)]))
+@example((254, [(1, 5), (2, 5)]))
+@example((254, [(1, 1), (1, 2)]))
+@example((255, [(1, 255), (255, 1)]))
+@example((255, [(1, 256)]))
+@example((1, []))
+def test_parse_agrees_with_the_checking_constructor(case):
+    n, pairs = case
+    text = f"n={n};" + ",".join(f"{a}>{b}" for a, b in pairs)
+    try:
+        want = PartialPerm(n, tuple(pairs))
+    except CycleIsoError as refused:
+        with pytest.raises(CycleIsoError) as got:
+            PartialPerm.parse(text)
+        assert (type(got.value), str(got.value)) == (type(refused), str(refused))
+    else:
+        got = PartialPerm.parse(text)
+        assert got == want and got._code == want._code and str(got) == text
+
+
+def test_parse_of_a_valid_byte_code_text_skips_the_checking_constructor(monkeypatch):
+    texts = ["n=1;", "n=1;1>1", "n=5;2>1,4>3,5>4", "n=254;", "n=254;1>254,254>1",
+             "n=254;253>254", " n=12;3>11,10>2 "]
+    want = [PartialPerm(p.n, p.pairs) for p in map(PartialPerm.parse, texts)]
+
+    def refuse(cls, *args):
+        raise AssertionError("parse went through the checking constructor")
+
+    monkeypatch.setattr(PartialPerm, "__new__", refuse)
+    assert [PartialPerm.parse(t) for t in texts] == want
+    with pytest.raises(AssertionError):
+        PartialPerm.parse("n=255;1>1")  # a pair code is built by the constructor
 
 
 def test_from_map_sorts_by_point():
@@ -279,6 +338,53 @@ def test_every_operation_agrees_with_the_pairs(abc):
 
 def _sign(x, y) -> int:
     return (x > y) - (x < y)
+
+
+class _PickledPairs:
+    """Pickles as a map whose ``__reduce__`` reads the given pairs."""
+
+    def __init__(self, n, pairs):
+        self.args = n, pairs
+
+    def __reduce__(self):
+        return PartialPerm, self.args
+
+
+def _view_pairs(n):
+    """Canonical pairs, built without a map: every di map at n <= 7, each symmetry cut to
+    each point set; above, the full identity, the corner swap and seeded random maps."""
+    points = range(1, n + 1)
+    if n <= 7:
+        return {tuple((a, s.apply(a)) for a in dom) for s in all_elements(n)
+                for k in range(n + 1) for dom in combinations(points, k)}
+    rng = random.Random(n)
+    out = [tuple((a, a) for a in points), ((1, n), (n, 1)), ((n, n),), ()]
+    for _ in range(300):
+        dom = sorted({*rng.sample(points, rng.randint(1, 12)), rng.choice((1, n))})
+        out.append(tuple(zip(dom, rng.sample(points, len(dom)))))
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(3, 8), 254, 255])
+def test_views_read_from_the_code_match_the_pair_formulas(n):
+    for pairs in _view_pairs(n):
+        text = f"n={n};" + ",".join(f"{a}>{b}" for a, b in pairs)
+        built = PartialPerm(n, pairs)
+        for p in (PartialPerm.parse(text), built, built * identity(n)):
+            assert p.pairs == pairs
+            assert p.rank == len(pairs)
+            assert p.domain == tuple(a for a, _ in pairs)
+            assert p.values == tuple(b for _, b in pairs)
+            assert p.image == tuple(sorted(b for _, b in pairs))
+            assert str(p) == text
+            assert p.as_dict() == dict(pairs)
+            assert p.to_json() == {"n": n, "map": [[a, b] for a, b in pairs]}
+            assert repr(p) == f"PartialPerm(n={n!r}, pairs={pairs!r})"
+            for proto in (2, pickle.HIGHEST_PROTOCOL):
+                assert pickle.dumps(p, proto) == pickle.dumps(_PickledPairs(n, pairs), proto)
+            # the views above left nothing on the map: up to 254 it holds n and its bytes
+            if n <= 254:
+                assert not any(isinstance(r, tuple) for r in gc.get_referents(p)), p
 
 
 _HUGE_CYCLE_IN_A_CAPPED_CHILD = """
