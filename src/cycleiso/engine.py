@@ -12,6 +12,7 @@ import gzip
 import io
 import json
 import zlib
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -49,14 +50,15 @@ __all__ = [
 class EnumeratedMonoid:
     """A canonically sorted element set on one cycle, optionally with generator words.
 
-    The set is held as its sorted stripped codes, which size, membership and export read;
-    ``elements`` wraps them on first read.  ``EnumeratedMonoid(n, elements)`` sorts the
-    elements in the canonical ``(n, pairs)`` order and refuses one on another n; its
-    ``generators`` are ``()`` and its ``words`` ``{}``.  ``close`` builds its result itself,
-    with its generators and its search table of (parent code, letter) per search code.
-    ``words``, built from that table on first read, maps the elements in order to the
-    shortest words the search found, as tuples of indices into ``generators``.  Membership
-    reads the table's keys, or a frozenset of the padded codes: one code-keyed index.
+    The set is held as its codes padded to n, in element order, which size, membership and
+    export read; ``elements`` strips and wraps them on first read.  ``EnumeratedMonoid(n,
+    elements)`` sorts the elements canonically and refuses one on another n; its
+    ``generators`` are ``()`` and its table, letters and ``words`` empty.  ``close`` builds
+    its result itself, with its generators, its search table of parent code per code and an
+    array of each entry's letter, in table order.  ``words``, built from the two on first
+    read, maps the elements in order to the shortest words the search found, as tuples of
+    indices into ``generators``.  Membership reads the table's keys, or a frozenset of the
+    padded codes: one code-keyed index.
     """
 
     def __init__(self, n, elements):
@@ -64,20 +66,20 @@ class EnumeratedMonoid:
         for p in self.elements:
             if p.n != n:
                 raise AmbientMismatchError(f"element {p} does not live on n={n}")
-        self.n, self.generators, self._parents = n, (), {}
-        self._codes = tuple(p._code for p in self.elements)
-        self._index = frozenset(_padded(n, c) for c in self._codes)
+        self.n, self.generators, self._parents, self._letters = n, (), {}, array("i")
+        self._codes = tuple(_padded(n, p._code) for p in self.elements)
+        self._index = frozenset(self._codes)
 
     @cached_property
     def elements(self) -> tuple[PartialPerm, ...]:
-        return tuple(PartialPerm._wrap(self.n, c) for c in self._codes)
+        return tuple(PartialPerm._wrap(self.n, c) for c in map(_kernel(self.n)[1], self._codes))
 
     @cached_property
     def words(self) -> dict:
         words = {}  # by code; the table lists every parent before its children
-        for code, link in self._parents.items():
-            words[code] = () if link is None else words[link[0]] + (link[1],)
-        return {p: words[_padded(self.n, p._code)] for p in self.elements} if words else {}
+        for (code, parent), letter in zip(self._parents.items(), self._letters):
+            words[code] = () if parent is None else words[parent] + (letter,)
+        return dict(zip(self.elements, map(words.__getitem__, self._codes))) if words else {}
 
     @property
     def size(self) -> int:
@@ -102,13 +104,14 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     ``p * g`` is one ``bytes.translate``.  Each layer is visited in canonical order, each
     element against the generators in index order, and the first product found (shortest
     layer, then generator index) is kept with its parent and letter, as Froidure and Pin
-    store it.  A product already found is not formed: a repeated letter, nor u * b where
-    u's word ends in a letter a with a * b the identity or a letter, since u * b is then
-    u's parent times a * b, found the layer before; so the table is the full search's.  The
-    search makes no reference cycles, so the cyclic collector is paused for it.  The result
-    skips the constructor: it holds one sort of the stripped codes, and the search table
-    as its parent table and its index.  ``n`` must be an int in 1..10**4300 - 1,
-    ``workers`` a positive int.
+    store it: the table maps it to its parent's code, and its letter goes into one array.
+    A product already found is not formed: a repeated letter, nor u * b where u's word
+    ends in a letter a with a * b the identity or a letter, since u * b is then u's parent
+    times a * b, found the layer before; so the table is the full search's.  The search
+    makes no reference cycles, so the cyclic collector is paused for it.  The result skips
+    the constructor: it holds the table's keys sorted as elements, and the table as its
+    parent table and its index.  ``n`` must be an int in 1..10**4300 - 1, ``workers`` a
+    positive int.
     """
     _check_size(n)
     gens = tuple(generators)
@@ -121,29 +124,32 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     tables = [table(g._code) for g in gens]
     layer = [identity(n)._code]
     found = {layer[0]: None}
-    letters = dict(found)  # the identity, then each distinct letter's search code: first index
+    last = array("i", [-1])  # each found code's last letter, in table order; the identity's -1
+    letters = {layer[0]: -1}  # the identity, then each distinct letter's search code: first index
     for gi, t in enumerate(tables):
         letters.setdefault(mul(layer[0], t), gi)
-    every = [(gi, tables[gi]) for gi in letters.values() if gi is not None]
+    every = [(gi, tables[gi]) for gi in letters.values() if gi >= 0]
     after = {a: [(b, t) for b, t in every if mul(c, t) not in letters] for c, a in letters.items()}
-    after[None] = every  # the letters a word with no last letter is multiplied by
+    after[-1] = every  # the letters a word with no last letter is multiplied by
     gc_was_on = gc.isenabled()
     gc.disable()
     try:
         while layer:
-            layer.sort(key=strip)
+            # the layer is the table's tail: visit it in stripped order, with its last letters
+            ends, keys = last[-len(layer):], list(map(strip, layer))
             fresh = []
-            for code in layer:
-                link = found[code]
-                for gi, t in after[link and link[1]]:
+            for i in sorted(range(len(layer)), key=keys.__getitem__):
+                code = layer[i]
+                for gi, t in after[ends[i]]:
                     prod = mul(code, t)
                     if prod not in found:
-                        found[prod] = (code, gi)
+                        found[prod] = code
+                        last.append(gi)
                         fresh.append(prod)
             layer = fresh
         m = object.__new__(EnumeratedMonoid)
-        m._codes = tuple(sorted(map(strip, found)))
-        m.n, m.generators, m._parents, m._index = n, gens, found, found
+        m._codes = tuple(sorted(found, key=strip))
+        m.n, m.generators, m._parents, m._letters, m._index = n, gens, found, last, found
         return m
     finally:
         if gc_was_on:
@@ -164,12 +170,12 @@ class GreenDecomposition:
     d_classes: tuple[tuple[PartialPerm, ...], ...]
 
 
-def _grouped(elements, key) -> tuple[tuple[PartialPerm, ...], ...]:
-    # elements come in canonical order, so each group is built sorted and
-    # the groups arrive ordered by their least member
+def _grouped(elements, keys) -> tuple[tuple[PartialPerm, ...], ...]:
+    # elements come in canonical order, each with its key, so each group is
+    # built sorted and the groups arrive ordered by their least member
     groups = defaultdict(list)
-    for p in elements:
-        groups[key(p)].append(p)
+    for p, key in zip(elements, keys):
+        groups[key].append(p)
     return tuple(map(tuple, groups.values()))
 
 
@@ -181,16 +187,16 @@ def green_structural(m: EnumeratedMonoid) -> GreenDecomposition:
     q is D-related to p exactly when some member maps p's domain onto q's
     image, so the least image reached from a domain names its D-class.
     """
-    reach = defaultdict(set)
-    for p in m.elements:
+    keys, reach = [(p.domain, p.image) for p in m.elements], defaultdict(set)
+    for p, (domain, image) in zip(m.elements, keys):
         if p.inverse() not in m:
             raise NotInverseClosedError(f"inverse of {p} is missing from the set")
-        reach[p.domain].add(p.image)
+        reach[domain].add(image)
     return GreenDecomposition(
-        l_classes=_grouped(m.elements, lambda p: p.image),
-        r_classes=_grouped(m.elements, lambda p: p.domain),
-        h_classes=_grouped(m.elements, lambda p: (p.domain, p.image)),
-        d_classes=_grouped(m.elements, lambda p: min(reach[p.domain])),
+        l_classes=_grouped(m.elements, (image for _, image in keys)),
+        r_classes=_grouped(m.elements, (domain for domain, _ in keys)),
+        h_classes=_grouped(m.elements, keys),
+        d_classes=_grouped(m.elements, (min(reach[domain]) for domain, _ in keys)),
     )
 
 
@@ -236,7 +242,7 @@ def j_partition(m: EnumeratedMonoid, kind: str) -> tuple[tuple[PartialPerm, ...]
     """Partition of the element set induced by ``j_related``: the members
     grouped by their J key, classes ordered by their least member."""
     check_kind(kind)
-    return _grouped(m.elements, lambda p: _j_key(p, kind))
+    return _grouped(m.elements, (_j_key(p, kind) for p in m.elements))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Closure, Green's relations, and element-set serialization."""
 
+import copy
 import gc
 import gzip
 import json
@@ -185,9 +186,16 @@ def _search_table(n, gens):
     return list(found.items())
 
 
+def _links(m):
+    """A closure's search table as (code, (parent code, letter)) entries, the identity's
+    link None: its parent codes zipped with its letter array."""
+    return [(code, None if parent is None else (parent, letter))
+            for (code, parent), letter in zip(m._parents.items(), m._letters, strict=True)]
+
+
 def _assert_table_is_the_full_search(n, gens):
     # the same codes, in the same order, with the same (parent, letter) links
-    assert list(close(n, gens)._parents.items()) == _search_table(n, gens)
+    assert _links(close(n, gens)) == _search_table(n, gens)
 
 
 @pytest.mark.parametrize("kind", ["odi", "mdi", "opdi", "di"])
@@ -221,6 +229,55 @@ def test_wide_table_of_repeating_letters_is_the_full_search(case):
     _assert_table_is_the_full_search(*case)
 
 
+def _search_words(n, gens):
+    """Each element's word, read off ``_search_table``'s links."""
+    words = {}
+    for code, link in _search_table(n, gens):
+        words[code] = () if link is None else words[link[0]] + (link[1],)
+    return {PartialPerm(n, _kernel(n)[3](code)): word for code, word in words.items()}
+
+
+def _assert_the_table_layout(n, gens):
+    # one parent code per search code, the identity's None; one letter per element; the
+    # sorted codes are the table's own key objects; the words are the full search's
+    m = close(n, gens)
+    table = m._parents
+    assert [code for code, parent in table.items() if parent is None] == [identity(n)._code]
+    assert all(parent is None or parent in table for parent in table.values())
+    assert len(m._letters) == m.size == len(table)
+    keys = {id(code) for code in table}
+    assert len(m._codes) == m.size and all(id(code) in keys for code in m._codes)
+    assert m.words == _search_words(n, gens)
+    assert list(m.words) == list(m.elements)
+    for back in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert (back.elements, back.words, back._letters) == (m.elements, m.words, m._letters)
+        assert all(p in back for p in m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_repeating_generator_sets(_generator_sets()))
+def test_closure_table_layout(case):
+    _assert_the_table_layout(*case)
+
+
+@settings(max_examples=20, deadline=None)
+@given(_repeating_generator_sets(_wide_generator_sets()))
+def test_wide_closure_table_layout(case):
+    _assert_the_table_layout(*case)
+
+
+@pytest.mark.parametrize("n", [254, 255])
+def test_byte_boundary_table_layout(n):
+    _assert_the_table_layout(n, _byte_boundary_generators(n))
+
+
+def test_letters_past_a_byte_keep_their_index():
+    # the letter array holds generator indices of any size, not bytes
+    gens = [identity(4)] * 300 + list(standard_generators("mdi", 4).elements)
+    _assert_the_table_layout(4, gens)
+    assert max(close(4, gens)._letters) == len(gens) - 1
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_closure_leaves_the_collector_as_it_found_it(enabled):
     was_enabled = gc.isenabled()
@@ -245,6 +302,7 @@ def test_enumerated_monoid_basics():
     assert identity(4) in m
     assert PartialPerm.parse("n=4;1>1,2>3") not in m
     assert (m.generators, m.words) == ((), {})
+    assert (m._parents, len(m._letters)) == ({}, 0)
     with pytest.raises(AmbientMismatchError):
         EnumeratedMonoid(5, elems)
     # no argument can skip the sort or the n check; only close builds a monoid without them
