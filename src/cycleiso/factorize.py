@@ -10,15 +10,19 @@ spelled directly over the rotation alphabet.
 Word lengths stay linear in n: partial identities cost one or two letters
 per missing point in the order-preserving alphabet, and the rotation
 alphabet spells them with exactly n rotation letters total by walking the
-missing points once in descending order.
+points once in descending order.  Both read the missing points off one
+0/1 mask of the map, and the letters come from tables, not from text built
+per point.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import chain, compress
 from sys import intern
 
 from .errors import MembershipError
-from .partial_perm import PartialPerm, classify_order
+from .partial_perm import _MAX_BYTE_N, PartialPerm, _padded, classify_order
 # classify is unused here but stays importable: bench/jobs.py's tracer patches it by name
 from .dihedral import _KIND_FLAG, DihedralElement, _symmetry, check_kind, classify, extensions
 
@@ -44,31 +48,30 @@ def factorize(p: PartialPerm, kind: str) -> tuple[str, ...]:
     return tuple({"odi": _odi_word, "opdi": _opdi_word}[kind](p, exts[0]))
 
 
-def _missing(n: int, domain) -> list[int]:
-    """The points of 1..n outside ``domain``, ascending, in one pass over 1..n."""
-    have = set(domain)
-    return [x for x in range(1, n + 1) if x not in have]
+_UNDEFINED = bytes(255) + b"\1"  # a byte code to its missing mask: 1 where a point has no image
 
 
-def _op_identity_word(n: int, missing, y=_Y) -> list[str]:
-    """The partial identity off the ascending points ``missing``, spelled
-    with e letters and ``y``, the spelling of the shift; the two partial
-    identities that are not generators factor through the shift: yx misses
-    1, xy misses n.  The monotone set keeps the e_i with i <= (n + 1) / 2,
-    the reflection-closed half, and spells the others h e_(n-i+1) h.  Each
-    e letter is the one interned string of its name, so words share them."""
-    half = (n + 1) // 2 if y is _MONOTONE_Y else n
-    out: list[str] = []
-    for pt in missing:
-        if pt == 1:
-            out += y + ["x"]
-        elif pt == n:
-            out += ["x"] + y
-        elif pt <= half:
-            out.append(intern(f"e{pt}"))
-        else:
-            out += ["h", intern(f"e{n - pt + 1}"), "h"]
-    return out
+def _missing_mask(p: PartialPerm):
+    """Byte x - 1 is 1 when point x has no image under p, else 0."""
+    if p.n <= _MAX_BYTE_N:
+        return _padded(p.n, p._code).translate(_UNDEFINED)
+    have = set(p.domain)
+    return bytes(x not in have for x in range(1, p.n + 1))
+
+
+@lru_cache(maxsize=8)  # a table is as long as the longest word it spells, so keep a few
+def _op_letters(n: int, monotone: bool) -> tuple[tuple[str, ...], ...]:
+    """Entry x - 1 spells the partial identity off point x, with e letters
+    and the shift y (h x h when ``monotone``); the two partial identities
+    that are not generators factor through the shift: yx misses 1, xy misses
+    n.  The monotone set keeps the e_i with i <= (n + 1) / 2, the
+    reflection-closed half, and spells the others h e_(n-i+1) h.  Each e
+    letter is the one interned string of its name, so words share them."""
+    y = tuple(_MONOTONE_Y if monotone else _Y)
+    half = (n + 1) // 2 if monotone else n
+    inner = ((intern(f"e{x}"),) if x <= half else ("h", intern(f"e{n - x + 1}"), "h")
+             for x in range(2, n))
+    return ((*y, "x"), *inner, ("x", *y))
 
 
 def _rank2_reflection_word(n: int, k: int, i: int, j: int, y=_Y) -> list[str]:
@@ -90,7 +93,7 @@ def _odi_word(p: PartialPerm, sigma: DihedralElement, y=_Y) -> list[str]:
     """Order-preserving word for the preferred extension ``sigma`` cut to p's domain."""
     n, dom = p.n, p.domain
     if sigma.j == 0:
-        word = _op_identity_word(n, _missing(n, dom), y)
+        word = [*chain.from_iterable(compress(_op_letters(n, y is _MONOTONE_Y), _missing_mask(p)))]
         t = sigma.k
         # an order-preserving rotation piece fits one of the two arcs
         if not dom or dom[-1] <= n - t:
@@ -111,24 +114,14 @@ def _mdi_word(p: PartialPerm, exts, order_preserving: bool) -> list[str]:
     return _odi_word(p, min(s * h for s in exts), _MONOTONE_Y) + ["h"]
 
 
-def _rot_identity_word(n: int, missing) -> list[str]:
-    """The partial identity off ``missing`` over the rotation alphabet,
-    via e_l = g^(n-l) e_n g^l.  Walking the missing points in descending
-    order telescopes the rotation letters to exactly n; every e_n is one string."""
-    pts = sorted(missing, reverse=True)
-    if not pts:
-        return []
-    e = [f"e{n}"]
-    out = ["g"] * (n - pts[0]) + e
-    for prev, cur in zip(pts, pts[1:]):
-        out += ["g"] * (prev - cur) + e
-    return out + ["g"] * pts[-1]
-
-
 def _opdi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
-    n = p.n
+    n, e = p.n, intern(f"e{p.n}")
     if sigma.j == 0:
-        return _rot_identity_word(n, _missing(n, p.domain)) + ["g"] * sigma.k
+        # the partial identity, via e_l = g^(n-l) e_n g^l: walking the points from n
+        # down to 1, each adds g and a missing one e_n before it, so the g telescope to n
+        missing = _missing_mask(p)
+        cells = map((("g",), (e, "g")).__getitem__, missing[::-1]) if 1 in missing else ()
+        return [*chain.from_iterable(cells)] + ["g"] * sigma.k
     # a reflection-only extension forces rank 2; g^k followed by the piece
     # beta = g^(-k) p is p, and the least k making beta order-preserving
     # is 0 or the shift carrying j past n to 1, which moves i to i + k
@@ -137,13 +130,14 @@ def _opdi_word(p: PartialPerm, sigma: DihedralElement) -> list[str]:
     tau = DihedralElement.rotation(n, -k) * sigma
     lo, hi = (i, j) if k == 0 else (1, i + k)
     # beta is _rank2_reflection_word's y^(lo-1) jump x^(tau.k-lo), spelled
-    # with y^a = (identity off 1..a) g^(n-a), y_l = g^l x_l g^l, x = e_n g
+    # with y^a = (identity off 1..a) g^(n-a), y_l = g^l x_l g^l, x = e_n g;
+    # the identity off 1..a is g^(n-a) (e_n g)^a
     word = ["g"] * k
     if lo > 1:
-        word += _rot_identity_word(n, range(1, lo)) + ["g"] * (n - lo + 1)
+        word += ["g"] * (n - lo + 1) + [e, "g"] * (lo - 1) + ["g"] * (n - lo + 1)
     gap = hi - lo
     if gap <= (n - 1) // 2:
         word.append(f"x{gap}")
     else:
         word += ["g"] * (n - gap) + [f"x{n - gap}"] + ["g"] * (n - gap)
-    return word + [f"e{n}", "g"] * (tau.k - lo)
+    return word + [e, "g"] * (tau.k - lo)

@@ -8,8 +8,10 @@ the image of point x, 0xFF marks no image, and trailing 0xFF are stripped;
 ``pairs``, ``domain`` and the text are decoded from it on each read.
 Above, it is the (point, image) pairs themselves, so a map on any cycle
 costs what its pairs cost.  ``classify_order`` and, for a nonempty map,
-``dihedral.extensions`` keep their answers on the element too; equality,
-hashing, order, repr and pickling never read those two slots.
+``dihedral.extensions`` keep their answers on the element too, and
+``parse`` keeps the canonical text it read, which ``str`` hands back; every
+other map prints from its code.  Equality, hashing, order, repr and
+pickling never read those three slots.
 
 Codes sort as their pairs do, so ``(n, code)`` is the canonical order.
 For bytes: at the first point x where maps a and b differ, say a is
@@ -127,7 +129,7 @@ class PartialPerm:
     """An injective partial self-map of {1, ..., n} in canonical form, built from ``n``
     and the tuple of (point, image) pairs sorted by point."""
 
-    __slots__ = ("n", "_code", "_flags", "_exts")
+    __slots__ = ("n", "_code", "_flags", "_exts", "_text")
     __match_args__ = ("n", "pairs")
     n: int
     _code: bytes | tuple
@@ -212,8 +214,11 @@ class PartialPerm:
         if n <= _MAX_BYTE_N and (not nums or points[-1] <= n and max(images) <= n
                                  and all(map(lt, points, points[1:]))
                                  and len(set(images)) == len(images)):
-            return cls._wrap(n, _byte_code(points[-1] if nums else 0, zip(points, images)))
-        return cls(n, tuple(zip(points, images)))
+            p = cls._wrap(n, _byte_code(points[-1] if nums else 0, zip(points, images)))
+        else:
+            p = cls(n, tuple(zip(points, images)))
+        _set(p, "_text", m.string)  # the stripped text, canonical once accepted
+        return p
 
     def to_json(self) -> dict:
         return {"n": self.n, "map": [[a, b] for a, b in self.pairs]}
@@ -289,6 +294,9 @@ class PartialPerm:
         return PartialPerm._trusted(self.n, tuple(p for p in self.pairs if p[0] in keep))
 
     def __str__(self) -> str:
+        text = getattr(self, "_text", None)
+        if text is not None:
+            return text
         if self.n > _MAX_BYTE_N:
             return f"n={self.n};" + ",".join([f"{a}>{b}" for a, b in self._code])
         pairs = [f"{a}>{b}" for a, b in enumerate(self._code, 1) if b != 0xFF]

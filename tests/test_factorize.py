@@ -1,5 +1,6 @@
 import importlib
 import random
+from sys import intern
 
 import pytest
 
@@ -14,15 +15,17 @@ from cycleiso import (
     factorize,
     identity,
     identity_off,
+    identity_on,
     standard_generators,
     to_partial_perm,
 )
 from cycleiso.brute_force import kind_elements
 from cycleiso.factorize import (
+    _MONOTONE_Y,
+    _Y,
     _mdi_word,
-    _missing,
+    _missing_mask,
     _odi_word,
-    _op_identity_word,
     _opdi_word,
     _rank2_reflection_word,
 )
@@ -135,19 +138,126 @@ for n in (301, 3000):
     assert lines == ["900 h True", "8998 h True"]
 
 
-def _old_odi_word(p, sigma):
+# The partial identities spelled point by point, as factorize did before it read them off
+# a mask through letter tables: the oracles for _missing_mask, _op_identity_word and
+# _rot_identity_word.
+
+def _missing(n, domain):
+    """The points of 1..n outside ``domain``, ascending, in one pass over 1..n."""
+    have = set(domain)
+    return [x for x in range(1, n + 1) if x not in have]
+
+
+def _point_op_identity_word(n, missing, y=_Y):
+    """The partial identity off the ascending points ``missing``, spelled with e letters
+    and ``y``, the spelling of the shift; yx misses 1, xy misses n, and the monotone set
+    spells e_i past (n + 1) / 2 as h e_(n-i+1) h."""
+    half = (n + 1) // 2 if y is _MONOTONE_Y else n
+    out = []
+    for pt in missing:
+        if pt == 1:
+            out += y + ["x"]
+        elif pt == n:
+            out += ["x"] + y
+        elif pt <= half:
+            out.append(intern(f"e{pt}"))
+        else:
+            out += ["h", intern(f"e{n - pt + 1}"), "h"]
+    return out
+
+
+def _point_rot_identity_word(n, missing):
+    """The partial identity off ``missing`` over the rotation alphabet, via
+    e_l = g^(n-l) e_n g^l, walking the missing points in descending order."""
+    pts = sorted(missing, reverse=True)
+    if not pts:
+        return []
+    e = [f"e{n}"]
+    out = ["g"] * (n - pts[0]) + e
+    for prev, cur in zip(pts, pts[1:]):
+        out += ["g"] * (prev - cur) + e
+    return out + ["g"] * pts[-1]
+
+
+def _old_odi_word(p, sigma, y=_Y):
     # _odi_word before it read the missing points and the arc off the sorted domain
     n = p.n
     if sigma.j == 0:
-        missing = set(range(1, n + 1)) - set(p.domain)
-        word = _op_identity_word(n, sorted(missing))
+        word = _point_op_identity_word(n, _missing(n, p.domain), y)
         t = sigma.k
         if all(a <= n - t for a in p.domain):
             return word + ["x"] * t
         assert all(a >= n - t + 1 for a in p.domain)
-        return word + ["y"] * (n - t)
+        return word + y * (n - t)
     i, j = p.domain
-    return _rank2_reflection_word(n, sigma.k, i, j)
+    return _rank2_reflection_word(n, sigma.k, i, j, y)
+
+
+def _old_opdi_word(p, sigma):
+    # _opdi_word with its partial identities spelled point by point
+    n = p.n
+    if sigma.j == 0:
+        return _point_rot_identity_word(n, _missing(n, p.domain)) + ["g"] * sigma.k
+    (i, a), (j, b) = p.pairs
+    k = 0 if a < b else n - j + 1
+    tau = DihedralElement.rotation(n, -k) * sigma
+    lo, hi = (i, j) if k == 0 else (1, i + k)
+    word = ["g"] * k
+    if lo > 1:
+        word += _point_rot_identity_word(n, range(1, lo)) + ["g"] * (n - lo + 1)
+    gap = hi - lo
+    if gap <= (n - 1) // 2:
+        word.append(f"x{gap}")
+    else:
+        word += ["g"] * (n - gap) + [f"x{n - gap}"] + ["g"] * (n - gap)
+    return word + [f"e{n}", "g"] * (tau.k - lo)
+
+
+def _point_word(p, kind):
+    """factorize's word with every partial identity spelled point by point."""
+    n = p.n
+    exts = extensions(p) if p.pairs else (DihedralElement.identity(n),)
+    if kind == "odi":
+        return tuple(_old_odi_word(p, exts[0]))
+    if kind == "opdi":
+        return tuple(_old_opdi_word(p, exts[0]))
+    if classify_order(p).order_preserving:
+        return tuple(_old_odi_word(p, exts[0], _MONOTONE_Y))
+    h = DihedralElement.reflection(n, 0)
+    return tuple(_old_odi_word(p, min(s * h for s in exts), _MONOTONE_Y) + ["h"])
+
+
+def _random_members(kind, n, rng, count=24):
+    """Members of the kind on n points: symmetries cut to two points, which gives the
+    rank-2 reflection pieces, to any points, or to one arc of a rotation."""
+    out = []
+    while len(out) < count:
+        j, k = rng.randrange(2), rng.randrange(n)
+        pool = rng.choice((range(1, n + 1), range(1, n - k + 1), range(n - k + 1, n + 1)))
+        size = 2 if rng.random() < 1 / 3 else rng.randint(0, len(pool))
+        if size <= len(pool):
+            p = to_partial_perm(DihedralElement(n, j, k), rng.sample(pool, size))
+            if getattr(classify(p), f"in_{kind}"):
+                out.append(p)
+    return out
+
+
+def _members(kind, n):
+    return kind_elements(kind, n) if n < 10 else _random_members(kind, n, random.Random(n))
+
+
+@pytest.mark.parametrize("n", [*range(3, 41), 254, 255])
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
+def test_words_spelled_by_table_match_the_words_spelled_point_by_point(kind, n):
+    for p in _members(kind, n):
+        word = factorize(p, kind)
+        want = _point_word(p, kind)
+        assert word == want, p
+        # each e letter is the one interned string of its name, as the oracle's are
+        letters = [w for w in word if w[0] == "e"]
+        assert all(w is intern(w) for w in letters), p
+        if kind != "opdi":  # the rotation oracle's e_n is text built per call
+            assert all(a is b for a, b in zip(letters, [w for w in want if w[0] == "e"])), p
 
 
 def _to_monotone_alphabet(n, letters):
@@ -229,6 +339,9 @@ def test_missing_points_are_the_complement_of_the_domain(n):
     for dom in ([], points, [1], [n], [2, n - 1], *drawn):
         dom = tuple(sorted(dom))
         assert _missing(n, dom) == sorted(set(points) - set(dom)), dom
+        mask = _missing_mask(identity_on(n, set(dom)))  # [2, n - 1] repeats at n = 3
+        assert len(mask) == n and set(mask) <= {0, 1}, dom
+        assert [x for x, flag in zip(points, mask) if flag] == _missing(n, dom), dom
 
 
 @pytest.mark.parametrize("n", range(8, 33))

@@ -142,6 +142,27 @@ def test_evaluate_refuses_names_outside_the_set(word):
         standard_generators("odi", 5).evaluate(word)
 
 
+@pytest.mark.parametrize("n", [5, 255])  # a byte code and a map held as pairs
+@pytest.mark.parametrize("bad", ["z", "e999", 1, None, ["g"], {"x": 1}], ids=repr)
+def test_evaluate_names_the_first_bad_letter_of_a_word_read_once(n, bad):
+    # an iterator cannot be read twice, so the letter a refusal names is the one it met
+    gens = standard_generators("odi", n)
+    word = ["x", "y", bad, "x", "z"]
+    for form in (tuple(word), word, iter(word), (name for name in word)):
+        with pytest.raises(ParseError) as refused:
+            gens.evaluate(form)
+        assert type(refused.value) is ParseError
+        assert str(refused.value) == f"name {bad!r} is not in the odi generating set"
+        assert refused.value.__suppress_context__
+
+
+@pytest.mark.parametrize("n", [5, 255])
+@pytest.mark.parametrize("word", ["x z", "xy", "z"], ids=repr)
+def test_a_text_word_is_refused_before_any_letter_is_read(n, word):
+    with pytest.raises(ParseError, match="read text with parse_word"):
+        standard_generators("odi", n).evaluate(word)
+
+
 @pytest.mark.parametrize(
     "kind,n,names,error",
     [

@@ -1,3 +1,4 @@
+import copy
 import gc
 import pickle
 import random
@@ -40,6 +41,48 @@ def test_parse_str_round_trip():
 
 def test_parse_tolerates_surrounding_space():
     assert PartialPerm.parse("  n=4;2>3  ") == PartialPerm(4, ((2, 3),))
+
+
+def _code_text(p):
+    """The text decoded from the map's code."""
+    return f"n={p.n};" + ",".join(f"{a}>{b}" for a, b in p.pairs)
+
+
+@st.composite
+def _padded_texts(draw):
+    """The canonical text of a map on n = 1..40, 254 or 255 points, in surrounding space."""
+    n = draw(st.integers(1, 40) | st.sampled_from((254, 255)))
+    space = st.sampled_from(("", " ", "  ", "\t", "\n", " \r\n"))
+    return draw(space) + _code_text(draw(sparse_perm_on(n, max_pairs=12))) + draw(space)
+
+
+@given(_padded_texts())
+@example("n=1;")
+@example(" n=254;1>254,254>1 ")
+@example("\tn=255;1>255,255>1\n")
+def test_a_parsed_map_prints_the_text_it_read(text):
+    p = PartialPerm.parse(text)
+    assert str(p) == text.strip() == _code_text(p) == str(PartialPerm(p.n, p.pairs))
+    assert type(str(p)) is str
+
+
+@pytest.mark.parametrize("n", [5, 254, 255])
+def test_the_kept_text_is_read_by_str_alone(n):
+    text = f"n={n};1>2,3>{n},{n}>1"
+    p, other = PartialPerm.parse(text), PartialPerm.parse(f"n={n};1>1,2>3,{n}>{n}")
+    built = PartialPerm(n, p.pairs)
+    assert p._text == text and not hasattr(built, "_text")
+    # equality, hashing, order, repr and pickling read the code alone
+    assert p == built and hash(p) == hash(built) and not p < built and not built < p
+    assert repr(p) == repr(built)
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(p, proto) == pickle.dumps(built, proto)
+    copies = [pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)]
+    derived = [p * other, other * p, p * p, p.inverse(), p.restrict([1, n])]
+    for q in copies + derived:
+        assert not hasattr(q, "_text"), q
+        assert str(q) == _code_text(q), q
+    assert all(q == p and str(q) == text for q in copies)
 
 
 @pytest.mark.parametrize(
