@@ -72,6 +72,9 @@ directory are masked, and a usage error that argparse reports keeps only
 its exit code and the word ``usage``, since its text wraps with the
 terminal and varies across Python versions.  ``verify`` runs at
 ``--max-n 7``, the smallest cap at which criterion 5's random sweep runs.
+Each ``GREENS_CLI_PINS`` entry is the same listing for ``greens`` at one n
+past ``CLI_PIN``'s sizes: the four kinds, ``di`` last, each relation in
+``JLRH`` order, each as text and then as ``--json``.
 """
 
 import gzip
@@ -672,3 +675,20 @@ def _cli_record(argv, out_dir, capsysbinary) -> str:
 def test_cli_outputs_match_pin(tmp_path, capsysbinary):
     listing = "".join(_cli_record(argv, tmp_path, capsysbinary) for argv in _CLI_ARGVS)
     assert _sha(listing.encode()) == CLI_PIN
+
+
+GREENS_CLI_PINS = {
+    7: "e8fe2f1e0413ecb8992dce0ec28dec9b7732e5e99e5720aa9059ae980b507db2",
+    8: "8568e8a2b23c3b077a4b09722beeb46134d455083dd7b4210c625d417c24c840",
+    9: "475c0599e80fdfd03e3c74edf4445280e4ca52e0f212b6f634fed2976c1b24f1",
+    10: "d2c41bcf77b313a22df70592900ab4d16861d087151b44172aed7977a88dfded",
+    11: "a55bb13ca9580e12126caeea18958baee1fc1d835fa96aecdb24743a2b9985b7",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GREENS_CLI_PINS))
+def test_greens_outputs_past_the_cli_pin_sizes_match_pin(n, tmp_path, capsysbinary):
+    argvs = [["greens", k, str(n), "--relation", r, *j] for k in KINDS + ("di",)
+             for r in "JLRH" for j in ([], ["--json"])]
+    listing = "".join(_cli_record(argv, tmp_path, capsysbinary) for argv in argvs)
+    assert _sha(listing.encode()) == GREENS_CLI_PINS[n]
