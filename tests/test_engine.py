@@ -289,6 +289,22 @@ def test_closure_leaves_the_collector_as_it_found_it(enabled):
         (gc.enable if was_enabled else gc.disable)()
 
 
+def test_a_closure_keeps_no_tracked_object_per_element():
+    # the table maps bytes to bytes and the letters share one array, so a
+    # closure hands the cyclic collector nothing to traverse per element
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        m = close(11, standard_generators("opdi", 11).elements)
+        added = len(gc.get_objects()) - before
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert m.size == 23_123
+    assert added < 64
+    assert not gc.is_tracked(m._parents)
+
+
 def test_closure_rejects_foreign_generators():
     with pytest.raises(AmbientMismatchError):
         close(5, [identity(4)])
