@@ -7,7 +7,6 @@ deterministic element-set serialization.
 
 from __future__ import annotations
 
-import gc
 import gzip
 import io
 import json
@@ -107,10 +106,9 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     store it: the table maps it to its parent's code, and its letter goes into one array.
     A product already found is not formed: a repeated letter, nor u * b where u's word
     ends in a letter a with a * b the identity or a letter, since u * b is then u's parent
-    times a * b, found the layer before; so the table is the full search's.  The search
-    makes no reference cycles, so the cyclic collector is paused for it.  The result skips
-    the constructor: it holds the table's keys sorted as elements, and the table as its
-    parent table and its index.  ``n`` must be an int in 1..10**4300 - 1, ``workers`` a
+    times a * b, found the layer before; so the table is the full search's.  The result
+    skips the constructor: it holds the table's keys sorted as elements, and the table as
+    its parent table and its index.  ``n`` must be an int in 1..10**4300 - 1, ``workers`` a
     positive int.
     """
     _check_size(n)
@@ -131,29 +129,23 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     every = [(gi, tables[gi]) for gi in letters.values() if gi >= 0]
     after = {a: [(b, t) for b, t in every if mul(c, t) not in letters] for c, a in letters.items()}
     after[-1] = every  # the letters a word with no last letter is multiplied by
-    gc_was_on = gc.isenabled()
-    gc.disable()
-    try:
-        while layer:
-            # the layer is the table's tail: visit it in stripped order, with its last letters
-            ends, keys = last[-len(layer):], list(map(strip, layer))
-            fresh = []
-            for i in sorted(range(len(layer)), key=keys.__getitem__):
-                code = layer[i]
-                for gi, t in after[ends[i]]:
-                    prod = mul(code, t)
-                    if prod not in found:
-                        found[prod] = code
-                        last.append(gi)
-                        fresh.append(prod)
-            layer = fresh
-        m = object.__new__(EnumeratedMonoid)
-        m._codes = tuple(sorted(found, key=strip))
-        m.n, m.generators, m._parents, m._letters, m._index = n, gens, found, last, found
-        return m
-    finally:
-        if gc_was_on:
-            gc.enable()
+    while layer:
+        # the layer is the table's tail: visit it in stripped order, with its last letters
+        ends, keys = last[-len(layer):], list(map(strip, layer))
+        fresh = []
+        for i in sorted(range(len(layer)), key=keys.__getitem__):
+            code = layer[i]
+            for gi, t in after[ends[i]]:
+                prod = mul(code, t)
+                if prod not in found:
+                    found[prod] = code
+                    last.append(gi)
+                    fresh.append(prod)
+        layer = fresh
+    m = object.__new__(EnumeratedMonoid)
+    m._codes = tuple(sorted(found, key=strip))
+    m.n, m.generators, m._parents, m._letters, m._index = n, gens, found, last, found
+    return m
 
 
 @dataclass(frozen=True)
