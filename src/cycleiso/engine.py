@@ -49,25 +49,26 @@ __all__ = [
 class EnumeratedMonoid:
     """A canonically sorted element set on one cycle, optionally with generator words.
 
-    The set is held as its codes padded to n, in element order, which size, membership and
-    export read; ``elements`` strips and wraps them on first read.  ``EnumeratedMonoid(n,
-    elements)`` sorts the elements canonically and refuses one on another n; its
-    ``generators`` are ``()`` and its table, letters and ``words`` empty.  ``close`` builds
-    its result itself, with its generators, its search table of parent code per code and an
-    array of each entry's letter, in table order.  ``words``, built from the two on first
-    read, maps the elements in order to the shortest words the search found, as tuples of
-    indices into ``generators``.  Membership reads the table's keys, or a frozenset of the
-    padded codes: one code-keyed index.
+    The set is held as its codes padded to n, in element order, which size and export read;
+    ``elements`` strips and wraps them on first read.  Its table maps each code to its
+    parent's code, and membership reads the table's keys.  ``EnumeratedMonoid(n, elements)``
+    checks n as ``close`` does, sorts the elements canonically, refuses one on another n and
+    holds each once; its ``generators`` are ``()``, its table has no parents and its letters
+    and ``words`` are empty.  ``close`` builds its result itself, with its generators, its
+    search table and an array of each entry's letter, in table order.  ``words``, built from
+    the two on first read, maps the elements in order to the shortest words the search
+    found, as tuples of indices into ``generators``.
     """
 
     def __init__(self, n, elements):
-        self.elements = tuple(sorted(elements))
-        for p in self.elements:
+        _check_size(n)
+        elements = sorted(elements)
+        for p in elements:
             if p.n != n:
                 raise AmbientMismatchError(f"element {p} does not live on n={n}")
-        self.n, self.generators, self._parents, self._letters = n, (), {}, array("i")
-        self._codes = tuple(_padded(n, p._code) for p in self.elements)
-        self._index = frozenset(self._codes)
+        table = {_padded(n, p._code): p for p in elements}  # one entry per code
+        self.n, self.generators, self._parents, self._letters = n, (), dict.fromkeys(table), array("i")
+        self.elements, self._codes = tuple(table.values()), tuple(table)
 
     @cached_property
     def elements(self) -> tuple[PartialPerm, ...]:
@@ -92,7 +93,7 @@ class EnumeratedMonoid:
 
     def __contains__(self, p) -> bool:
         hash(p)  # an unhashable probe raises TypeError, as set membership does
-        return isinstance(p, PartialPerm) and p.n == self.n and _padded(p.n, p._code) in self._index
+        return isinstance(p, PartialPerm) and p.n == self.n and _padded(p.n, p._code) in self._parents
 
 
 def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
@@ -107,9 +108,8 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
     A product already found is not formed: a repeated letter, nor u * b where u's word
     ends in a letter a with a * b the identity or a letter, since u * b is then u's parent
     times a * b, found the layer before; so the table is the full search's.  The result
-    skips the constructor: it holds the table's keys sorted as elements, and the table as
-    its parent table and its index.  ``n`` must be an int in 1..10**4300 - 1, ``workers`` a
-    positive int.
+    skips the constructor: it holds the table's keys sorted as elements, and the table.
+    ``n`` must be an int in 1..10**4300 - 1, ``workers`` a positive int.
     """
     _check_size(n)
     gens = tuple(generators)
@@ -144,7 +144,7 @@ def close(n, generators, workers: int = 1) -> EnumeratedMonoid:
         layer = fresh
     m = object.__new__(EnumeratedMonoid)
     m._codes = tuple(sorted(found, key=strip))
-    m.n, m.generators, m._parents, m._letters, m._index = n, gens, found, last, found
+    m.n, m.generators, m._parents, m._letters = n, gens, found, last
     return m
 
 

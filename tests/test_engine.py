@@ -5,6 +5,7 @@ import gc
 import gzip
 import json
 import pickle
+import random
 import re
 from itertools import combinations
 
@@ -318,7 +319,7 @@ def test_enumerated_monoid_basics():
     assert identity(4) in m
     assert PartialPerm.parse("n=4;1>1,2>3") not in m
     assert (m.generators, m.words) == ((), {})
-    assert (m._parents, len(m._letters)) == ({}, 0)
+    assert (m._parents, len(m._letters)) == (dict.fromkeys(m._codes), 0)
     with pytest.raises(AmbientMismatchError):
         EnumeratedMonoid(5, elems)
     # no argument can skip the sort or the n check; only close builds a monoid without them
@@ -330,6 +331,32 @@ def test_enumerated_monoid_basics():
     mixed = [identity(5), PartialPerm(6, ((2, 2),)), PartialPerm(4, ((3, 1),)), identity(4)]
     with pytest.raises(AmbientMismatchError, match=r"^element n=4;1>1,2>2,3>3,4>4 does not"):
         EnumeratedMonoid(5, iter(mixed))
+
+
+def test_a_repeated_element_is_held_once(tmp_path):
+    # the code table keeps one key per code, so a repeat adds no element
+    p, q = PartialPerm.parse("n=5;1>2,2>1"), identity_on(5, [1, 2])
+    m = EnumeratedMonoid(5, [p, p, q])
+    assert (m.size, len(m), list(m)) == (2, 2, [q, p])
+    assert [len(blob.splitlines()) for blob in _exports(m)[::2]] == [2, 2]
+    for fmt in ("txt", "jsonl"):
+        export_elements(m, tmp_path / fmt, fmt)
+        assert import_elements(tmp_path / fmt).elements == (q, p)
+    dec = green_structural(m)
+    assert dec.l_classes == dec.r_classes == dec.h_classes == dec.d_classes == ((q, p),)
+
+
+@pytest.mark.parametrize(
+    "n,elements",
+    [*((n, []) for n in (True, 5.0, "x", 0, -3, 10**4300)), (True, [identity(1)]), (5.0, [identity(5)])],
+    ids=["True", "5.0", "str", "0", "-3", "10**4300", "True-identity", "5.0-identity"],
+)
+def test_a_set_built_from_elements_refuses_the_sizes_close_refuses(n, elements):
+    with pytest.raises(DomainError) as closed:
+        close(n, [])
+    with pytest.raises(DomainError) as built:
+        EnumeratedMonoid(n, elements)
+    assert (type(built.value), str(built.value)) == (type(closed.value), str(closed.value))
 
 
 def _membership_reads_the_elements(m, data, perm=perm_on):
@@ -409,6 +436,37 @@ def test_a_closure_builds_no_elements_until_they_are_read(kind, n):
     assert (again.elements, again.words, again.size) == (expected, m.words, len(expected))
     assert all(p in again for p in expected)
     assert _exports(again) == exports
+
+
+def _assert_built_both_ways_alike(n, gens, data, perm=perm_on):
+    # the elements of a closure, shuffled and some repeated, build the same monoid
+    closed = close(n, gens)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    elements = list(closed.elements)
+    elements += rng.choices(elements, k=rng.randint(1, 4))
+    rng.shuffle(elements)
+    built = EnumeratedMonoid(n, elements)
+    assert (built._codes, built.size, built.elements) == (closed._codes, closed.size, closed.elements)
+    assert built._parents.keys() == closed._parents.keys()
+    assert vars(built).keys() == vars(closed).keys()
+    for p in data.draw(st.lists(perm(n) | perm(n - 1) | perm(n + 1), max_size=12)) + elements:
+        assert (p in built) == (p in closed)
+    assert _exports(built) == _exports(closed)
+
+
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi", "di"])
+@pytest.mark.parametrize("n", range(3, 8))
+@_membership
+@given(data=st.data())
+def test_a_set_built_from_a_closures_elements_is_the_closure(kind, n, data):
+    _assert_built_both_ways_alike(n, standard_generators(kind, n).elements, data)
+
+
+@pytest.mark.parametrize("n", [254, 255])
+@_membership
+@given(data=st.data())
+def test_a_set_built_from_a_byte_boundary_closures_elements_is_the_closure(n, data):
+    _assert_built_both_ways_alike(n, _byte_boundary_generators(n), data, sparse_perm_on)
 
 
 @_membership
