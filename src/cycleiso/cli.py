@@ -141,7 +141,7 @@ def _cmd_greens(args) -> _Output:
     ok = True
     # j_related is only defined inside the three classified submonoids
     if args.relation == "J" and args.kind != "di":
-        ok = payload["crosscheck"] = cross_check_green(m, args.kind).passed
+        ok = payload["crosscheck"] = cross_check_green(m, args.kind, dec).passed
         summary += f" crosscheck={'PASS' if ok else 'FAIL'}"
     lines = [summary, "class_size,num_classes"]
     lines += [f"{size},{count}" for size, count in histogram]

@@ -245,13 +245,15 @@ class CrossCheckReport:
     counterexample: tuple[PartialPerm, PartialPerm] | None
 
 
-def cross_check_green(m: EnumeratedMonoid, kind: str) -> CrossCheckReport:
-    """Compare the structural D-partition with the j_related partition.
+def cross_check_green(m: EnumeratedMonoid, kind: str, dec: GreenDecomposition) -> CrossCheckReport:
+    """Compare the D classes of ``dec``, which must be ``green_structural(m)``, with the J classes.
 
-    On mismatch the report carries a pair of elements on which the two
-    relations disagree.
+    A ``dec`` whose D classes do not hold ``len(m)`` elements is refused.  On mismatch the
+    report carries a pair of elements on which the two relations disagree.
     """
-    d_classes = green_structural(m).d_classes
+    d_classes = dec.d_classes
+    if (held := sum(map(len, d_classes))) != len(m):
+        raise DomainError(f"the D classes hold {held} elements, the monoid {len(m)}")
     j_classes = j_partition(m, kind)
     if d_classes == j_classes:
         return CrossCheckReport(True, len(d_classes), len(j_classes), None)

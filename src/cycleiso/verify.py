@@ -23,7 +23,7 @@ from .geometry import (
     is_partial_isometry_fast,
 )
 from .dihedral import KINDS, b2_count, extensions, is_in_b2
-from .engine import close, cross_check_green, export_bytes
+from .engine import close, cross_check_green, export_bytes, green_structural
 from .formulas import card, card_rank_le1, rank_formula
 from .generators import standard_generators
 from .factorize import factorize
@@ -170,7 +170,8 @@ def _check_green_cross(top):
     counts = []
     for n in _span(4, 7, top):
         for kind in KINDS:
-            report = cross_check_green(kind_monoid(kind, n), kind)
+            m = kind_monoid(kind, n)
+            report = cross_check_green(m, kind, green_structural(m))
             if not report.passed:
                 a, b = report.counterexample
                 return False, f"{kind} n={n}: D and J disagree on {a} vs {b}"

@@ -329,6 +329,24 @@ def test_greens_di_skips_the_crosscheck(capsys):
     assert "crosscheck" not in out.splitlines()[0]
 
 
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi", "di"])
+@pytest.mark.parametrize("relation", [(), ("--relation", "L")], ids=["J", "L"])
+def test_greens_builds_one_decomposition_per_run(capsys, monkeypatch, kind, relation):
+    # the J cross-check compares the decomposition the run already has
+    real = cycleiso.engine.green_structural
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr("cycleiso.engine.green_structural", counted)
+    monkeypatch.setattr("cycleiso.cli.green_structural", counted)
+    code, _, _ = run(capsys, "greens", kind, "6", *relation)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_greens_json(capsys):
     code, out, _ = run(capsys, "greens", "opdi", "4", "--json")
     payload = json.loads(out)

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cycleiso import (
     AmbientMismatchError,
+    CrossCheckReport,
     DomainError,
     EnumeratedMonoid,
     NotInverseClosedError,
@@ -22,6 +23,7 @@ from cycleiso import (
     close,
     cross_check_green,
     distance_sequence,
+    empty_map,
     export_bytes,
     export_elements,
     green_structural,
@@ -646,7 +648,8 @@ def test_j_key_is_the_least_moved_distance_sequence(kind, n):
 @pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_structural_and_metric_green_agree(kind, n):
-    report = cross_check_green(kind_monoid(kind, n), kind)
+    m = kind_monoid(kind, n)
+    report = cross_check_green(m, kind, green_structural(m))
     assert report.passed
     assert report.d_class_count == report.j_class_count
     assert report.counterexample is None
@@ -655,7 +658,7 @@ def test_structural_and_metric_green_agree(kind, n):
 def test_cross_check_names_a_witness_when_the_partitions_differ():
     # odi's J key describes D only inside ODI_5, not on all of DI_5
     m = kind_monoid("di", 5)
-    report = cross_check_green(m, "odi")
+    report = cross_check_green(m, "odi", green_structural(m))
     assert not report.passed
     assert (report.d_class_count, report.j_class_count) == (8, 15)
     p, q = report.counterexample
@@ -676,7 +679,8 @@ def test_cross_check_names_a_witness_when_the_partitions_differ():
     (6, "opdi", (13, 14), ("n=6;1>1,2>2,4>4", "n=6;1>1,2>2,5>5")),
 ])
 def test_cross_check_counterexamples_on_all_of_di(n, kind, counts, pair):
-    report = cross_check_green(kind_monoid("di", n), kind)
+    m = kind_monoid("di", n)
+    report = cross_check_green(m, kind, green_structural(m))
     assert (report.d_class_count, report.j_class_count) == counts
     assert report.passed == (pair is None)
     assert report.counterexample == (pair and tuple(map(PartialPerm.parse, pair)))
@@ -690,8 +694,55 @@ def test_cross_check_witness_is_the_first_element_whose_classes_differ(kind, n):
     d_of = {p: frozenset(c) for c in green_structural(m).d_classes for p in c}
     j_of = {p: frozenset(c) for c in j_partition(m, kind) for p in c}
     naive = next(((p, min(d_of[p] ^ j_of[p])) for p in m if d_of[p] != j_of[p]), None)
-    assert cross_check_green(m, kind).counterexample == naive
+    assert cross_check_green(m, kind, green_structural(m)).counterexample == naive
 
+
+
+def _two_pass_cross_check(m, kind):
+    # the cross-check as it was when it built its own decomposition: the oracle
+    # for the one that compares the decomposition it is given
+    d_classes = green_structural(m).d_classes
+    j_classes = j_partition(m, kind)
+    if d_classes == j_classes:
+        return CrossCheckReport(True, len(d_classes), len(j_classes), None)
+    d, j = next((d, j) for d, j in zip(d_classes, j_classes) if d != j)
+    return CrossCheckReport(False, len(d_classes), len(j_classes), (d[0], min({*d} ^ {*j})))
+
+
+@pytest.mark.parametrize("kind", ["odi", "mdi", "opdi"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_cross_check_of_the_given_decomposition_matches_two_passes_on_each_kind(kind, n):
+    m = kind_monoid(kind, n)
+    assert cross_check_green(m, kind, green_structural(m)) == _two_pass_cross_check(m, kind)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_cross_check_of_the_given_decomposition_matches_two_passes_on_all_of_di(n):
+    # di is where the J keys split D classes, so this is where the witnesses are
+    m = kind_monoid("di", n)
+    dec = green_structural(m)
+    for kind in ("odi", "mdi", "opdi"):
+        assert cross_check_green(m, kind, dec) == _two_pass_cross_check(m, kind)
+
+
+@pytest.mark.parametrize("foreign,held", [
+    (EnumeratedMonoid(5, [empty_map(5)]), 1),
+    (kind_monoid("odi", 4), 44),
+])
+def test_cross_check_refuses_a_decomposition_of_another_set(foreign, held):
+    # the class walk assumes both partitions cover one set; on two sets it can
+    # run out of class pairs, so the sizes are compared first
+    m = kind_monoid("opdi", 5)
+    with pytest.raises(DomainError) as info:
+        cross_check_green(m, "opdi", green_structural(foreign))
+    assert str(info.value) == f"the D classes hold {held} elements, the monoid {len(m)}"
+
+
+def test_cross_check_still_refuses_a_kind_with_no_j_key():
+    m = kind_monoid("di", 4)
+    with pytest.raises(DomainError) as info:
+        cross_check_green(m, "di", green_structural(m))
+    assert str(info.value) == "unknown kind 'di'; expected one of odi, mdi, opdi"
 
 def test_j_class_counts_per_rank_at_n4():
     from collections import Counter
