@@ -697,7 +697,6 @@ def test_cross_check_witness_is_the_first_element_whose_classes_differ(kind, n):
     assert cross_check_green(m, kind, green_structural(m)).counterexample == naive
 
 
-
 def _two_pass_cross_check(m, kind):
     # the cross-check as it was when it built its own decomposition: the oracle
     # for the one that compares the decomposition it is given
@@ -743,6 +742,7 @@ def test_cross_check_still_refuses_a_kind_with_no_j_key():
     with pytest.raises(DomainError) as info:
         cross_check_green(m, "di", green_structural(m))
     assert str(info.value) == "unknown kind 'di'; expected one of odi, mdi, opdi"
+
 
 def test_j_class_counts_per_rank_at_n4():
     from collections import Counter
