@@ -839,14 +839,27 @@ def test_export_import_round_trip(tmp_path, m, fmt, compress):
 
 @st.composite
 def _element_sets(draw):
-    n = draw(st.integers(1, 300))
-    return EnumeratedMonoid(n, draw(st.lists(sparse_perm_on(n), unique=True)))
+    # sizes at the byte code's cut and with a one-point half, empty and full maps, and
+    # maps that keep one map's pairs on the first half of the points and another's after
+    n = draw(st.sampled_from([1, 2, 253, 254, 255]) | st.integers(1, 300))
+    full = st.permutations(range(1, n + 1)).map(lambda img: PartialPerm(n, tuple(enumerate(img, 1))))
+    heads = draw(st.lists(sparse_perm_on(n) | full | st.just(empty_map(n)), max_size=4))
+    ends = draw(st.lists(sparse_perm_on(n) | full, max_size=4))
+    half, shared = (n + 1) // 2, []
+    for head in heads:
+        front = [(a, b) for a, b in head.pairs if a <= half]
+        taken = {b for _, b in front}
+        for end in ends:
+            back = [(a, b) for a, b in end.pairs if a > half and b not in taken]
+            shared.append(PartialPerm(n, tuple(front + back)))
+    return EnumeratedMonoid(n, heads + ends + shared)
 
 
 @given(_element_sets())
 def test_export_lines_spell_each_element_as_str_and_to_json(m):
-    # export joins each line from a table of pair cells; these are the
-    # per-element spellings it replaced
+    # export renders each run of codes that share a first half from that half's
+    # text and a text per distinct second half; these are the per-element
+    # spellings it replaced
     assert export_bytes(m, "txt").decode() == "".join(f"{p}\n" for p in m)
     jsonl = "".join(json.dumps(p.to_json(), separators=(",", ":")) + "\n" for p in m)
     assert export_bytes(m, "jsonl").decode() == jsonl
