@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import (
     AmbientMismatchError,
+    CycleIsoError,
     DomainError,
     NotInverseClosedError,
     ParseError,
@@ -277,6 +278,8 @@ def export_bytes(m: EnumeratedMonoid, fmt: str = "txt", compress: bool = False) 
     """
     if fmt not in ("txt", "jsonl"):
         raise ParseError(f"unknown format {_shown(fmt)}; expected txt or jsonl")
+    if type(compress) is not bool:
+        raise DomainError(f"compress must be a bool, got {_shown(compress)}")
     if fmt == "txt":
         raw = _render(m.n, m._codes, "{}>{}", f"n={m.n};", "\n")
     else:
@@ -295,9 +298,10 @@ def export_elements(m: EnumeratedMonoid, path, fmt: str = "txt", compress: bool 
 
 def import_elements(path) -> EnumeratedMonoid:
     """Read an element dump, rejecting anything a canonical export would
-    not produce: a broken gzip stream, text that is not UTF-8, unparsable
-    lines, non-canonical spellings, duplicates, or elements on different
-    cycles."""
+    not produce: a broken gzip stream, text that is not UTF-8, a line not
+    ended by ``"\\n"``, unparsable lines, non-canonical spellings,
+    duplicates, or elements on different cycles.  Each refusal of a line
+    names it."""
     data = Path(path).read_bytes()
     if data[:2] == b"\x1f\x8b":
         try:
@@ -305,22 +309,22 @@ def import_elements(path) -> EnumeratedMonoid:
         except (OSError, EOFError, zlib.error) as exc:
             raise ParseError(f"broken gzip stream: {exc}") from None
     try:
-        lines = data.decode().splitlines()
+        lines = data.decode().split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc}") from None
+    if lines.pop():  # the text after the last newline, which export leaves empty
+        raise ParseError(f"line {len(lines) + 1}: no newline at its end")
     fmt = "jsonl" if lines and lines[0].lstrip().startswith("{") else "txt"
     seen = set()
     elements = []
     n = None
     for num, line in enumerate(lines, start=1):
-        if fmt == "jsonl":
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:  # bad syntax, or an int too long to read
-                raise ParseError(f"line {num}: invalid JSON: {exc}") from None
-            p = PartialPerm.from_json(obj)
-        else:
-            p = PartialPerm.parse(line)
+        try:
+            p = PartialPerm.from_json(json.loads(line)) if fmt == "jsonl" else PartialPerm.parse(line)
+        except ValueError as exc:  # bad JSON syntax, or an int too long to read
+            raise ParseError(f"line {num}: invalid JSON: {exc}") from None
+        except CycleIsoError as exc:
+            raise type(exc)(f"line {num}: {exc}") from None
         if (str(p) if fmt == "txt" else json.dumps(p.to_json(), separators=(",", ":"))) != line:
             raise ParseError(f"line {num}: not in canonical form")
         if p in seen:

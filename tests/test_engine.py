@@ -17,6 +17,7 @@ from cycleiso import (
     CrossCheckReport,
     DomainError,
     EnumeratedMonoid,
+    NotInjectiveError,
     NotInverseClosedError,
     ParseError,
     PartialPerm,
@@ -414,7 +415,7 @@ def test_a_closure_pickles_with_its_membership():
 
 
 def _exports(m):
-    return [export_bytes(m, fmt, compress) for fmt in ("txt", "jsonl") for compress in (0, 1)]
+    return [export_bytes(m, fmt, compress) for fmt in ("txt", "jsonl") for compress in (False, True)]
 
 
 @pytest.mark.parametrize("kind,n", [("odi", 7), ("mdi", 7), ("opdi", 7), ("di", 7), ("pairs", 255)])
@@ -890,6 +891,13 @@ def test_import_accepts_any_line_order(tmp_path):
         pytest.param(gzip.compress(b"n=4;1>2\n")[:-8] + bytes(8), "gzip", id="gzip-bad-crc"),
         pytest.param(b"\x1f\x8bxxxx", "gzip", id="gzip-magic-then-junk"),
         pytest.param(b"\x1f\x8b\x08\x00" + bytes(6) + b"\xff" * 20, "gzip", id="gzip-bad-deflate"),
+        pytest.param("n=4;1>2\r\nn=4;2>3\r\n", "line 1: not in canonical", id="crlf"),
+        pytest.param('{"n":4,"map":[[1,2]]}\r\n', "line 1: not in canonical", id="jsonl-crlf"),
+        pytest.param("n=4;1>2\x0cn=4;2>3\n", "line 1: not an element", id="form-feed"),
+        pytest.param("n=4;1>2\x1en=4;2>3\n", "line 1: not an element", id="record-separator"),
+        pytest.param("n=4;1>2\u2028n=4;2>3\n", "line 1: not an element", id="line-separator"),
+        pytest.param("n=4;1>2\nn=4;2>3", "newline", id="no-final-newline"),
+        pytest.param("n=4;1>2", "newline", id="one-line-no-newline"),
     ],
 )
 def test_import_rejects_what_export_never_writes(tmp_path, content, complaint):
@@ -897,6 +905,45 @@ def test_import_rejects_what_export_never_writes(tmp_path, content, complaint):
     path.write_bytes(content if isinstance(content, bytes) else content.encode())
     with pytest.raises(ParseError, match=complaint):
         import_elements(path)
+
+
+@pytest.mark.parametrize(
+    "content,error,message",
+    [
+        ("n=5;\nnot an element\n", ParseError,
+         "line 2: not an element in n=<n>;a>b,... form: 'not an element'"),
+        ('n=5;\n{"n":5,"map":[]}\n', ParseError,
+         """line 2: not an element in n=<n>;a>b,... form: '{"n":5,"map":[]}'"""),
+        ("n=5;\nn=5;1>6\n", DomainError, "line 2: pair 1>6 is not a pair of ints in 1..5"),
+        ("n=5;\nn=5;1>2,2>2\n", NotInjectiveError, "line 2: image point 2 repeats"),
+        ('{"n":5,"map":[]}\n{"n":5,"map":[[1]]}\n', ParseError, "line 2: bad map entry [1]"),
+        ('{"n":5,"map":[]}\n[]\n', ParseError,
+         "line 2: expected {'n': int, 'map': [[a, b], ...]}, got []"),
+        ('{"n":5,"map":[]}\n{"n":5,"map":[[1,6]]}\n', DomainError,
+         "line 2: pair 1>6 is not a pair of ints in 1..5"),
+        ('{"n":0,"map":[]}\n', DomainError, "line 1: ambient size must be a positive int, got 0"),
+    ],
+    ids=["txt-form", "jsonl-in-txt", "txt-range", "txt-injective",
+         "jsonl-entry", "jsonl-shape", "jsonl-range", "jsonl-size"],
+)
+def test_import_names_the_line_of_each_refusal(tmp_path, content, error, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(content)
+    with pytest.raises(error) as err:
+        import_elements(path)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("compress", ["no", "", 0, 1, None, 1.0])
+def test_export_refuses_a_compress_that_is_not_a_bool(tmp_path, compress):
+    m = kind_monoid("odi", 3)
+    message = f"compress must be a bool, got {compress!r}"
+    with pytest.raises(DomainError) as err:
+        export_bytes(m, "txt", compress)
+    assert str(err.value) == message
+    with pytest.raises(DomainError, match=re.escape(message)):
+        export_elements(m, tmp_path / "dump.txt", "txt", compress)
+    assert not (tmp_path / "dump.txt").exists()
 
 
 def test_import_reads_gzip_by_magic(tmp_path):
