@@ -320,7 +320,8 @@ def import_elements(path) -> EnumeratedMonoid:
     n = None
     for num, line in enumerate(lines, start=1):
         try:
-            p = PartialPerm.from_json(json.loads(line)) if fmt == "jsonl" else PartialPerm.parse(line)
+            p = (PartialPerm.from_json(json.loads(line)) if fmt == "jsonl"
+                 else PartialPerm.parse(line))
         except ValueError as exc:  # bad JSON syntax, or an int too long to read
             raise ParseError(f"line {num}: invalid JSON: {exc}") from None
         except CycleIsoError as exc:

@@ -39,7 +39,7 @@ import io
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress, count, product
+from itertools import compress, count, groupby, product
 from operator import getitem, gt, itemgetter, lt, methodcaller
 
 from .errors import (
@@ -304,16 +304,22 @@ class PartialPerm:
 
 
 def _render(n: int, codes, cell: str, head: str, tail: str) -> bytes:
-    """One line per code of a map on n points: ``head``, its pairs as ``cell`` texts joined
-    by commas, then ``tail``, as ASCII.  Byte codes read through one table per point of
-    each image's cell, so no code is decoded."""
+    """One line per code of a map on n points: ``head``, its pairs as ``cell`` texts joined by
+    commas, then ``tail``, as ASCII.  Sorted byte codes padded to n spell each run's shared first
+    half and each distinct second half once, as cells led by a comma the line's first cell drops."""
     if n > _MAX_BYTE_N:
         pairs = (",".join(cell.format(*pair) for pair in code) for code in codes)
         return "".join(head + text + tail for text in pairs).encode()
     cells = [[f",{cell.format(x, y)}".encode() for y in range(n + 1)] + [b""] * (255 - n)
              for x in range(1, n + 1)]
-    head, tail, out = head.encode(), tail.encode(), io.BytesIO()
-    out.writelines(head + b"".join(map(getitem, cells, code))[1:] + tail for code in codes)
+    half, ends, out = (n + 1) // 2, {}, io.BytesIO()
+    head, tail = head.encode(), tail.encode()
+    for first, run in groupby(codes, itemgetter(slice(half))):
+        lead, run = head + b"".join(map(getitem, cells, first))[1:], [code[half:] for code in run]
+        for end in set(run).difference(ends):
+            ends[end] = b"".join(map(getitem, cells[half:], end))
+        texts = map(ends.__getitem__, run) if lead != head else (ends[end][1:] for end in run)
+        out.write(lead + (tail + lead).join(texts) + tail)
     return out.getvalue()
 
 
