@@ -320,10 +320,14 @@ def import_elements(path) -> EnumeratedMonoid:
     n = None
     for num, line in enumerate(lines, start=1):
         try:
-            p = (PartialPerm.from_json(json.loads(line)) if fmt == "jsonl"
-                 else PartialPerm.parse(line))
-        except ValueError as exc:  # bad JSON syntax, or an int too long to read
-            raise ParseError(f"line {num}: invalid JSON: {exc}") from None
+            if fmt == "jsonl":
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:  # bad syntax, or an int too long to read
+                    raise ParseError(f"invalid JSON: {exc}") from None
+                p = PartialPerm.from_json(obj)
+            else:
+                p = PartialPerm.parse(line)
         except CycleIsoError as exc:
             raise type(exc)(f"line {num}: {exc}") from None
         if (str(p) if fmt == "txt" else json.dumps(p.to_json(), separators=(",", ":"))) != line:
